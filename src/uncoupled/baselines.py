@@ -19,6 +19,7 @@ from .core import (
     ParameterError,
     PairwiseSet,
     _freeze,
+    augment_intercept,
     predict,
 )
 from .distributions import TargetDistribution
@@ -33,9 +34,7 @@ def lr_fit(data: Dataset, *, include_intercept: bool = False) -> LinearModel:
     tiny-ridge retry on singular Gram matrices)."""
     if data.targets is None:
         raise ParameterError("lr_fit needs a dataset with targets")
-    X = data.features
-    if include_intercept:
-        X = np.hstack([X, np.ones((X.shape[0], 1))])
+    X = augment_intercept(data.features, include_intercept)
     n = X.shape[0]
     G = X.T @ X / n
     rhs = X.T @ data.targets / n
@@ -81,6 +80,14 @@ def _hinge_grad(theta: np.ndarray, W: np.ndarray, L: np.ndarray, reg: float) -> 
     return -2.0 * (D.T @ viol) / D.shape[0] + 2.0 * reg * theta
 
 
+def _hinge_hess(theta: np.ndarray, W: np.ndarray, L: np.ndarray, reg: float) -> np.ndarray:
+    """Generalized Hessian of _hinge_loss: 2 D_act^T D_act / n + 2 reg I,
+    with D_act the rows of W - L whose margin is below 1."""
+    D = W - L
+    active = D[D @ theta < 1.0]
+    return 2.0 * (active.T @ active) / D.shape[0] + 2.0 * reg * np.eye(theta.size)
+
+
 def ranker_fit(
     pairs: PairwiseSet,
     reg: float = _DEFAULT_RANK_REG,
@@ -88,7 +95,9 @@ def ranker_fit(
 ) -> RankerModel:
     """Squared-hinge ranking fit: mean over comparisons of
     max(0, 1 - (score(x+) - score(x-)))^2 plus reg * ||theta||^2,
-    minimized by gradient descent from zero."""
+    minimized from zero by damped Newton steps on its generalized Hessian
+    (Chapelle & Keerthi, "Efficient algorithms for ranking with SVMs",
+    2010)."""
     if pairs.n_pairs < 1:
         raise EmptyDataError("ranker_fit needs at least one comparison")
     if not (np.isfinite(reg) and reg >= 0.0):
@@ -101,6 +110,7 @@ def ranker_fit(
         lambda th: _hinge_grad(th, W, L, reg),
         x0,
         opts,
+        hess=lambda th: _hinge_hess(th, W, L, reg),
     )
     return RankerModel(theta=result.theta, reg_strength=float(reg))
 

@@ -71,6 +71,14 @@ def as_matrix(a, name: str) -> np.ndarray:
     return out
 
 
+def augment_intercept(X: np.ndarray, intercept: bool) -> np.ndarray:
+    """X with a trailing constant-1 column when intercept is set, else X
+    itself: the design matrix of a LinearModel with that intercept flag."""
+    if not intercept:
+        return X
+    return np.hstack([X, np.ones((X.shape[0], 1))])
+
+
 # ---------------------------------------------------------------------------
 # datasets
 
@@ -219,13 +227,14 @@ def predict(model: LinearModel, x) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class BregmanGenerator:
-    """A convex generator phi with first and second derivatives and an open
+    """A convex generator phi with its first three derivatives and an open
     validity interval.  phi and its derivatives accept numpy arrays."""
 
     name: str
     phi: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     phi_prime: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     phi_second: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    phi_third: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     valid_domain: tuple[float, float] = (-np.inf, np.inf)
 
     def contains(self, x) -> bool:
@@ -247,6 +256,7 @@ SQUARED = BregmanGenerator(
     phi=lambda x: np.square(x),
     phi_prime=lambda x: 2.0 * np.asarray(x, dtype=float),
     phi_second=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
+    phi_third=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     valid_domain=(-np.inf, np.inf),
 )
 
@@ -258,10 +268,9 @@ BERNOULLI_KL = BregmanGenerator(
     phi=lambda x: x * np.log(x) + (1.0 - x) * np.log1p(-x),
     phi_prime=lambda x: np.log(x) - np.log1p(-x),
     phi_second=lambda x: 1.0 / (x * (1.0 - x)),
+    phi_third=lambda x: (2.0 * x - 1.0) / (x * (1.0 - x)) ** 2,
     valid_domain=(0.0, 1.0),
 )
-
-GENERATORS = {g.name: g for g in (SQUARED, BERNOULLI_KL)}
 
 
 def bregman_divergence(gen: BregmanGenerator, t: float, z: float) -> float:
@@ -279,23 +288,29 @@ def bregman_divergence(gen: BregmanGenerator, t: float, z: float) -> float:
 
 def check_generator(gen: BregmanGenerator, n_points: int = 100) -> None:
     """Spot-check on an interior grid that phi_prime matches a central finite
-    difference of phi (relative error 1e-6) and that phi_second >= 0.
-    Raises NumericError on violation."""
+    difference of phi, and phi_third one of phi_second (relative error 1e-6
+    each), and that phi_second >= 0.  Raises NumericError on violation."""
     lo, hi = gen.valid_domain
     glo = lo if np.isfinite(lo) else -10.0
     ghi = hi if np.isfinite(hi) else 10.0
     margin = 1e-3 * (ghi - glo)
     grid = np.linspace(glo + margin, ghi - margin, n_points)
     step = np.minimum(1e-6 * np.maximum(1.0, np.abs(grid)), margin / 4.0)
-    fd = (gen.phi(grid + step) - gen.phi(grid - step)) / (2.0 * step)
-    analytic = gen.phi_prime(grid)
-    scale = np.maximum(np.abs(analytic), 1.0)
-    rel = np.max(np.abs(fd - analytic) / scale)
-    if not rel < 1e-6:
-        raise NumericError(
-            f"generator '{gen.name}': phi_prime deviates from finite difference "
-            f"(max relative error {rel:.3e})"
-        )
+    # phi_second bends faster than phi near a finite domain edge, so its
+    # difference takes a tenth of the step to stay as accurate
+    for fn, deriv, name, h in (
+        (gen.phi, gen.phi_prime, "phi_prime", step),
+        (gen.phi_second, gen.phi_third, "phi_third", step / 10.0),
+    ):
+        fd = (fn(grid + h) - fn(grid - h)) / (2.0 * h)
+        analytic = deriv(grid)
+        scale = np.maximum(np.abs(analytic), 1.0)
+        rel = np.max(np.abs(fd - analytic) / scale)
+        if not rel < 1e-6:
+            raise NumericError(
+                f"generator '{gen.name}': {name} deviates from finite difference "
+                f"(max relative error {rel:.3e})"
+            )
     if np.any(gen.phi_second(grid) < 0.0):
         raise NumericError(f"generator '{gen.name}': phi_second is negative on the grid")
 

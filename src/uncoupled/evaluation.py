@@ -117,7 +117,6 @@ class ExperimentSpec:
 
 
 _CSV_HEADER = "method,n_r,mean_mse,std_mse,repeats"
-_STD_CONVENTION = "std convention: sample std over repeats (ddof=1); 0.0 when repeats=1"
 
 
 @dataclass(frozen=True)

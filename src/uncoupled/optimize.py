@@ -1,8 +1,13 @@
-"""Full-batch gradient descent with Armijo backtracking line search.
+"""Full-batch descent with an Armijo backtracking line search.
 
-Deliberately plain: every risk here is smooth and low-dimensional, so a
-halving line search with a warm-started initial step is fast and has no
-tuning knobs worth exposing beyond tolerances.
+Every risk here is smooth or piecewise quadratic in a handful of parameters.
+Given a Hessian, each step is a damped Newton step (Nocedal & Wright,
+Numerical Optimization, ch. 3 and 6): the direction solves (H + mu I) d = -g
+by Cholesky, with mu = 0 when H is positive definite and doubled from a small
+shift until the factorization succeeds otherwise, and the line search starts
+from the full step.  Without a Hessian each step is plain gradient descent
+with a warm-started initial step.  Neither mode has tuning knobs worth
+exposing beyond tolerances.
 """
 
 from __future__ import annotations
@@ -12,6 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DivergenceError, ParameterError
+
+# first shift tried on a Hessian that is not positive definite, relative to
+# its largest diagonal entry
+_SHIFT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -42,7 +51,40 @@ class GdResult:
     converged: bool
 
 
-def minimize_gd(fun, grad, x0, options: SolverOptions | None = None) -> GdResult:
+def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solve (H + mu I) d = -g, with mu = 0 when the Cholesky factorization
+    of H succeeds and otherwise the first of _SHIFT * max(1, max |H_ii|)
+    doubled that makes H + mu I factor.  Returns -g when H is non-finite, no
+    finite shift factors it, or the solve does not give a descent
+    direction."""
+    H = np.asarray(H, dtype=float)
+    if not np.all(np.isfinite(H)):
+        return -g
+    mu = 0.0
+    base = _SHIFT * max(1.0, float(np.max(np.abs(np.diag(H)))))
+    eye = np.eye(H.shape[0])
+    while True:
+        try:
+            C = np.linalg.cholesky(H + mu * eye)
+            break
+        except np.linalg.LinAlgError:
+            mu = base if mu == 0.0 else 2.0 * mu
+            if not np.isfinite(mu):
+                return -g
+    d = -np.linalg.solve(C.T, np.linalg.solve(C, g))
+    if not float(g @ d) < 0.0:
+        return -g
+    return d
+
+
+def minimize_gd(
+    fun, grad, x0, options: SolverOptions | None = None, hess=None
+) -> GdResult:
+    """Minimize fun from x0.  With hess (a callable returning the d x d
+    Hessian), steps are damped Newton steps; without it, gradient-descent
+    steps.  Both stop once the gradient norm reaches options.grad_tol, after
+    options.max_iter steps, or when the line search collapses, and raise
+    DivergenceError on a non-finite objective or gradient."""
     opts = options or SolverOptions()
     x = np.array(x0, dtype=float)
     f = float(fun(x))
@@ -57,10 +99,16 @@ def minimize_gd(fun, grad, x0, options: SolverOptions | None = None) -> GdResult
         gnorm = float(np.linalg.norm(g))
         if gnorm <= opts.grad_tol:
             return GdResult(x, f, gnorm, it - 1, True)
-        t = min(1.0, step / opts.shrink)  # warm start: try one size up first
-        decrease = opts.armijo * gnorm * gnorm
+        if hess is None:
+            direction = -g
+            t = min(1.0, step / opts.shrink)  # warm start: try one size up first
+            decrease = opts.armijo * gnorm * gnorm
+        else:
+            direction = _newton_direction(hess(x), g)
+            t = 1.0
+            decrease = -opts.armijo * float(g @ direction)
         while True:
-            trial = x - t * g
+            trial = x + t * direction
             f_trial = float(fun(trial))
             if np.isnan(f_trial):
                 raise DivergenceError("objective became non-finite during line search")

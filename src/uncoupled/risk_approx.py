@@ -31,6 +31,7 @@ from .core import (
     ParameterError,
     RiskConfig,
     ShapeError,
+    augment_intercept,
     predict,
 )
 from .distributions import TargetDistribution
@@ -263,12 +264,6 @@ def ra_empirical_risk(
     return -term_u - term_r
 
 
-def _augment(X: np.ndarray, intercept: bool) -> np.ndarray:
-    if not intercept:
-        return X
-    return np.hstack([X, np.ones((X.shape[0], 1))])
-
-
 def ra_risk_gradient(
     model: LinearModel,
     gen: BregmanGenerator,
@@ -278,14 +273,14 @@ def ra_risk_gradient(
 ) -> np.ndarray:
     """Analytic gradient of ra_empirical_risk in theta (including the
     intercept coordinate when the model has one)."""
-    Xa = _augment(unlabeled.features, model.includes_intercept)
+    Xa = augment_intercept(unlabeled.features, model.includes_intercept)
     hu = predict(model, unlabeled.features)
     gen.require_domain(hu, "unlabeled score")
     gu = Xa.T @ ((hu - cfg.lam) * gen.phi_second(hu)) / unlabeled.n
     if pairs.n_pairs == 0:
         return gu
-    Wa = _augment(pairs.winners, model.includes_intercept)
-    La = _augment(pairs.losers, model.includes_intercept)
+    Wa = augment_intercept(pairs.winners, model.includes_intercept)
+    La = augment_intercept(pairs.losers, model.includes_intercept)
     hp = predict(model, pairs.winners)
     hm = predict(model, pairs.losers)
     gen.require_domain(hp, "winner score")
@@ -352,7 +347,7 @@ def ra_fit(
     if use_closed:
         if gen.name != "squared":
             raise ParameterError("closed form is only available for the squared generator")
-        Xa = _augment(unlabeled.features, include_intercept)
+        Xa = augment_intercept(unlabeled.features, include_intercept)
         if unlabeled.n < ncols:
             raise ParameterError(
                 f"need n_U >= {ncols} rows for the normal equations, got {unlabeled.n}"
@@ -360,18 +355,18 @@ def ra_fit(
         G = Xa.T @ Xa / unlabeled.n
         rhs = cfg.lam * Xa.mean(axis=0)
         if pairs.n_pairs > 0:
-            Wa = _augment(pairs.winners, include_intercept)
-            La = _augment(pairs.losers, include_intercept)
+            Wa = augment_intercept(pairs.winners, include_intercept)
+            La = augment_intercept(pairs.losers, include_intercept)
             rhs = rhs + (cfg.w1 - cfg.lam / 2.0) * Wa.mean(axis=0)
             rhs = rhs + (cfg.w2 - cfg.lam / 2.0) * La.mean(axis=0)
         theta = solve_normal_equations(G, rhs)
         return LinearModel(theta=theta, includes_intercept=include_intercept)
 
-    unl = Dataset(features=_augment(unlabeled.features, include_intercept))
+    unl = Dataset(features=augment_intercept(unlabeled.features, include_intercept))
     prs = (
         PairwiseSet(
-            winners=_augment(pairs.winners, include_intercept),
-            losers=_augment(pairs.losers, include_intercept),
+            winners=augment_intercept(pairs.winners, include_intercept),
+            losers=augment_intercept(pairs.losers, include_intercept),
         )
         if pairs.n_pairs > 0
         else pairs

@@ -26,6 +26,7 @@ from .core import (
     LinearModel,
     PairwiseSet,
     ParameterError,
+    augment_intercept,
     predict,
 )
 from .distributions import EmpiricalCdf, TargetDistribution, empirical_cdf_eval
@@ -114,12 +115,6 @@ def tt_surrogate_risk(
     return -term_u - term_r
 
 
-def _augment(X: np.ndarray, intercept: bool) -> np.ndarray:
-    if not intercept:
-        return X
-    return np.hstack([X, np.ones((X.shape[0], 1))])
-
-
 def tt_surrogate_gradient(
     model: LinearModel,
     gen: BregmanGenerator,
@@ -127,14 +122,14 @@ def tt_surrogate_gradient(
     pairs: PairwiseSet,
 ) -> np.ndarray:
     """Analytic gradient of tt_surrogate_risk in theta."""
-    Xa = _augment(unlabeled.features, model.includes_intercept)
+    Xa = augment_intercept(unlabeled.features, model.includes_intercept)
     su = _clamped_sigmoid(predict(model, unlabeled.features))
     du = su * (1.0 - su)
     gu = Xa.T @ ((0.5 - su) * gen.phi_second(su) * du) / unlabeled.n
     grad = -gu
     if pairs.n_pairs > 0:
-        Wa = _augment(pairs.winners, model.includes_intercept)
-        La = _augment(pairs.losers, model.includes_intercept)
+        Wa = augment_intercept(pairs.winners, model.includes_intercept)
+        La = augment_intercept(pairs.losers, model.includes_intercept)
         sp = _clamped_sigmoid(predict(model, pairs.winners))
         sm = _clamped_sigmoid(predict(model, pairs.losers))
         gr = Wa.T @ (gen.phi_second(sp) * sp * (1.0 - sp)) - La.T @ (
@@ -142,6 +137,43 @@ def tt_surrogate_gradient(
         )
         grad = grad - gr / (4.0 * pairs.n_pairs)
     return grad
+
+
+def tt_surrogate_hessian(
+    model: LinearModel,
+    gen: BregmanGenerator,
+    unlabeled: Dataset,
+    pairs: PairwiseSet,
+) -> np.ndarray:
+    """Analytic Hessian of tt_surrogate_risk in theta.
+
+    With s the clamped sigmoid of the score, s1 = s(1 - s), s2 = s1(1 - 2s),
+    b = phi_third(s) s1^2 + phi_second(s) s2 (the second score derivative
+    of phi_prime(s)) and a = -phi_second(s) s1^2 + (1/2 - s) b:
+
+      H = -X^T diag(a) X / n_U - (W^T diag(b(h+)) W - L^T diag(b(h-)) L) / (4 n_R)
+
+    Like tt_surrogate_gradient, it treats the clamp as inactive.
+    """
+
+    def curvature(X):
+        s = _clamped_sigmoid(predict(model, X))
+        s1 = s * (1.0 - s)
+        b = gen.phi_third(s) * s1 * s1 + gen.phi_second(s) * s1 * (1.0 - 2.0 * s)
+        return s, s1, b
+
+    Xa = augment_intercept(unlabeled.features, model.includes_intercept)
+    su, s1u, bu = curvature(unlabeled.features)
+    au = -gen.phi_second(su) * s1u * s1u + (0.5 - su) * bu
+    hess = -(Xa.T * au) @ Xa / unlabeled.n
+    if pairs.n_pairs > 0:
+        Wa = augment_intercept(pairs.winners, model.includes_intercept)
+        La = augment_intercept(pairs.losers, model.includes_intercept)
+        _, _, bp = curvature(pairs.winners)
+        _, _, bm = curvature(pairs.losers)
+        hr = (Wa.T * bp) @ Wa - (La.T * bm) @ La
+        hess = hess - hr / (4.0 * pairs.n_pairs)
+    return hess
 
 
 def _exact_cdf_gradient(
@@ -154,7 +186,7 @@ def _exact_cdf_gradient(
 ) -> np.ndarray:
     """Gradient of tt_cdf_risk in exact mode; the chain rule brings in the
     target density at the raw scores."""
-    Xa = _augment(unlabeled.features, model.includes_intercept)
+    Xa = augment_intercept(unlabeled.features, model.includes_intercept)
     hu = predict(model, unlabeled.features)
     fu = np.asarray(dist.cdf(hu), dtype=float)
     du = np.asarray(dist.pdf(hu), dtype=float)
@@ -162,8 +194,8 @@ def _exact_cdf_gradient(
     gu = Xa.T @ ((cfg.lam - fu) * gen.phi_second(fu) * du) / unlabeled.n
     grad = -gu
     if pairs.n_pairs > 0:
-        Wa = _augment(pairs.winners, model.includes_intercept)
-        La = _augment(pairs.losers, model.includes_intercept)
+        Wa = augment_intercept(pairs.winners, model.includes_intercept)
+        La = augment_intercept(pairs.losers, model.includes_intercept)
         hp = predict(model, pairs.winners)
         hm = predict(model, pairs.losers)
         fp = np.asarray(dist.cdf(hp), dtype=float)
@@ -192,7 +224,8 @@ def tt_fit(
     include_intercept: bool = False,
     solver: SolverOptions | None = None,
 ) -> LinearModel:
-    """Gradient-descent fit of the transformed-target risk.
+    """Fit of the transformed-target risk: damped Newton steps on the
+    logistic surrogate (analytic Hessian), gradient descent in exact mode.
 
     Runs three deterministic starts (zero, +0.1 per coordinate, -0.1 per
     coordinate) and keeps the lowest final risk; ties go to the earliest
@@ -210,11 +243,11 @@ def tt_fit(
             raise ParameterError("exact mode needs a target distribution")
 
     ncols = unlabeled.dim + (1 if include_intercept else 0)
-    unl = Dataset(features=_augment(unlabeled.features, include_intercept))
+    unl = Dataset(features=augment_intercept(unlabeled.features, include_intercept))
     prs = (
         PairwiseSet(
-            winners=_augment(pairs.winners, include_intercept),
-            losers=_augment(pairs.losers, include_intercept),
+            winners=augment_intercept(pairs.winners, include_intercept),
+            losers=augment_intercept(pairs.losers, include_intercept),
         )
         if pairs.n_pairs > 0
         else pairs
@@ -223,9 +256,11 @@ def tt_fit(
     if cfg.use_logistic_surrogate:
         fun = lambda th: tt_surrogate_risk(LinearModel(th), gen, unl, prs)
         grad = lambda th: tt_surrogate_gradient(LinearModel(th), gen, unl, prs)
+        hess = lambda th: tt_surrogate_hessian(LinearModel(th), gen, unl, prs)
     else:
         fun = lambda th: tt_cdf_risk(LinearModel(th), gen, dist, unl, prs, cfg)
         grad = lambda th: _exact_cdf_gradient(LinearModel(th), gen, dist, unl, prs, cfg)
+        hess = None
 
     opts = solver or SolverOptions()
     starts = [np.zeros(ncols)]
@@ -237,7 +272,7 @@ def tt_fit(
 
     best_theta, best_value = None, np.inf
     for x0 in starts:
-        result = minimize_gd(fun, grad, x0, opts)
+        result = minimize_gd(fun, grad, x0, opts, hess=hess)
         if result.value < best_value:
             best_theta, best_value = result.theta, result.value
     return LinearModel(theta=best_theta, includes_intercept=include_intercept)

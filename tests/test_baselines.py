@@ -8,15 +8,19 @@ from uncoupled import (
     PairwiseSet,
     ParameterError,
     RankerModel,
+    SyntheticSpec,
     gaussian_distribution,
     lr_fit,
     predict,
+    random_unit_vector,
     rank_predict,
     ranker_fit,
     ranking_error,
+    sample_pairwise_from_spec,
     uniform_distribution,
 )
-from uncoupled.baselines import _hinge_loss
+from uncoupled.baselines import _hinge_grad, _hinge_hess, _hinge_loss
+from uncoupled.optimize import minimize_gd
 
 
 def labeled(X, y):
@@ -126,6 +130,57 @@ class TestRankerFit:
         pairs, _ = separable_pairs(seed=9)
         with pytest.raises(ParameterError):
             ranker_fit(pairs, reg=-1.0)
+
+
+def hinge_solve(pairs, reg, hess):
+    W, L = pairs.winners, pairs.losers
+    return minimize_gd(
+        lambda t: _hinge_loss(t, W, L, reg),
+        lambda t: _hinge_grad(t, W, L, reg),
+        np.zeros(pairs.dim),
+        hess=(lambda t: _hinge_hess(t, W, L, reg)) if hess else None,
+    )
+
+
+class TestRankerNewton:
+    def test_generalized_hessian_matches_finite_differences(self):
+        rng = np.random.default_rng(14)
+        W, L = rng.standard_normal((2, 40, 3))
+        theta = rng.standard_normal(3)
+        step = 1e-6
+        margin = (W - L) @ theta
+        # away from the kinks at margin 1 the squared hinge is quadratic
+        assert np.min(np.abs(margin - 1.0)) > 10 * step * np.max(np.abs(W - L))
+        # some pairs active and some not, so the row selection is exercised
+        assert 0 < np.sum(margin < 1.0) < margin.size
+        fd = np.column_stack(
+            [
+                (_hinge_grad(theta + e, W, L, 0.3) - _hinge_grad(theta - e, W, L, 0.3))
+                / (2 * step)
+                for e in step * np.eye(3)
+            ]
+        )
+        hess = _hinge_hess(theta, W, L, 0.3)
+        np.testing.assert_allclose(hess, fd, rtol=0.0, atol=1e-7)
+
+    def test_newton_agrees_with_gradient_descent(self):
+        pairs, _ = separable_pairs(seed=15)
+        gd = hinge_solve(pairs, 0.01, hess=False)
+        newton = hinge_solve(pairs, 0.01, hess=True)
+        assert gd.converged and newton.converged
+        assert newton.iterations < gd.iterations
+        np.testing.assert_allclose(newton.theta, gd.theta, rtol=0.0, atol=1e-6)
+
+    def test_newton_converges_where_gradient_descent_hits_the_cap(self):
+        # desk-sized problem: d = 5, noise 0.1, 100 comparisons, default reg
+        theta = random_unit_vector(5, np.random.default_rng(2))
+        spec = SyntheticSpec(dim=5, noise_std=0.1, theta_true=theta, seed=2)
+        pairs = sample_pairwise_from_spec(spec, 100)
+        gd = hinge_solve(pairs, 1e-4, hess=False)
+        newton = hinge_solve(pairs, 1e-4, hess=True)
+        assert not gd.converged and gd.iterations == 10_000
+        assert newton.converged and newton.iterations < 50
+        assert newton.value <= gd.value
 
 
 class TestRankingError:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from uncoupled import (
     Dataset,
     DomainError,
     LinearModel,
+    NumericError,
     PairwiseSet,
     RiskConfig,
     ShapeError,
@@ -67,7 +70,19 @@ class TestBregmanDivergence:
 class TestGenerators:
     @pytest.mark.parametrize("gen", [SQUARED, BERNOULLI_KL], ids=["squared", "kl"])
     def test_derivatives_match_finite_differences(self, gen):
-        check_generator(gen)  # raises if phi'/phi'' disagree with central FD
+        check_generator(gen)  # raises if phi_prime/phi_third disagree with central FD
+
+    @pytest.mark.parametrize("gen", [SQUARED, BERNOULLI_KL], ids=["squared", "kl"])
+    def test_wrong_third_derivative_is_caught(self, gen):
+        broken = dataclasses.replace(gen, phi_third=lambda x: gen.phi_third(x) + 1.0)
+        with pytest.raises(NumericError, match="phi_third"):
+            check_generator(broken)
+
+    def test_third_derivative_hand_values(self):
+        x = np.array([0.25, 0.5])
+        np.testing.assert_array_equal(SQUARED.phi_third(x), [0.0, 0.0])
+        # (2x - 1) / (x (1 - x))^2 at x = 1/4 is -0.5 / (3/16)^2
+        np.testing.assert_allclose(BERNOULLI_KL.phi_third(x), [-128.0 / 9.0, 0.0])
 
     @pytest.mark.parametrize("gen", [SQUARED, BERNOULLI_KL], ids=["squared", "kl"])
     def test_second_derivative_nonnegative(self, gen):

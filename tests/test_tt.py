@@ -24,7 +24,8 @@ from uncoupled import (
     tt_surrogate_risk,
     uniform_distribution,
 )
-from uncoupled.target_transform import _exact_cdf_gradient
+from uncoupled.optimize import minimize_gd
+from uncoupled.target_transform import _exact_cdf_gradient, tt_surrogate_hessian
 
 UNIFORM = uniform_distribution(0.0, 1.0)
 SIGMOID_1 = 0.7310585786300049  # 1 / (1 + e^-1)
@@ -221,6 +222,29 @@ class TestSurrogateGradient:
         np.testing.assert_allclose(grad, expected, atol=1e-12)
 
 
+class TestSurrogateHessian:
+    @pytest.mark.parametrize("gen", [SQUARED, BERNOULLI_KL], ids=["squared", "kl"])
+    @pytest.mark.parametrize("intercept", [False, True], ids=["no_icpt", "icpt"])
+    @pytest.mark.parametrize("n_pairs", [0, 8], ids=["no_pairs", "pairs"])
+    def test_matches_finite_differences(self, gen, intercept, n_pairs):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            unlabeled = Dataset(features=rng.standard_normal((20, 3)))
+            pairs = PairwiseSet(
+                rng.standard_normal((n_pairs, 3)), rng.standard_normal((n_pairs, 3))
+            )
+            theta = rng.standard_normal(3 + intercept)
+            model = lambda t: LinearModel(t, includes_intercept=intercept)
+            hess = tt_surrogate_hessian(model(theta), gen, unlabeled, pairs)
+            grad = lambda t: tt_surrogate_gradient(model(t), gen, unlabeled, pairs)
+            fd = np.array(
+                [finite_difference_gradient(lambda t: grad(t)[i], theta) for i in range(theta.size)]
+            )
+            scale = max(1.0, float(np.max(np.abs(fd))))
+            assert np.max(np.abs(hess - fd)) / scale < 1e-6
+            np.testing.assert_allclose(hess, hess.T, atol=1e-15)
+
+
 class TestFit:
     def test_learns_concordant_ranking(self):
         theta = np.array([0.6, -0.8])
@@ -250,6 +274,23 @@ class TestFit:
         final = tt_surrogate_risk(model, SQUARED, unlabeled, pairs)
         for start in (np.zeros(2), np.full(2, 0.1), np.full(2, -0.1)):
             assert final <= tt_surrogate_risk(LinearModel(start), SQUARED, unlabeled, pairs) + 1e-12
+
+    @pytest.mark.parametrize("gen", [SQUARED, BERNOULLI_KL], ids=["squared", "kl"])
+    def test_newton_agrees_with_gradient_descent(self, gen):
+        theta = np.array([0.6, -0.8, 0.0])
+        spec = SyntheticSpec(dim=3, noise_std=1.0, theta_true=theta, seed=13)
+        unlabeled = generate_synthetic(spec, 1000).without_targets()
+        pairs = sample_pairwise_from_spec(spec, 300)
+        args = (gen, unlabeled, pairs)
+        fun = lambda t: tt_surrogate_risk(LinearModel(t), *args)
+        grad = lambda t: tt_surrogate_gradient(LinearModel(t), *args)
+        hess = lambda t: tt_surrogate_hessian(LinearModel(t), *args)
+        for x0 in (np.zeros(3), np.full(3, 0.1)):
+            gd = minimize_gd(fun, grad, x0)
+            newton = minimize_gd(fun, grad, x0, hess=hess)
+            assert gd.converged and newton.converged
+            assert newton.iterations < gd.iterations
+            np.testing.assert_allclose(newton.theta, gd.theta, rtol=0.0, atol=1e-6)
 
     def test_exact_mode_fits_too(self):
         theta = np.array([1.0])
