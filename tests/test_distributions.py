@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from uncoupled import (
     DomainError,
@@ -15,6 +16,7 @@ from uncoupled import (
     kde_distribution,
     uniform_distribution,
 )
+from uncoupled.distributions import _cv_scores, silverman_bandwidth
 
 INV_SQRT_2PI = 0.3989422804014327
 
@@ -119,6 +121,92 @@ class TestKde:
         for u in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(DomainError):
                 dist.inv_cdf(u)
+
+
+def reference_cv_scores(v, grid):
+    """Per-pair logsumexp CV log-likelihood, one bandwidth and fold at a time."""
+    fold_of = np.arange(v.size) % 5
+    scores = np.empty(grid.size)
+    for k, h in enumerate(grid):
+        total = 0.0
+        for f in range(5):
+            train, val = v[fold_of != f], v[fold_of == f]
+            z = (val[:, None] - train[None, :]) / h
+            log_pdf = logsumexp(-0.5 * z * z, axis=1) - np.log(train.size * h / INV_SQRT_2PI)
+            total += float(np.sum(log_pdf))
+        scores[k] = total
+    return scores
+
+
+def reference_inv_cdf(dist, u):
+    """60 halvings of the support window on cdf(mid) < u."""
+    lo, hi = dist.support_bounds
+    a = np.full(u.shape, lo)
+    b = np.full(u.shape, hi)
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        too_low = dist.cdf(mid) < u
+        a = np.where(too_low, mid, a)
+        b = np.where(too_low, b, mid)
+    return 0.5 * (a + b)
+
+
+def _bandwidth_gate_cases():
+    rng = np.random.default_rng(2024)
+    normal = rng.normal(0.0, 1.0, 400)
+    bimodal = np.concatenate([rng.normal(-2.0, 0.5, 400), rng.normal(3.0, 1.0, 400)])
+    lognormal = rng.lognormal(0.0, 1.0, 1200)
+    # about 60 distinct values: most validation rows have d_min = 0
+    repeated = np.round(rng.normal(0.0, 1.0, 500), 1)
+    return [
+        ("normal", normal, None),
+        ("bimodal", bimodal, None),
+        ("lognormal", lognormal, None),
+        ("explicit_grid", rng.normal(0.0, 2.0, 300), np.array([0.03, 0.1, 0.3, 0.6, 1.0, 3.0])),
+        ("repeated_values", repeated, None),
+    ]
+
+
+class TestKdeExactness:
+    @pytest.mark.parametrize(
+        "name,values,grid", _bandwidth_gate_cases(), ids=lambda p: p if isinstance(p, str) else ""
+    )
+    def test_cv_scores_match_reference(self, name, values, grid):
+        v = np.sort(values)
+        if grid is None:
+            h0 = silverman_bandwidth(v)
+            grid = np.geomspace(h0 / 10.0, h0 * 10.0, 20)
+        ref = reference_cv_scores(v, grid)
+        np.testing.assert_allclose(_cv_scores(v, grid), ref, rtol=1e-10, atol=0.0)
+        model = fit_kde(values, bandwidth_grid=grid)
+        assert model.bandwidth == grid[int(np.argmax(ref))]
+
+    @pytest.mark.parametrize(
+        "name,model",
+        [
+            ("single_point", KdeModel(np.array([0.0]), bandwidth=1.0)),
+            ("three_zeros", KdeModel(np.zeros(3), bandwidth=1.0)),
+            # the pdf is ~1e-136 mid-gap and F sits at exactly 0.5 across it,
+            # so the median needs the bisection fallback
+            ("gap_50_bandwidths", KdeModel(np.array([0.0, 50.0]), bandwidth=1.0)),
+            ("lognormal_tail", fit_kde(np.random.default_rng(8).lognormal(0.0, 1.0, 1000))),
+        ],
+        ids=lambda p: p if isinstance(p, str) else "",
+    )
+    def test_inv_cdf_matches_reference_bisection(self, name, model):
+        dist = kde_distribution(model)
+        u = np.array([1e-9, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-9])
+        got = dist.inv_cdf(u)
+        np.testing.assert_allclose(got, reference_inv_cdf(dist, u), rtol=0.0, atol=1e-8)
+
+        lo, hi = dist.support_bounds
+        dense = np.concatenate(([1e-9, 1e-6], np.linspace(0.001, 0.999, 999), [1 - 1e-6, 1 - 1e-9]))
+        q = dist.inv_cdf(dense)
+        assert np.all(np.diff(q) >= 0.0)
+        assert np.all((q >= lo) & (q <= hi))
+        scalar = dist.inv_cdf(0.25)
+        assert isinstance(scalar, float)
+        assert scalar == dist.inv_cdf(np.array([0.25]))[0]
 
 
 class TestEmpiricalCdf:
