@@ -11,7 +11,10 @@ Weight tuning minimizes
 
     Err(w1, w2) = E_Y | Y - 2 w1 F_Y(Y) - 2 w2 (1 - F_Y(Y)) |
 
-which is zero for uniform targets on [a, b] exactly at (b/2, a/2).
+which is zero for uniform targets on [a, b] exactly at (b/2, a/2).  With
+c = 2 w2 and s = 2 (w1 - w2), Err is the weighted absolute deviation of y
+from c + s F_Y(y): a least-absolute-deviations fit, i.e. median regression
+(Koenker & Bassett 1978, "Regression quantiles"), which is solved exactly.
 """
 
 from __future__ import annotations
@@ -42,26 +45,20 @@ _RIDGE = 1e-8
 
 @dataclass(frozen=True)
 class RaTuning:
-    """Controls for the Err grid objective and the nested weight search."""
+    """The Err quadrature grid: n_split + 1 equally spaced nodes between the
+    quantile_lo and quantile_hi quantiles of the target distribution, each
+    weighted by pdf * dy.  The weights are the exact weighted-LAD optimum on
+    that grid (Koenker & Bassett 1978), so the grid is all there is to set."""
 
     n_split: int = 1000
     quantile_lo: float = 0.01
     quantile_hi: float = 0.99
-    weight_search_bound: float | None = None
-    grid_rounds: int = 3
-    grid_points_per_axis: int = 51
 
     def __post_init__(self):
         if self.n_split < 1:
             raise ParameterError("n_split must be >= 1")
         if not (0.0 < self.quantile_lo < self.quantile_hi < 1.0):
             raise ParameterError("need 0 < quantile_lo < quantile_hi < 1")
-        if self.weight_search_bound is not None and not (self.weight_search_bound > 0.0):
-            raise ParameterError("weight_search_bound must be positive")
-        if self.grid_rounds < 1:
-            raise ParameterError("grid_rounds must be >= 1")
-        if self.grid_points_per_axis < 2:
-            raise ParameterError("grid_points_per_axis must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -96,108 +93,100 @@ def _err_grid(dist: TargetDistribution, tuning: RaTuning):
     return y, F, weight
 
 
-def _err_values(w1: np.ndarray, w2: np.ndarray, y, F, weight) -> np.ndarray:
-    out = np.empty(w1.size)
-    block = max(1, 4_000_000 // y.size)
-    for lo in range(0, w1.size, block):
-        hi = min(lo + block, w1.size)
-        resid = (
-            y[None, :]
-            - 2.0 * w1[lo:hi, None] * F[None, :]
-            - 2.0 * w2[lo:hi, None] * (1.0 - F[None, :])
-        )
-        out[lo:hi] = np.abs(resid) @ weight
-    return out
+def _empirical_err_grid(targets):
+    """Sorted targets, their right-continuous empirical CDF, weights 1/n."""
+    v = np.sort(np.asarray(targets, dtype=float).ravel())
+    if v.size < 2:
+        raise ParameterError(f"need >= 2 target values, got {v.size}")
+    if not np.all(np.isfinite(v)):
+        raise ParameterError("targets contain non-finite entries")
+    F = np.searchsorted(v, v, side="right") / v.size
+    return v, F, np.full(v.size, 1.0 / v.size)
+
+
+def _err(y, F, weight, w1: float, w2: float) -> float:
+    resid = y - 2.0 * float(w1) * F - 2.0 * float(w2) * (1.0 - F)
+    return float(np.abs(resid) @ weight)
 
 
 def err_objective(
     dist: TargetDistribution, w1: float, w2: float, tuning: RaTuning | None = None
 ) -> float:
     """Grid approximation of Err between the 1% and 99% quantiles."""
-    tuning = tuning or RaTuning()
-    y, F, weight = _err_grid(dist, tuning)
-    return float(_err_values(np.array([float(w1)]), np.array([float(w2)]), y, F, weight)[0])
-
-
-def _sorted_targets(targets) -> np.ndarray:
-    v = np.sort(np.asarray(targets, dtype=float).ravel())
-    if v.size == 0:
-        raise ParameterError("empty targets")
-    if v.size < 2:
-        raise ParameterError("need >= 2 target values")
-    if not np.all(np.isfinite(v)):
-        raise ParameterError("targets contain non-finite entries")
-    return v
+    return _err(*_err_grid(dist, tuning or RaTuning()), w1, w2)
 
 
 def err_objective_empirical(targets, w1: float, w2: float) -> float:
     """Sample version of Err with the empirical CDF standing in for F_Y."""
-    v = _sorted_targets(targets)
-    F = np.searchsorted(v, v, side="right") / v.size
-    resid = v - 2.0 * float(w1) * F - 2.0 * float(w2) * (1.0 - F)
-    return float(np.mean(np.abs(resid)))
+    return _err(*_empirical_err_grid(targets), w1, w2)
 
 
-def _nested_grid_search(objective, bound: float, tuning: RaTuning) -> tuple[float, float]:
-    """Deterministic nested grid search on [-bound, bound]^2, zooming the box
-    by 5x around the incumbent after each round."""
-    k = tuning.grid_points_per_axis
-    c1 = c2 = 0.0
-    half = float(bound)
-    best = (0.0, 0.0)
-    for _round in range(tuning.grid_rounds):
-        axis1 = np.linspace(c1 - half, c1 + half, k)
-        axis2 = np.linspace(c2 - half, c2 + half, k)
-        G1, G2 = np.meshgrid(axis1, axis2, indexing="ij")
-        vals = objective(G1.ravel(), G2.ravel())
-        idx = int(np.argmin(vals))
-        best = (float(G1.ravel()[idx]), float(G2.ravel()[idx]))
-        c1, c2 = best
-        half /= 5.0
-    return best
+# Golden-section search on the slope stops once its bracket is this narrow
+# relative to max(1, |s|).  Err is Lipschitz in s with a constant of at most
+# the total weight, so the search leaves less than that width of Err unused.
+_SLOPE_RTOL = 1e-13
+_GOLDEN = (5.0**0.5 - 1.0) / 2.0
 
 
-def _default_bound(y_lo: float, y_hi: float, tuning: RaTuning) -> float:
-    if tuning.weight_search_bound is not None:
-        return tuning.weight_search_bound
-    return max(abs(y_lo), abs(y_hi), 1e-6)
+def _weighted_median(r: np.ndarray, weight: np.ndarray) -> float:
+    """Smallest r (ties kept in index order) whose cumulative weight reaches
+    half the total."""
+    order = np.argsort(r, kind="stable")
+    cum = np.cumsum(weight[order])
+    return float(r[order[np.searchsorted(cum, 0.5 * cum[-1])]])
+
+
+def _lad_weights(y, F, weight) -> RiskConfig:
+    """Exact minimizer of sum weight * |y - c - s F|, returned as
+    w1 = (c + s) / 2, w2 = c / 2 and lam = (w1 + w2) / 2.
+
+    For a fixed slope s the best intercept c is the weighted median of
+    y - s F; the Err left over is convex and piecewise linear in s, and a
+    golden-section search minimizes it inside a bracket that must hold the
+    optimum.
+    """
+    evals = []
+
+    def profile(s: float) -> float:
+        r = y - s * F
+        c = _weighted_median(r, weight)
+        evals.append((float(np.abs(r - c) @ weight), s, c))
+        return evals[-1][0]
+
+    err0 = profile(0.0)
+    spread = float(np.abs(F - _weighted_median(F, weight)) @ weight)
+    # Err(s) >= |s| * spread - Err(0), so no |s| above hi beats s = 0; with
+    # spread = 0 all the weight sits at one F and every slope is optimal
+    hi = 2.0 * err0 / spread if spread > 0.0 else 0.0
+    lo = -hi
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = profile(x1), profile(x2)
+    while hi - lo > _SLOPE_RTOL * max(1.0, abs(lo), abs(hi)):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = profile(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = profile(x2)
+    _, s, c = min(evals)
+    w1, w2 = (c + s) / 2.0, c / 2.0
+    return RiskConfig(w1=w1, w2=w2, lam=(w1 + w2) / 2.0)
 
 
 def tune_weights(dist: TargetDistribution, tuning: RaTuning | None = None) -> RiskConfig:
-    """Minimize the Err grid objective over (w1, w2) and set
-    lam = (w1 + w2) / 2.  Deterministic."""
-    tuning = tuning or RaTuning()
-    y, F, weight = _err_grid(dist, tuning)
-    bound = _default_bound(float(y[0]), float(y[-1]), tuning)
-    w1, w2 = _nested_grid_search(
-        lambda a, b: _err_values(a, b, y, F, weight), bound, tuning
-    )
-    return RiskConfig(w1=w1, w2=w2, lam=(w1 + w2) / 2.0)
+    """Exact minimizer of the Err grid objective (nodes y, weights pdf * dy):
+    the weighted LAD fit of y on (1, F_Y(y)) described in the module
+    docstring, with lam = (w1 + w2) / 2.  Deterministic."""
+    return _lad_weights(*_err_grid(dist, tuning or RaTuning()))
 
 
-def tune_weights_empirical(targets, tuning: RaTuning | None = None) -> RiskConfig:
-    """Like tune_weights but minimizing the sample Err objective."""
-    tuning = tuning or RaTuning()
-    v = _sorted_targets(targets)
-    F = np.searchsorted(v, v, side="right") / v.size
-    y_lo, y_hi = np.quantile(v, [tuning.quantile_lo, tuning.quantile_hi])
-    bound = _default_bound(float(y_lo), float(y_hi), tuning)
-
-    def objective(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.empty(a.size)
-        block = max(1, 4_000_000 // v.size)
-        for lo in range(0, a.size, block):
-            hi = min(lo + block, a.size)
-            resid = (
-                v[None, :]
-                - 2.0 * a[lo:hi, None] * F[None, :]
-                - 2.0 * b[lo:hi, None] * (1.0 - F[None, :])
-            )
-            out[lo:hi] = np.mean(np.abs(resid), axis=1)
-        return out
-
-    w1, w2 = _nested_grid_search(objective, bound, tuning)
-    return RiskConfig(w1=w1, w2=w2, lam=(w1 + w2) / 2.0)
+def tune_weights_empirical(targets) -> RiskConfig:
+    """Like tune_weights, on the sample Err: the same weighted LAD fit
+    (Koenker & Bassett 1978) of the sorted targets on their right-continuous
+    empirical CDF, each with weight 1/n."""
+    return _lad_weights(*_empirical_err_grid(targets))
 
 
 # ---------------------------------------------------------------------------

@@ -227,10 +227,10 @@ def tt_fit(
     """Fit of the transformed-target risk: damped Newton steps on the
     logistic surrogate (analytic Hessian), gradient descent in exact mode.
 
-    Runs three deterministic starts (zero, +0.1 per coordinate, -0.1 per
-    coordinate) and keeps the lowest final risk; ties go to the earliest
-    start.  The default surrogate mode needs no distribution; exact mode
-    needs dist with a usable pdf.
+    Starts from zero (or solver.init).  Only when the zero start does not
+    converge are +0.1 and -0.1 per coordinate tried too, keeping the lowest
+    final risk (ties go to the earlier start).  The default surrogate mode
+    needs no distribution; exact mode needs dist with a usable pdf.
     """
     cfg = cfg or TtConfig()
     if not cfg.use_logistic_surrogate:
@@ -263,19 +263,14 @@ def tt_fit(
         hess = None
 
     opts = solver or SolverOptions()
-    starts = [np.zeros(ncols)]
-    if opts.init is not None:
-        starts = [np.asarray(opts.init, dtype=float)]
-    else:
-        starts.append(np.full(ncols, _MULTISTART_SCALE))
-        starts.append(np.full(ncols, -_MULTISTART_SCALE))
-
-    best_theta, best_value = None, np.inf
-    for x0 in starts:
-        result = minimize_gd(fun, grad, x0, opts, hess=hess)
-        if result.value < best_value:
-            best_theta, best_value = result.theta, result.value
-    return LinearModel(theta=best_theta, includes_intercept=include_intercept)
+    x0 = np.zeros(ncols) if opts.init is None else np.asarray(opts.init, dtype=float)
+    result = minimize_gd(fun, grad, x0, opts, hess=hess)
+    if opts.init is None and not result.converged:
+        for scale in (_MULTISTART_SCALE, -_MULTISTART_SCALE):
+            retry = minimize_gd(fun, grad, np.full(ncols, scale), opts, hess=hess)
+            if retry.value < result.value:
+                result = retry
+    return LinearModel(theta=result.theta, includes_intercept=include_intercept)
 
 
 def tt_predict(model: LinearModel, dist: TargetDistribution, x) -> float | np.ndarray:

@@ -150,6 +150,12 @@ class TestTune:
         assert lam == pytest.approx((w1 + w2) / 2.0, abs=1e-12)
         assert printed_w1 == pytest.approx(w1, abs=1e-6)
 
+    def test_uniform_weights_print_exactly(self, capsys):
+        code, stdout, _ = run(capsys, "tune", "--dist", "uniform", "--a", "-1", "--b", "2")
+        assert code == 0
+        assert "w1 = 1.000000" in stdout.splitlines()
+        assert "w2 = -0.500000" in stdout.splitlines()
+
     def test_gaussian_antisymmetric(self, capsys):
         code, stdout, _ = run(capsys, "tune", "--dist", "gaussian")
         assert code == 0

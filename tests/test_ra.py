@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import optimize, sparse
 
 from uncoupled import (
     BERNOULLI_KL,
@@ -17,8 +18,10 @@ from uncoupled import (
     err_objective,
     err_objective_empirical,
     estimate_variances,
+    fit_kde,
     gaussian_distribution,
     generate_synthetic,
+    kde_distribution,
     optimal_lambda,
     pairwise_from_arrays,
     ra_empirical_risk,
@@ -72,8 +75,8 @@ class TestTuneWeights:
     @pytest.mark.parametrize("a,b", UNIFORM_CASES)
     def test_recovers_uniform_optimum(self, a, b):
         cfg = tune_weights(uniform_distribution(a, b))
-        assert cfg.w1 == pytest.approx(b / 2.0, abs=0.02)
-        assert cfg.w2 == pytest.approx(a / 2.0, abs=0.02)
+        assert cfg.w1 == pytest.approx(b / 2.0, abs=1e-9)
+        assert cfg.w2 == pytest.approx(a / 2.0, abs=1e-9)
         assert cfg.lam == pytest.approx((cfg.w1 + cfg.w2) / 2.0, abs=1e-12)
 
     def test_symmetric_gaussian_weights_are_antisymmetric(self):
@@ -113,12 +116,99 @@ class TestEmpiricalObjective:
         b = err_objective_empirical(shuffled, 0.4, -0.2)
         assert a == pytest.approx(b, rel=1e-12)
 
+    @pytest.mark.parametrize("targets", [np.full(4, 3.0), np.array([0.0, 1.0])],
+                             ids=["constant", "two-point"])
+    def test_tuner_zeroes_err_on_degenerate_samples(self, targets):
+        # on the constant sample F is 1 everywhere, so every slope is optimal
+        cfg = tune_weights_empirical(targets)
+        assert np.all(np.isfinite([cfg.w1, cfg.w2, cfg.lam]))
+        assert err_objective_empirical(targets, cfg.w1, cfg.w2) <= 1e-12
+        again = tune_weights_empirical(targets)
+        assert (cfg.w1, cfg.w2, cfg.lam) == (again.w1, again.w2, again.lam)
+
     def test_tuner_recovers_uniform_weights_from_sample(self):
         rng = np.random.default_rng(8)
         cfg = tune_weights_empirical(rng.random(20_000))
         assert cfg.w1 == pytest.approx(0.5, abs=0.05)
         assert cfg.w2 == pytest.approx(0.0, abs=0.05)
         assert cfg.lam == pytest.approx(0.25, abs=0.05)
+
+
+def quadrature_grid(dist):
+    """The Err grid rebuilt from its definition: 1001 equally spaced nodes
+    between the 1% and 99% quantiles, weights pdf * dy."""
+    y = np.linspace(float(dist.inv_cdf(0.01)), float(dist.inv_cdf(0.99)), 1001)
+    return y, np.asarray(dist.cdf(y)), np.asarray(dist.pdf(y)) * (y[1] - y[0])
+
+
+def empirical_grid(targets):
+    v = np.sort(targets)
+    return v, np.searchsorted(v, v, side="right") / v.size, np.full(v.size, 1.0 / v.size)
+
+
+def lp_weights(y, F, weight):
+    """Weighted LAD of y on (1, F) as a linear program solved by HiGHS:
+    y = c + s F + u - v with u, v >= 0, minimizing weight . (u + v)."""
+    n = y.size
+    design = sparse.csr_matrix(np.column_stack([np.ones(n), F]))
+    a_eq = sparse.hstack([design, sparse.eye(n), -sparse.eye(n)])
+    bounds = [(None, None)] * 2 + [(0.0, None)] * (2 * n)
+    res = optimize.linprog(np.concatenate([[0.0, 0.0], weight, weight]),
+                           A_eq=a_eq, b_eq=y, bounds=bounds, method="highs")
+    assert res.success, res.message
+    c, s = res.x[:2]
+    return (c + s) / 2.0, c / 2.0
+
+
+def nested_grid_weights(y, F, weight, y_lo, y_hi, rounds=3, points=51):
+    """The former tuner: a 51 x 51 grid on [-bound, bound]^2, zoomed 5x
+    around the incumbent for three rounds."""
+    c1 = c2 = 0.0
+    half = max(abs(y_lo), abs(y_hi), 1e-6)
+    for _ in range(rounds):
+        g1, g2 = np.meshgrid(np.linspace(c1 - half, c1 + half, points),
+                             np.linspace(c2 - half, c2 + half, points), indexing="ij")
+        g1, g2 = g1.ravel(), g2.ravel()
+        resid = y - 2.0 * g1[:, None] * F - 2.0 * g2[:, None] * (1.0 - F)
+        idx = int(np.argmin(np.abs(resid) @ weight))
+        c1, c2, half = g1[idx], g2[idx], half / 5.0
+    return c1, c2
+
+
+LOGNORMAL_TARGETS = np.exp(0.35 * np.random.default_rng(11).standard_normal(1600))
+GATE_CASES = {
+    "uniform(0,1)": lambda: uniform_distribution(0.0, 1.0),
+    "uniform(-1,3)": lambda: uniform_distribution(-1.0, 3.0),
+    "normal(0,1.01)": lambda: gaussian_distribution(0.0, np.sqrt(1.01)),
+    "kde-lognormal": lambda: kde_distribution(fit_kde(LOGNORMAL_TARGETS)),
+    "empirical-lognormal": None,
+}
+
+
+class TestExactTuning:
+    """tune_weights against a linear-programming optimum and against the
+    nested grid search it replaced.  The LP agreement is relative to the
+    larger of the LP optimum and Err(0, 0), because the uniform optimum is 0."""
+
+    @pytest.mark.parametrize("case", list(GATE_CASES))
+    def test_matches_lp_and_beats_grid(self, case):
+        make = GATE_CASES[case]
+        if make is None:
+            t = LOGNORMAL_TARGETS
+            grid = empirical_grid(t)
+            y_lo, y_hi = np.quantile(t, [0.01, 0.99])
+            err = lambda w1, w2: err_objective_empirical(t, w1, w2)
+            cfg = tune_weights_empirical(t)
+        else:
+            dist = make()
+            grid = quadrature_grid(dist)
+            y_lo, y_hi = grid[0][0], grid[0][-1]
+            err = lambda w1, w2: err_objective(dist, w1, w2)
+            cfg = tune_weights(dist)
+        new = err(cfg.w1, cfg.w2)
+        lp = err(*lp_weights(*grid))
+        assert abs(new - lp) <= 1e-10 * max(lp, err(0.0, 0.0))
+        assert new <= err(*nested_grid_weights(*grid, y_lo, y_hi))
 
 
 class TestOptimalLambda:
@@ -334,7 +424,5 @@ class TestTuningConfig:
     def test_rejects_bad_grid(self):
         with pytest.raises(ParameterError):
             RaTuning(n_split=0)
-        with pytest.raises(ParameterError):
-            RaTuning(grid_points_per_axis=1)
         with pytest.raises(ParameterError):
             RaVariances(-1.0, 2.0)
