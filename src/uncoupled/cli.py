@@ -88,8 +88,9 @@ def _print_table(table: ResultTable) -> None:
         )
 
 
-def _emit(table: ResultTable, metadata: tuple[str, ...], args) -> None:
-    table = ResultTable(rows=table.rows, metadata=metadata + table.metadata)
+def _emit(table: ResultTable, command: str, seed: int, config: str, args) -> None:
+    head = (f"uncoupled {__version__} {command}", f"seed: {seed}", f"config: {config}")
+    table = ResultTable(rows=table.rows, metadata=(*head, _STD_NOTE, *table.metadata))
     _print_table(table)
     if args.out:
         _write_text(args.out, table.to_csv())
@@ -112,17 +113,13 @@ def cmd_synth(args) -> int:
         test_size=args.test_size if args.test_size is not None else base.test_size,
     )
     table = run_synthetic(spec, jobs=args.jobs, lambda_mode=args.lambda_mode)
-    metadata = (
-        f"uncoupled {__version__} synth",
-        f"seed: {spec.seed}",
-        "config: "
+    config = (
         f"n_u={spec.n_u} n_r={','.join(map(str, spec.n_r_values))} "
         f"repeats={spec.repeats} dim={spec.dim} noise_std={spec.noise_std!r} "
         f"test_size={spec.test_size} methods={','.join(spec.methods)} "
-        f"lambda_mode={args.lambda_mode}",
-        _STD_NOTE,
+        f"lambda_mode={args.lambda_mode}"
     )
-    _emit(table, metadata, args)
+    _emit(table, "synth", spec.seed, config, args)
     return 0
 
 
@@ -138,7 +135,7 @@ def cmd_bench(args) -> int:
     if args.standardize:
         data, _ = standardize(data)
     spec = ExperimentSpec(
-        methods=args.methods if args.methods else ("lr", "rank", "ra", "tt"),
+        methods=args.methods if args.methods else ExperimentSpec.methods,
         n_r_values=args.n_r,
         repeats=args.repeats,
         seed=args.seed,
@@ -150,17 +147,13 @@ def cmd_bench(args) -> int:
         lambda_mode=args.lambda_mode,
         empirical_cdf=args.empirical_cdf,
     )
-    metadata = (
-        f"uncoupled {__version__} bench",
-        f"seed: {spec.seed}",
-        "config: "
+    config = (
         f"data={args.data} rows={data.n} dropped={dropped} "
         f"n_r={','.join(map(str, spec.n_r_values))} repeats={spec.repeats} "
         f"methods={','.join(spec.methods)} standardize={args.standardize} "
-        f"empirical_cdf={args.empirical_cdf} lambda_mode={args.lambda_mode}",
-        _STD_NOTE,
+        f"empirical_cdf={args.empirical_cdf} lambda_mode={args.lambda_mode}"
     )
-    _emit(table, metadata, args)
+    _emit(table, "bench", spec.seed, config, args)
     return 0
 
 

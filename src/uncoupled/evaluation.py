@@ -5,13 +5,25 @@ Reproducibility contract: every sweep is bitwise-deterministic in its spec
 (seed included) regardless of worker count.  Per-repeat seeds are derived
 from (seed, repeat) through a SeedSequence, and results are aggregated in
 repeat order, never completion order.
+
+Both sweeps run one repeat loop.  A per-runner builder makes the repeat's
+labeled train set, test set and uncoupled setup (target marginal, RA
+weights, comparison pool): run_synthetic draws them from the synthetic
+model, run_benchmark splits the dataset 80/20 and estimates the marginal.
+LR is fitted once per repeat; the pool is prefix-sliced across the n_r grid.
+A failed fit becomes a `error: repeat=R method=M n_r=N Type: message` line
+(no n_r for `lr` and for the shared set-up `method=shared`), and a cell with
+no successful fit gets repeats=0 and nan statistics.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -253,175 +265,123 @@ def _repeat_seed(seed: int, repeat: int) -> int:
     return int(np.random.SeedSequence((int(seed), int(repeat))).generate_state(1)[0])
 
 
-def _fit_predict_ra(unl, pairs, cfg, x_test, lambda_mode, include_intercept):
-    if lambda_mode == "variance":
-        first = ra_fit(SQUARED, unl, pairs, cfg, include_intercept=include_intercept)
-        v = estimate_variances(first, SQUARED, pairs)
-        cfg = RiskConfig(w1=cfg.w1, w2=cfg.w2, lam=optimal_lambda(cfg.w1, cfg.w2, v))
-    model = ra_fit(SQUARED, unl, pairs, cfg, include_intercept=include_intercept)
-    return predict(model, x_test)
+class _RepeatData(NamedTuple):
+    """One repeat's data.  `uncoupled()` returns (target marginal, RA risk
+    weights, pool of max(n_r) comparisons); it runs only when an uncoupled
+    method is asked for.  A non-None `constant` is the only train target,
+    which every method then predicts."""
+
+    train: Dataset
+    test: Dataset
+    include_intercept: bool
+    uncoupled: Callable[[], tuple]
+    constant: float | None = None
 
 
-def _fit_predict_tt(unl, pairs, dist, x_test, include_intercept):
-    model = tt_fit(SQUARED, unl, pairs, include_intercept=include_intercept)
-    return tt_predict(model, dist, x_test)
-
-
-def _fit_predict_rank(unl, pairs, dist, x_test):
-    ranker = ranker_fit(pairs)
-    return rank_predict(ranker, unl, dist, x_test)
-
-
-def _synthetic_repeat(args):
-    spec, cfg, repeat, lambda_mode = args
-    seed_r = _repeat_seed(spec.seed, repeat)
+def _synthetic_data(cfg: RiskConfig, spec: ExperimentSpec, seed_r: int) -> _RepeatData:
     theta_true = random_unit_vector(spec.dim, stream_rng(seed_r, STREAM_AUX))
     sspec = SyntheticSpec(
         dim=spec.dim, noise_std=spec.noise_std, theta_true=theta_true, seed=seed_r
     )
     train = generate_synthetic(sspec, spec.n_u, stream=STREAM_UNLABELED)
     test = generate_synthetic(sspec, spec.test_size, stream=STREAM_TEST)
-    pool = sample_pairwise_from_spec(sspec, max(spec.n_r_values))
-    dist = gaussian_distribution(0.0, math.sqrt(1.0 + spec.noise_std**2))
-    unl = train.without_targets()
 
-    values: dict[tuple[str, int], float] = {}
-    errors: list[str] = []
+    def uncoupled():
+        dist = gaussian_distribution(0.0, math.sqrt(1.0 + spec.noise_std**2))
+        return dist, cfg, sample_pairwise_from_spec(sspec, max(spec.n_r_values))
 
-    lr_value = None
-    if "lr" in spec.methods:
-        try:
-            model = lr_fit(train)
-            lr_value = mse(predict(model, test.features), test.targets)
-        except Exception as exc:  # noqa: BLE001 - record, don't abort the sweep
-            errors.append(
-                f"error: repeat={repeat} method=lr {type(exc).__name__}: {exc}"
-            )
-
-    for n_r in spec.n_r_values:
-        pairs = PairwiseSet(winners=pool.winners[:n_r], losers=pool.losers[:n_r])
-        for method in spec.methods:
-            try:
-                if method == "lr":
-                    if lr_value is None:
-                        continue  # failure already recorded once
-                    values[(method, n_r)] = lr_value
-                    continue
-                if method == "rank":
-                    preds = _fit_predict_rank(unl, pairs, dist, test.features)
-                elif method == "ra":
-                    preds = _fit_predict_ra(
-                        unl, pairs, cfg, test.features, lambda_mode, False
-                    )
-                else:  # tt
-                    preds = _fit_predict_tt(unl, pairs, dist, test.features, False)
-                values[(method, n_r)] = mse(preds, test.targets)
-            except Exception as exc:  # noqa: BLE001
-                errors.append(
-                    f"error: repeat={repeat} method={method} n_r={n_r} "
-                    f"{type(exc).__name__}: {exc}"
-                )
-    return values, errors
+    return _RepeatData(train, test, False, uncoupled)
 
 
-def _benchmark_repeat(args):
-    data, spec, repeat, lambda_mode, empirical_cdf = args
-    seed_r = _repeat_seed(spec.seed, repeat)
-    rng = stream_rng(seed_r, STREAM_UNLABELED)
+def _benchmark_data(
+    data: Dataset, empirical_cdf: bool, spec: ExperimentSpec, seed_r: int
+) -> _RepeatData:
     n = data.n
     n_test = max(1, int(round(0.2 * n)))
     if n - n_test < 1:
         raise ParameterError(f"dataset too small for an 80/20 split: n={n}")
-    perm = rng.permutation(n)
+    perm = stream_rng(seed_r, STREAM_UNLABELED).permutation(n)
     test_idx, train_idx = perm[:n_test], perm[n_test:]
-    x_train = data.features[train_idx]
-    y_train = data.targets[train_idx]
-    x_test = data.features[test_idx]
-    y_test = data.targets[test_idx]
+    x, y = data.features[train_idx], data.targets[train_idx]
+
+    def uncoupled():
+        if empirical_cdf:
+            dist, cfg = empirical_distribution(y), tune_weights_empirical(y)
+        else:
+            dist = kde_distribution(fit_kde(y))
+            cfg = tune_weights(dist)
+        rng_pairs = stream_rng(seed_r, STREAM_PAIRWISE)
+        i = rng_pairs.integers(0, y.size, size=max(spec.n_r_values))
+        j = rng_pairs.integers(0, y.size, size=max(spec.n_r_values))
+        return dist, cfg, pairwise_from_arrays(x[i], y[i], x[j], y[j])
+
+    return _RepeatData(
+        train=Dataset(features=x, targets=y),
+        test=Dataset(features=data.features[test_idx], targets=data.targets[test_idx]),
+        include_intercept=True,
+        uncoupled=uncoupled,
+        # a degenerate marginal collapses every method's prediction to it
+        constant=float(y[0]) if np.all(y == y[0]) else None,
+    )
+
+
+def _fit_predict(method, rep, unl, pairs, dist, cfg, lambda_mode):
+    """Fit one uncoupled method on features and comparisons; predict the
+    repeat's test features."""
+    x_test, intercept = rep.test.features, rep.include_intercept
+    if method == "rank":
+        return rank_predict(ranker_fit(pairs), unl, dist, x_test)
+    if method == "tt":
+        model = tt_fit(SQUARED, unl, pairs, include_intercept=intercept)
+        return tt_predict(model, dist, x_test)
+    if lambda_mode == "variance":
+        first = ra_fit(SQUARED, unl, pairs, cfg, include_intercept=intercept)
+        v = estimate_variances(first, SQUARED, pairs)
+        cfg = RiskConfig(w1=cfg.w1, w2=cfg.w2, lam=optimal_lambda(cfg.w1, cfg.w2, v))
+    return predict(ra_fit(SQUARED, unl, pairs, cfg, include_intercept=intercept), x_test)
+
+
+def _repeat(args):
+    """One repeat of a sweep: (cell -> test MSE, error lines)."""
+    build, spec, repeat, lambda_mode = args
+    rep = build(spec, _repeat_seed(spec.seed, repeat))
+    y_test = rep.test.targets
+    if rep.constant is not None:
+        value = mse(np.full(y_test.size, rep.constant), y_test)
+        return {(m, n_r): value for n_r in spec.n_r_values for m in spec.methods}, []
 
     values: dict[tuple[str, int], float] = {}
     errors: list[str] = []
 
-    if np.all(y_train == y_train[0]):
-        # Degenerate marginal: every method's distribution-based prediction
-        # collapses to the single observed value.
-        const = float(y_train[0])
-        value = mse(np.full(n_test, const), y_test)
-        for n_r in spec.n_r_values:
-            for method in spec.methods:
-                values[(method, n_r)] = value
-        return values, errors
+    def fail(cell, exc):
+        errors.append(f"error: repeat={repeat} {cell} {type(exc).__name__}: {exc}")
 
-    lr_value = None
     if "lr" in spec.methods:
         try:
-            model = lr_fit(
-                Dataset(features=x_train, targets=y_train), include_intercept=True
-            )
-            lr_value = mse(predict(model, x_test), y_test)
-        except Exception as exc:  # noqa: BLE001
-            errors.append(
-                f"error: repeat={repeat} method=lr {type(exc).__name__}: {exc}"
-            )
+            model = lr_fit(rep.train, include_intercept=rep.include_intercept)
+            lr_value = mse(predict(model, rep.test.features), y_test)
+            values.update((("lr", n_r), lr_value) for n_r in spec.n_r_values)
+        except Exception as exc:  # noqa: BLE001 - record, don't abort the sweep
+            fail("method=lr", exc)
 
-    needs_uncoupled = any(m in spec.methods for m in ("rank", "ra", "tt"))
-    dist = cfg = pool = None
-    if needs_uncoupled:
-        try:
-            if empirical_cdf:
-                dist = empirical_distribution(y_train)
-                cfg = tune_weights_empirical(y_train)
-            else:
-                dist = kde_distribution(fit_kde(y_train))
-                cfg = tune_weights(dist)
-            rng_pairs = stream_rng(seed_r, STREAM_PAIRWISE)
-            max_nr = max(spec.n_r_values)
-            n_train = x_train.shape[0]
-            i = rng_pairs.integers(0, n_train, size=max_nr)
-            j = rng_pairs.integers(0, n_train, size=max_nr)
-            pool = pairwise_from_arrays(x_train[i], y_train[i], x_train[j], y_train[j])
-        except Exception as exc:  # noqa: BLE001
-            errors.append(
-                f"error: repeat={repeat} method=shared {type(exc).__name__}: {exc}"
-            )
-            needs_uncoupled = False
-
-    unl = Dataset(features=x_train)
+    methods = [m for m in spec.methods if m != "lr"]
+    if not methods:
+        return values, errors
+    try:
+        dist, cfg, pool = rep.uncoupled()
+    except Exception as exc:  # noqa: BLE001
+        fail("method=shared", exc)
+        return values, errors
+    unl = rep.train.without_targets()
     for n_r in spec.n_r_values:
-        for method in spec.methods:
+        pairs = PairwiseSet(winners=pool.winners[:n_r], losers=pool.losers[:n_r])
+        for method in methods:
             try:
-                if method == "lr":
-                    if lr_value is None:
-                        continue
-                    values[(method, n_r)] = lr_value
-                    continue
-                if not needs_uncoupled:
-                    continue  # shared-setup failure already recorded
-                pairs = PairwiseSet(
-                    winners=pool.winners[:n_r], losers=pool.losers[:n_r]
-                )
-                if method == "rank":
-                    preds = _fit_predict_rank(unl, pairs, dist, x_test)
-                elif method == "ra":
-                    preds = _fit_predict_ra(
-                        unl, pairs, cfg, x_test, lambda_mode, True
-                    )
-                else:  # tt
-                    preds = _fit_predict_tt(unl, pairs, dist, x_test, True)
+                preds = _fit_predict(method, rep, unl, pairs, dist, cfg, lambda_mode)
                 values[(method, n_r)] = mse(preds, y_test)
             except Exception as exc:  # noqa: BLE001
-                errors.append(
-                    f"error: repeat={repeat} method={method} n_r={n_r} "
-                    f"{type(exc).__name__}: {exc}"
-                )
+                fail(f"method={method} n_r={n_r}", exc)
     return values, errors
-
-
-def _run_repeats(worker, tasks, jobs: int):
-    if jobs <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
 
 
 def _aggregate(spec: ExperimentSpec, outcomes) -> ResultTable:
@@ -461,6 +421,20 @@ def _aggregate(spec: ExperimentSpec, outcomes) -> ResultTable:
     return ResultTable(rows=tuple(rows), metadata=tuple(errors))
 
 
+def _sweep(build, spec: ExperimentSpec, jobs: int, lambda_mode: str) -> ResultTable:
+    """Runs `_repeat` with the given data builder over the repeats of spec,
+    in `jobs` worker processes when jobs > 1."""
+    if lambda_mode not in _LAMBDA_MODES:
+        raise ParameterError(f"lambda_mode must be one of {_LAMBDA_MODES}")
+    tasks = [(build, spec, r, lambda_mode) for r in range(spec.repeats)]
+    if jobs <= 1:
+        outcomes = [_repeat(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(_repeat, tasks))
+    return _aggregate(spec, outcomes)
+
+
 def run_synthetic(
     spec: ExperimentSpec, jobs: int = 1, lambda_mode: str = "default"
 ) -> ResultTable:
@@ -472,13 +446,8 @@ def run_synthetic(
     the true labels; RANK/RA/TT see only features, comparisons, and the
     analytic target marginal N(0, sqrt(1 + noise_std^2)).
     """
-    if lambda_mode not in _LAMBDA_MODES:
-        raise ParameterError(f"lambda_mode must be one of {_LAMBDA_MODES}")
     dist = gaussian_distribution(0.0, math.sqrt(1.0 + spec.noise_std**2))
-    cfg = tune_weights(dist)
-    tasks = [(spec, cfg, r, lambda_mode) for r in range(spec.repeats)]
-    outcomes = _run_repeats(_synthetic_repeat, tasks, jobs)
-    return _aggregate(spec, outcomes)
+    return _sweep(partial(_synthetic_data, tune_weights(dist)), spec, jobs, lambda_mode)
 
 
 def run_benchmark(
@@ -494,15 +463,13 @@ def run_benchmark(
     train targets (cross-validated KDE, or the interpolated empirical CDF
     when empirical_cdf is set); comparisons pair uniformly resampled train
     rows by their true targets; supervised LR uses the labels directly.
-    Uncoupled methods never see the (feature, target) pairing.
+    Uncoupled methods never see the (feature, target) pairing.  The data
+    set fixes the sizes, so spec.n_u, spec.dim, spec.noise_std and
+    spec.test_size are ignored.
     """
     if data.targets is None:
         raise ParameterError("run_benchmark needs a dataset with targets")
-    if lambda_mode not in _LAMBDA_MODES:
-        raise ParameterError(f"lambda_mode must be one of {_LAMBDA_MODES}")
-    tasks = [(data, spec, r, lambda_mode, empirical_cdf) for r in range(spec.repeats)]
-    outcomes = _run_repeats(_benchmark_repeat, tasks, jobs)
-    return _aggregate(spec, outcomes)
+    return _sweep(partial(_benchmark_data, data, empirical_cdf), spec, jobs, lambda_mode)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ transformed target.  Predictions map back through the quantile function.
 
 Two flavors of the score transform are supported:
 
-* exact: the model output h(x) is passed through F_Y itself (or a step ECDF
-  in empirical mode), so the fitted object approximates F_Y(y(x)) directly;
+* exact: the model output h(x) is passed through F_Y itself, so the fitted
+  object approximates F_Y(y(x)) directly;
 * logistic surrogate (default): h(x) is squashed by the sigmoid, which keeps
   the risk smooth in theta and works with lam = 1/2.
 """
@@ -29,7 +29,7 @@ from .core import (
     augment_intercept,
     predict,
 )
-from .distributions import EmpiricalCdf, TargetDistribution, empirical_cdf_eval
+from .distributions import TargetDistribution
 from .optimize import SolverOptions, minimize_gd
 
 _SIGMOID_CLAMP = 1e-9
@@ -39,7 +39,6 @@ _SIGMOID_CLAMP = 1e-9
 class TtConfig:
     lam: float = 0.5
     use_logistic_surrogate: bool = True
-    use_empirical_cdf: bool = False
 
     def __post_init__(self):
         if not np.isfinite(self.lam):
@@ -53,11 +52,10 @@ def _clamped_sigmoid(h: np.ndarray) -> np.ndarray:
 def tt_cdf_risk(
     model: LinearModel,
     gen: BregmanGenerator,
-    dist: TargetDistribution | None,
+    dist: TargetDistribution,
     unlabeled: Dataset,
     pairs: PairwiseSet,
     cfg: TtConfig | None = None,
-    ecdf: EmpiricalCdf | None = None,
 ) -> float:
     """Pairwise-data risk for the CDF-transformed target, excluding its
     model-free constant:
@@ -65,17 +63,10 @@ def tt_cdf_risk(
       - mean_U[ (lam - F(h)) phi'(F(h)) + phi(F(h)) ]
       - mean_R[ ((1 - lam)/2) phi'(F(h(x+))) - (lam/2) phi'(F(h(x-))) ]
 
-    F is dist.cdf, or the step ECDF when cfg.use_empirical_cdf is set.
+    with F = dist.cdf.
     """
     cfg = cfg or TtConfig()
-    if cfg.use_empirical_cdf:
-        if ecdf is None:
-            raise ParameterError("empirical-CDF mode needs an ecdf argument")
-        F = lambda h: np.asarray(empirical_cdf_eval(ecdf, h), dtype=float)
-    else:
-        if dist is None:
-            raise ParameterError("exact mode needs a target distribution")
-        F = lambda h: np.asarray(dist.cdf(h), dtype=float)
+    F = lambda h: np.asarray(dist.cdf(h), dtype=float)
 
     fu = F(predict(model, unlabeled.features))
     gen.require_domain(fu, "transformed unlabeled score")
@@ -233,14 +224,8 @@ def tt_fit(
     needs no distribution; exact mode needs dist with a usable pdf.
     """
     cfg = cfg or TtConfig()
-    if not cfg.use_logistic_surrogate:
-        if cfg.use_empirical_cdf:
-            raise ParameterError(
-                "gradient fitting of the exact risk needs a smooth CDF; "
-                "empirical-CDF mode is evaluation-only"
-            )
-        if dist is None:
-            raise ParameterError("exact mode needs a target distribution")
+    if not cfg.use_logistic_surrogate and dist is None:
+        raise ParameterError("exact mode needs a target distribution")
 
     ncols = unlabeled.dim + (1 if include_intercept else 0)
     unl = Dataset(features=augment_intercept(unlabeled.features, include_intercept))
@@ -274,7 +259,12 @@ def tt_fit(
 
 
 def tt_predict(model: LinearModel, dist: TargetDistribution, x) -> float | np.ndarray:
-    """Map scores back to the target scale: F_Y^{-1}(sigmoid(h(x)))."""
+    """Map scores back to the target scale: F_Y^{-1}(sigmoid(h(x))).
+
+    This reads out logistic-surrogate fits only.  A model fitted with
+    TtConfig(use_logistic_surrogate=False) fits F_Y(h(x)) to F_Y(y), so h(x)
+    itself estimates y: read it out with `predict`.
+    """
     h = predict(model, x)
     scalar = np.isscalar(h)
     s = _clamped_sigmoid(np.atleast_1d(np.asarray(h, dtype=float)))

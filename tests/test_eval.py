@@ -30,6 +30,7 @@ from uncoupled import (
     tune_weights,
     SQUARED,
 )
+from uncoupled import evaluation
 from uncoupled.evaluation import _lemma1_errors
 
 
@@ -245,6 +246,73 @@ class TestRunBenchmark:
     def test_empirical_cdf_mode_runs(self):
         table = run_benchmark(toy_benchmark(), self.SPEC, empirical_cdf=True)
         assert len(table.rows) == 4
+
+
+class TestSweepFailures:
+    """A failing fit or shared set-up marks its cells, never aborts the sweep.
+
+    Each test patches one name in `uncoupled.evaluation`; the sweep must look
+    it up at call time for the failure to show."""
+
+    N_R = (20, 40)
+    SPECS = {
+        "synth": ExperimentSpec(
+            n_u=300, n_r_values=N_R, repeats=2, dim=2, test_size=50, seed=3
+        ),
+        "bench": ExperimentSpec(n_u=1, n_r_values=N_R, repeats=2, seed=3),
+    }
+
+    def run(self, sweep):
+        if sweep == "synth":
+            return run_synthetic(self.SPECS[sweep])
+        return run_benchmark(toy_benchmark(), self.SPECS[sweep])
+
+    @staticmethod
+    def break_name(monkeypatch, name):
+        def broken(*args, **kwargs):
+            raise RuntimeError(f"{name} is broken")
+
+        monkeypatch.setattr(evaluation, name, broken)
+
+    @staticmethod
+    def expected(clean, failed_methods, errors):
+        nan = float("nan")
+        rows = tuple(
+            ResultRow(r.method, r.n_r, nan, nan, 0) if r.method in failed_methods else r
+            for r in clean.rows
+        )
+        return ResultTable(rows=rows, metadata=errors).to_csv()
+
+    @pytest.mark.parametrize("sweep", ["synth", "bench"])
+    def test_tt_fit_failure_marks_each_tt_cell(self, sweep, monkeypatch):
+        clean = self.run(sweep)
+        self.break_name(monkeypatch, "tt_fit")
+        errors = tuple(
+            f"error: repeat={k} method=tt n_r={n_r} RuntimeError: tt_fit is broken"
+            for k in range(2)
+            for n_r in self.N_R
+        )
+        assert self.run(sweep).to_csv() == self.expected(clean, {"tt"}, errors)
+
+    @pytest.mark.parametrize("sweep", ["synth", "bench"])
+    def test_lr_fit_failure_is_reported_once_per_repeat(self, sweep, monkeypatch):
+        clean = self.run(sweep)
+        self.break_name(monkeypatch, "lr_fit")
+        errors = tuple(
+            f"error: repeat={k} method=lr RuntimeError: lr_fit is broken"
+            for k in range(2)
+        )
+        assert self.run(sweep).to_csv() == self.expected(clean, {"lr"}, errors)
+
+    def test_shared_setup_failure_marks_every_uncoupled_cell(self, monkeypatch):
+        clean = self.run("bench")
+        self.break_name(monkeypatch, "fit_kde")
+        errors = tuple(
+            f"error: repeat={k} method=shared RuntimeError: fit_kde is broken"
+            for k in range(2)
+        )
+        want = self.expected(clean, {"rank", "ra", "tt"}, errors)
+        assert self.run("bench").to_csv() == want
 
 
 class TestUncouplingGuarantee:

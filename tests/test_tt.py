@@ -6,10 +6,8 @@ from uncoupled import (
     BERNOULLI_KL,
     SQUARED,
     Dataset,
-    EmpiricalCdf,
     LinearModel,
     PairwiseSet,
-    ParameterError,
     SyntheticSpec,
     TtConfig,
     gaussian_distribution,
@@ -55,36 +53,6 @@ class TestCdfRisk:
         model = LinearModel(np.array([1.0]))
         risk = tt_cdf_risk(model, SQUARED, UNIFORM, unlabeled, pairs, TtConfig(lam=0.5))
         assert risk == pytest.approx(-0.4375, abs=1e-12)
-
-    def test_empirical_cdf_converges_to_analytic(self):
-        n = 10_000
-        ecdf = EmpiricalCdf(np.linspace(0.0, 1.0, n + 1))
-        rng = np.random.default_rng(0)
-        unlabeled = single_feature(*rng.random(500))
-        pairs = pairwise_from_arrays(
-            rng.random((300, 1)), rng.random(300), rng.random((300, 1)), rng.random(300)
-        )
-        model = LinearModel(np.array([1.0]))
-        exact = tt_cdf_risk(model, SQUARED, UNIFORM, unlabeled, pairs, TtConfig(lam=0.5))
-        approx = tt_cdf_risk(
-            model,
-            SQUARED,
-            None,
-            unlabeled,
-            pairs,
-            TtConfig(lam=0.5, use_empirical_cdf=True),
-            ecdf=ecdf,
-        )
-        assert approx == pytest.approx(exact, abs=1e-2)
-
-    def test_empirical_mode_requires_ecdf(self):
-        unlabeled = single_feature(0.5)
-        pairs = pair_1d(0.6, 0.4)
-        model = LinearModel(np.array([1.0]))
-        with pytest.raises(ParameterError):
-            tt_cdf_risk(
-                model, SQUARED, None, unlabeled, pairs, TtConfig(use_empirical_cdf=True)
-            )
 
     def test_lambda_terms_cancel_in_expectation(self):
         # uniform coupling, fixed h = identity: risks at two lambda values
@@ -303,13 +271,6 @@ class TestFit:
         start_risk = tt_cdf_risk(LinearModel(np.zeros(1)), SQUARED, dist, unlabeled, pairs, cfg)
         final_risk = tt_cdf_risk(model, SQUARED, dist, unlabeled, pairs, cfg)
         assert final_risk <= start_risk + 1e-12
-
-    def test_exact_mode_rejects_empirical_cdf(self):
-        unlabeled = single_feature(0.5)
-        pairs = pair_1d(0.6, 0.4)
-        cfg = TtConfig(use_logistic_surrogate=False, use_empirical_cdf=True)
-        with pytest.raises(ParameterError):
-            tt_fit(SQUARED, unlabeled, pairs, cfg, dist=UNIFORM)
 
 
 class TestPredict:
