@@ -1,7 +1,7 @@
 """Target-distribution abstraction: analytic (uniform, Gaussian), kernel
 density estimates with cross-validated bandwidth, and empirical CDFs.
 
-All three callables of a TargetDistribution are vectorized over numpy
+All four callables of a TargetDistribution are vectorized over numpy
 arrays.  Quantile arguments are clamped into [1e-9, 1 - 1e-9] before
 inversion so that unbounded supports never produce infinities.
 
@@ -29,9 +29,12 @@ _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 @dataclass(frozen=True, eq=False)
 class TargetDistribution:
-    """pdf / cdf / inverse-cdf triple with a finite working support window."""
+    """pdf, its derivative, cdf and inverse cdf, with a finite working
+    support window.  pdf_prime is the derivative of pdf wherever it exists
+    (0 on the flat pieces of a piecewise-linear cdf)."""
 
     pdf: Callable[[np.ndarray], np.ndarray]
+    pdf_prime: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray]
     inv_cdf: Callable[[np.ndarray], np.ndarray]
     support_bounds: tuple[float, float]
@@ -58,6 +61,11 @@ def _scalarize(f):
     return wrapped
 
 
+def _flat(y) -> np.ndarray:
+    """pdf' of a piecewise-linear cdf: 0 wherever it exists."""
+    return np.zeros(np.shape(y))
+
+
 def gaussian_distribution(mean: float, std: float) -> TargetDistribution:
     if not (std > 0.0 and np.isfinite(std) and np.isfinite(mean)):
         raise ParameterError(f"need finite mean and std > 0, got {mean!r}, {std!r}")
@@ -66,8 +74,12 @@ def gaussian_distribution(mean: float, std: float) -> TargetDistribution:
     def inv(u):
         return dist.ppf(_clamp_quantiles(u))
 
+    def pdf_prime(y):
+        return -(y - mean) / (std * std) * dist.pdf(y)
+
     return TargetDistribution(
         pdf=_scalarize(dist.pdf),
+        pdf_prime=_scalarize(pdf_prime),
         cdf=_scalarize(dist.cdf),
         inv_cdf=_scalarize(inv),
         support_bounds=(mean - 10.0 * std, mean + 10.0 * std),
@@ -91,6 +103,7 @@ def uniform_distribution(a: float, b: float) -> TargetDistribution:
 
     return TargetDistribution(
         pdf=_scalarize(pdf),
+        pdf_prime=_scalarize(_flat),
         cdf=_scalarize(cdf),
         inv_cdf=_scalarize(inv),
         support_bounds=(a, b),
@@ -206,9 +219,9 @@ _CDF_TABLE_NODES = 257
 def kde_distribution(model: KdeModel) -> TargetDistribution:
     """Wrap a KdeModel as a TargetDistribution on [min - 5h, max + 5h].
 
-    pdf and cdf are exact kernel sums.  The inverse CDF tabulates the exact
-    CDF at 257 nodes on the first call and caches the table; each query
-    takes its bracket from the table, starts from linear interpolation
+    pdf, pdf_prime and cdf are exact kernel sums.  The inverse CDF tabulates
+    the exact CDF at 257 nodes on the first call and caches the table; each
+    query takes its bracket from the table, starts from linear interpolation
     inside it and takes Newton steps, falling back to bisection whenever a
     step leaves the bracket.  It stops once the bracket is at most 1e-8
     wide or a step is below 1e-9, so the result is within 1e-8 of the
@@ -229,6 +242,9 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
     def pdf_rows(z):
         return np.exp(-0.5 * z * z).sum(axis=1) / pdf_norm
 
+    def pdf_prime_rows(z):
+        return -(z * np.exp(-0.5 * z * z)).sum(axis=1) / (pdf_norm * h)
+
     def kernel_sums(y, *rows):
         flat = np.ravel(y)
         outs = [np.empty(flat.size) for _ in rows]
@@ -240,6 +256,9 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
 
     def pdf(y):
         return kernel_sums(y, pdf_rows)[0]
+
+    def pdf_prime(y):
+        return kernel_sums(y, pdf_prime_rows)[0]
 
     def cdf(y):
         return kernel_sums(y, cdf_rows)[0]
@@ -294,6 +313,7 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
 
     return TargetDistribution(
         pdf=_scalarize(pdf),
+        pdf_prime=_scalarize(pdf_prime),
         cdf=_scalarize(cdf),
         inv_cdf=inv,
         support_bounds=(lo, hi),
@@ -344,7 +364,8 @@ def empirical_cdf_eval(ecdf: EmpiricalCdf, y) -> float | np.ndarray:
 def empirical_distribution(values) -> TargetDistribution:
     """Continuous (piecewise-linear) distribution interpolating the empirical
     CDF through Hazen plotting positions, giving a genuine pdf/cdf/inverse
-    triple.  Duplicate values are merged.  Needs >= 2 distinct values."""
+    triple; pdf_prime is 0 between knots.  Duplicate values are merged.
+    Needs >= 2 distinct values."""
     v = np.sort(np.asarray(values, dtype=float).ravel())
     if v.size < 2:
         raise ParameterError("need >= 2 values")
@@ -379,6 +400,7 @@ def empirical_distribution(values) -> TargetDistribution:
 
     return TargetDistribution(
         pdf=_scalarize(pdf),
+        pdf_prime=_scalarize(_flat),
         cdf=_scalarize(cdf),
         inv_cdf=_scalarize(inv),
         support_bounds=(float(knots[0]), float(knots[-1])),

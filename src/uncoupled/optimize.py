@@ -1,13 +1,12 @@
-"""Full-batch descent with an Armijo backtracking line search.
+"""Damped Newton descent with an Armijo backtracking line search.
 
-Every risk here is smooth or piecewise quadratic in a handful of parameters.
-Given a Hessian, each step is a damped Newton step (Nocedal & Wright,
-Numerical Optimization, ch. 3 and 6): the direction solves (H + mu I) d = -g
-by Cholesky, with mu = 0 when H is positive definite and doubled from a small
-shift until the factorization succeeds otherwise, and the line search starts
-from the full step.  Without a Hessian each step is plain gradient descent
-with a warm-started initial step.  Neither mode has tuning knobs worth
-exposing beyond tolerances.
+Every risk here is smooth or piecewise quadratic in a handful of parameters,
+and every fit supplies its (generalized) Hessian, so each step is a damped
+Newton step (Nocedal & Wright, Numerical Optimization, ch. 3 and 6): the
+direction solves (H + mu I) d = -g by Cholesky, with mu = 0 when H is
+positive definite and doubled from a small shift until the factorization
+succeeds otherwise, and the line search starts from the full step.  There
+are no tuning knobs worth exposing beyond tolerances.
 """
 
 from __future__ import annotations
@@ -77,36 +76,27 @@ def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     return d
 
 
-def minimize_gd(
-    fun, grad, x0, options: SolverOptions | None = None, hess=None
-) -> GdResult:
-    """Minimize fun from x0.  With hess (a callable returning the d x d
-    Hessian), steps are damped Newton steps; without it, gradient-descent
-    steps.  Both stop once the gradient norm reaches options.grad_tol, after
-    options.max_iter steps, or when the line search collapses, and raise
-    DivergenceError on a non-finite objective or gradient."""
+def minimize_gd(fun, grad, x0, options: SolverOptions | None = None, *, hess) -> GdResult:
+    """Minimize fun from x0 by damped Newton steps, with hess a callable
+    returning the d x d Hessian.  Stops once the gradient norm reaches
+    options.grad_tol, after options.max_iter steps, or when the line search
+    collapses, and raises DivergenceError on a non-finite objective or
+    gradient."""
     opts = options or SolverOptions()
     x = np.array(x0, dtype=float)
     f = float(fun(x))
     if not np.isfinite(f):
         raise DivergenceError("objective is non-finite at the starting point")
     g = np.asarray(grad(x), dtype=float)
-    step = 1.0
-    it = 0
     for it in range(1, opts.max_iter + 1):
         if not np.all(np.isfinite(g)):
             raise DivergenceError("gradient became non-finite")
         gnorm = float(np.linalg.norm(g))
         if gnorm <= opts.grad_tol:
             return GdResult(x, f, gnorm, it - 1, True)
-        if hess is None:
-            direction = -g
-            t = min(1.0, step / opts.shrink)  # warm start: try one size up first
-            decrease = opts.armijo * gnorm * gnorm
-        else:
-            direction = _newton_direction(hess(x), g)
-            t = 1.0
-            decrease = -opts.armijo * float(g @ direction)
+        direction = _newton_direction(hess(x), g)
+        t = 1.0
+        decrease = -opts.armijo * float(g @ direction)
         while True:
             trial = x + t * direction
             f_trial = float(fun(trial))
@@ -120,7 +110,6 @@ def minimize_gd(
                 return GdResult(x, f, gnorm, it - 1, False)
         x = trial
         f = f_trial
-        step = t
         g = np.asarray(grad(x), dtype=float)
     gnorm = float(np.linalg.norm(g))
     return GdResult(x, f, gnorm, opts.max_iter, gnorm <= opts.grad_tol)

@@ -7,6 +7,12 @@ score means with tuned scalars (w1, w2); a further offset lam shifts
 variance between the unlabeled and pairwise parts without changing the
 expectation.  The empirical risk drops the model-free constant E[phi(Y)].
 
+The risk is written once, with its gradient and Hessian, for a score h
+pushed through a link g (`linked_risk`).  ra is the identity link; the
+target-transform estimator is the same risk at (w1, w2) = (1/2, 0) on the
+clamped sigmoid or the target CDF.  Every iterative fit takes damped Newton
+steps on these closures; the squared generator's ra fit is a closed form.
+
 Weight tuning minimizes
 
     Err(w1, w2) = E_Y | Y - 2 w1 F_Y(Y) - 2 w2 (1 - F_Y(Y)) |
@@ -219,7 +225,119 @@ def estimate_variances(
 
 
 # ---------------------------------------------------------------------------
-# empirical risk, gradient, fitting
+# the linked risk: value, gradient and Hessian for every fit
+
+
+def identity_link(h):
+    """g(h) = h with g' = 1 and g'' = 0: the ra risk on the raw score."""
+    return h, 1.0, 0.0
+
+
+def linked_risk(
+    gen: BregmanGenerator,
+    link,
+    cfg: RiskConfig,
+    unlabeled: Dataset,
+    pairs: PairwiseSet,
+    include_intercept: bool,
+):
+    """Closures (fun, grad, hess) of theta for the pairwise-data Bregman risk
+    of a linked score g = link(h), h = theta . x, excluding the model-free
+    constant E[phi(Y)]:
+
+      - mean_U[ phi(g) - (g - lam) phi'(g) ]
+      - mean_R[ a phi'(g(x+)) + b phi'(g(x-)) ],  a = w1 - lam/2, b = w2 - lam/2
+
+    link maps an array of scores to (g, g', g'').  By the chain rule, with
+    e = phi'''(g) g'^2 + phi''(g) g'' the score derivative of phi''(g) g',
+
+      grad = mean_U[ (g - lam) phi''(g) g' x ]
+             - mean_R[ a phi''(g+) g+' x+ + b phi''(g-) g-' x- ]
+      hess = mean_U[ (phi''(g) g'^2 + (g - lam) e) x x^T ]
+             - mean_R[ a e+ x+ x+^T + b e- x- x-^T ]
+
+    The design matrices get a trailing constant-1 column when
+    include_intercept is set; they are built once, and the link runs once
+    per theta for all three closures.  fun is +inf where a linked score
+    leaves the generator's open domain, so a line search backs off there;
+    grad and hess raise DomainError.
+    """
+    X = augment_intercept(unlabeled.features, include_intercept)
+    W = augment_intercept(pairs.winners, include_intercept)
+    L = augment_intercept(pairs.losers, include_intercept)
+    n_u, n_r = X.shape[0], W.shape[0]
+    lam = cfg.lam
+    a = cfg.w1 - lam / 2.0
+    b = cfg.w2 - lam / 2.0
+    last = {}
+
+    def linked(theta):
+        key = theta.tobytes()
+        if key not in last:
+            last.clear()
+            parts = [link(M @ theta) for M in (X, W, L)]
+            last[key] = parts, all(gen.contains(g) for g, _, _ in parts)
+        return last[key]
+
+    def inside(theta):
+        parts, ok = linked(theta)
+        if not ok:
+            lo, hi = gen.valid_domain
+            raise DomainError(
+                f"linked score outside the open domain ({lo}, {hi}) of generator "
+                f"'{gen.name}'"
+            )
+        return parts
+
+    def bend(g, d1, d2):
+        return gen.phi_third(g) * d1 * d1 + gen.phi_second(g) * d2
+
+    def fun(theta) -> float:
+        ((gu, _, _), (gp, _, _), (gm, _, _)), ok = linked(theta)
+        if not ok:
+            return np.inf
+        risk = -float(np.mean(gen.phi(gu) - (gu - lam) * gen.phi_prime(gu)))
+        if n_r:
+            risk -= float(np.mean(a * gen.phi_prime(gp) + b * gen.phi_prime(gm)))
+        return risk
+
+    def grad(theta) -> np.ndarray:
+        (gu, du, _), (gp, dp, _), (gm, dm, _) = inside(theta)
+        out = X.T @ ((gu - lam) * gen.phi_second(gu) * du) / n_u
+        if n_r:
+            out = out - (
+                W.T @ (a * gen.phi_second(gp) * dp) + L.T @ (b * gen.phi_second(gm) * dm)
+            ) / n_r
+        return out
+
+    def hess(theta) -> np.ndarray:
+        (gu, du, ddu), (gp, dp, ddp), (gm, dm, ddm) = inside(theta)
+        cu = gen.phi_second(gu) * du * du + (gu - lam) * bend(gu, du, ddu)
+        out = (X.T * cu) @ X / n_u
+        if n_r:
+            out = out - (
+                (W.T * (a * bend(gp, dp, ddp))) @ W + (L.T * (b * bend(gm, dm, ddm))) @ L
+            ) / n_r
+        return out
+
+    return fun, grad, hess
+
+
+def fit_columns(unlabeled: Dataset, pairs: PairwiseSet, include_intercept: bool) -> int:
+    """Number of parameters of a linear fit on (unlabeled, pairs).  Raises
+    ShapeError when the pair and unlabeled dims differ, and ParameterError
+    on fewer unlabeled rows than parameters, where the unlabeled term cannot
+    pin every direction of theta."""
+    if pairs.n_pairs > 0 and pairs.dim != unlabeled.dim:
+        raise ShapeError(
+            f"pairwise dim {pairs.dim} does not match unlabeled dim {unlabeled.dim}"
+        )
+    ncols = unlabeled.dim + (1 if include_intercept else 0)
+    if unlabeled.n < ncols:
+        raise ParameterError(
+            f"need n_U >= {ncols} rows, one per parameter, got {unlabeled.n}"
+        )
+    return ncols
 
 
 def ra_empirical_risk(
@@ -234,23 +352,14 @@ def ra_empirical_risk(
 
       - mean_U[ phi(h) - (h - lam) phi'(h) ]
       - mean_R[ (w1 - lam/2) phi'(h(x+)) + (w2 - lam/2) phi'(h(x-)) ]
+
+    that is, linked_risk on the identity link; +inf when a score leaves the
+    generator's domain.
     """
-    hu = predict(model, unlabeled.features)
-    gen.require_domain(hu, "unlabeled score")
-    term_u = float(np.mean(gen.phi(hu) - (hu - cfg.lam) * gen.phi_prime(hu)))
-    term_r = 0.0
-    if pairs.n_pairs > 0:
-        hp = predict(model, pairs.winners)
-        hm = predict(model, pairs.losers)
-        gen.require_domain(hp, "winner score")
-        gen.require_domain(hm, "loser score")
-        term_r = float(
-            np.mean(
-                (cfg.w1 - cfg.lam / 2.0) * gen.phi_prime(hp)
-                + (cfg.w2 - cfg.lam / 2.0) * gen.phi_prime(hm)
-            )
-        )
-    return -term_u - term_r
+    fun, _, _ = linked_risk(
+        gen, identity_link, cfg, unlabeled, pairs, model.includes_intercept
+    )
+    return fun(model.theta)
 
 
 def ra_risk_gradient(
@@ -262,23 +371,10 @@ def ra_risk_gradient(
 ) -> np.ndarray:
     """Analytic gradient of ra_empirical_risk in theta (including the
     intercept coordinate when the model has one)."""
-    Xa = augment_intercept(unlabeled.features, model.includes_intercept)
-    hu = predict(model, unlabeled.features)
-    gen.require_domain(hu, "unlabeled score")
-    gu = Xa.T @ ((hu - cfg.lam) * gen.phi_second(hu)) / unlabeled.n
-    if pairs.n_pairs == 0:
-        return gu
-    Wa = augment_intercept(pairs.winners, model.includes_intercept)
-    La = augment_intercept(pairs.losers, model.includes_intercept)
-    hp = predict(model, pairs.winners)
-    hm = predict(model, pairs.losers)
-    gen.require_domain(hp, "winner score")
-    gen.require_domain(hm, "loser score")
-    gr = (
-        Wa.T @ ((cfg.w1 - cfg.lam / 2.0) * gen.phi_second(hp))
-        + La.T @ ((cfg.w2 - cfg.lam / 2.0) * gen.phi_second(hm))
-    ) / pairs.n_pairs
-    return gu - gr
+    _, grad, _ = linked_risk(
+        gen, identity_link, cfg, unlabeled, pairs, model.includes_intercept
+    )
+    return grad(model.theta)
 
 
 _MAX_COND = 1e12
@@ -312,7 +408,6 @@ def ra_fit(
     cfg: RiskConfig,
     *,
     include_intercept: bool = False,
-    method: str = "auto",
     solver: SolverOptions | None = None,
 ) -> LinearModel:
     """Minimize ra_empirical_risk over linear models.
@@ -322,25 +417,13 @@ def ra_fit(
 
         G theta = lam * mean_U(x) + (w1 - lam/2) mean_+(x) + (w2 - lam/2) mean_-(x),
 
-    solved directly (ridge 1e-8 on singular G).  Any other generator runs
-    full-batch gradient descent with backtracking from theta = 0.
+    solved directly (ridge 1e-8 on singular G).  Any other generator takes
+    damped Newton steps on the identity-link closures of linked_risk from
+    theta = 0 (or solver.init).  Both need n_U >= the parameter count.
     """
-    if method not in ("auto", "closed_form", "gradient"):
-        raise ParameterError(f"unknown method {method!r}")
-    if pairs.n_pairs > 0 and pairs.dim != unlabeled.dim:
-        raise ShapeError(
-            f"pairwise dim {pairs.dim} does not match unlabeled dim {unlabeled.dim}"
-        )
-    use_closed = method == "closed_form" or (method == "auto" and gen.name == "squared")
-    ncols = unlabeled.dim + (1 if include_intercept else 0)
-    if use_closed:
-        if gen.name != "squared":
-            raise ParameterError("closed form is only available for the squared generator")
+    ncols = fit_columns(unlabeled, pairs, include_intercept)
+    if gen.name == "squared":
         Xa = augment_intercept(unlabeled.features, include_intercept)
-        if unlabeled.n < ncols:
-            raise ParameterError(
-                f"need n_U >= {ncols} rows for the normal equations, got {unlabeled.n}"
-            )
         G = Xa.T @ Xa / unlabeled.n
         rhs = cfg.lam * Xa.mean(axis=0)
         if pairs.n_pairs > 0:
@@ -351,26 +434,8 @@ def ra_fit(
         theta = solve_normal_equations(G, rhs)
         return LinearModel(theta=theta, includes_intercept=include_intercept)
 
-    unl = Dataset(features=augment_intercept(unlabeled.features, include_intercept))
-    prs = (
-        PairwiseSet(
-            winners=augment_intercept(pairs.winners, include_intercept),
-            losers=augment_intercept(pairs.losers, include_intercept),
-        )
-        if pairs.n_pairs > 0
-        else pairs
-    )
-
-    def fun(th: np.ndarray) -> float:
-        try:
-            return ra_empirical_risk(LinearModel(th), gen, unl, prs, cfg)
-        except DomainError:
-            return np.inf
-
-    def grad(th: np.ndarray) -> np.ndarray:
-        return ra_risk_gradient(LinearModel(th), gen, unl, prs, cfg)
-
+    fun, grad, hess = linked_risk(gen, identity_link, cfg, unlabeled, pairs, include_intercept)
     opts = solver or SolverOptions()
     x0 = opts.init if opts.init is not None else np.zeros(ncols)
-    result = minimize_gd(fun, grad, x0, opts)
+    result = minimize_gd(fun, grad, x0, opts, hess=hess)
     return LinearModel(theta=result.theta, includes_intercept=include_intercept)

@@ -132,14 +132,14 @@ class TestRankerFit:
             ranker_fit(pairs, reg=-1.0)
 
 
-def hinge_solve(pairs, reg, hess):
+def hinge_solves(pairs, reg, gradient_descent):
+    """(reference gradient descent, damped Newton) from zero."""
     W, L = pairs.winners, pairs.losers
-    return minimize_gd(
-        lambda t: _hinge_loss(t, W, L, reg),
-        lambda t: _hinge_grad(t, W, L, reg),
-        np.zeros(pairs.dim),
-        hess=(lambda t: _hinge_hess(t, W, L, reg)) if hess else None,
-    )
+    fun = lambda t: _hinge_loss(t, W, L, reg)
+    grad = lambda t: _hinge_grad(t, W, L, reg)
+    x0 = np.zeros(pairs.dim)
+    newton = minimize_gd(fun, grad, x0, hess=lambda t: _hinge_hess(t, W, L, reg))
+    return gradient_descent(fun, grad, x0), newton
 
 
 class TestRankerNewton:
@@ -163,21 +163,19 @@ class TestRankerNewton:
         hess = _hinge_hess(theta, W, L, 0.3)
         np.testing.assert_allclose(hess, fd, rtol=0.0, atol=1e-7)
 
-    def test_newton_agrees_with_gradient_descent(self):
+    def test_newton_agrees_with_gradient_descent(self, gradient_descent):
         pairs, _ = separable_pairs(seed=15)
-        gd = hinge_solve(pairs, 0.01, hess=False)
-        newton = hinge_solve(pairs, 0.01, hess=True)
+        gd, newton = hinge_solves(pairs, 0.01, gradient_descent)
         assert gd.converged and newton.converged
         assert newton.iterations < gd.iterations
         np.testing.assert_allclose(newton.theta, gd.theta, rtol=0.0, atol=1e-6)
 
-    def test_newton_converges_where_gradient_descent_hits_the_cap(self):
+    def test_newton_converges_where_gradient_descent_hits_the_cap(self, gradient_descent):
         # desk-sized problem: d = 5, noise 0.1, 100 comparisons, default reg
         theta = random_unit_vector(5, np.random.default_rng(2))
         spec = SyntheticSpec(dim=5, noise_std=0.1, theta_true=theta, seed=2)
         pairs = sample_pairwise_from_spec(spec, 100)
-        gd = hinge_solve(pairs, 1e-4, hess=False)
-        newton = hinge_solve(pairs, 1e-4, hess=True)
+        gd, newton = hinge_solves(pairs, 1e-4, gradient_descent)
         assert not gd.converged and gd.iterations == 10_000
         assert newton.converged and newton.iterations < 50
         assert newton.value <= gd.value

@@ -268,6 +268,23 @@ class TestDistributionContract:
         assert np.all(dist.pdf(grid) >= 0.0)
 
     @pytest.mark.parametrize("name,dist", all_distributions(), ids=lambda p: p if isinstance(p, str) else "")
+    def test_pdf_prime_is_the_pdf_derivative(self, name, dist):
+        lo, hi = dist.support_bounds
+        grid = np.linspace(lo, hi, 501)[1:-1]
+        slope = dist.pdf_prime(grid)
+        if name.startswith("uniform") or name == "empirical":
+            # a piecewise-linear cdf: pdf is flat wherever pdf' exists
+            assert np.all(slope == 0.0)
+            assert dist.pdf_prime(0.5 * (lo + hi)) == 0.0
+            return
+        step = 1e-6 * (hi - lo)
+        fd = (dist.pdf(grid + step) - dist.pdf(grid - step)) / (2.0 * step)
+        scale = max(1.0, float(np.max(np.abs(fd))))
+        assert np.max(np.abs(slope - fd)) / scale < 1e-6
+        y = float(grid[200])
+        assert dist.pdf_prime(y) == pytest.approx(float(slope[200]), rel=1e-12)
+
+    @pytest.mark.parametrize("name,dist", all_distributions(), ids=lambda p: p if isinstance(p, str) else "")
     def test_quantile_of_cdf_identity(self, name, dist):
         lo, hi = dist.support_bounds
         width = hi - lo

@@ -304,6 +304,23 @@ class TestSweepFailures:
         )
         assert self.run(sweep).to_csv() == self.expected(clean, {"lr"}, errors)
 
+    def test_too_few_unlabeled_rows_fail_every_ra_and_tt_cell(self):
+        # one unlabeled row cannot pin two parameters; both fits refuse it
+        n_r_values = (5, 20)
+        spec = ExperimentSpec(
+            n_u=1, n_r_values=n_r_values, repeats=2, dim=2, test_size=30, seed=4
+        )
+        table = run_synthetic(spec)
+        message = "ParameterError: need n_U >= 2 rows, one per parameter, got 1"
+        assert table.metadata == tuple(
+            f"error: repeat={k} method={m} n_r={n_r} {message}"
+            for k in range(2)
+            for n_r in n_r_values
+            for m in ("ra", "tt")
+        )
+        for row in table.rows:
+            assert row.repeats == (0 if row.method in ("ra", "tt") else 2)
+
     def test_shared_setup_failure_marks_every_uncoupled_cell(self, monkeypatch):
         clean = self.run("bench")
         self.break_name(monkeypatch, "fit_kde")

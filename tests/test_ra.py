@@ -33,6 +33,15 @@ from uncoupled import (
     tune_weights_empirical,
     uniform_distribution,
 )
+from uncoupled.optimize import SolverOptions, minimize_gd
+from uncoupled.risk_approx import identity_link, linked_risk
+from uncoupled.target_transform import cdf_link, sigmoid_link
+
+LINKS = {
+    "identity": identity_link,
+    "sigmoid": sigmoid_link,
+    "cdf": cdf_link(gaussian_distribution(0.0, 1.0)),
+}
 
 UNIFORM_CASES = [(0.0, 1.0), (0.0, 2.0), (-1.0, 3.0)]
 
@@ -268,8 +277,15 @@ class TestEmpiricalRisk:
         cfg = RiskConfig(0.25, 0.75, 0.5)
         assert ra_empirical_risk(model, SQUARED, unlabeled, pairs, cfg) == 3.0
 
-    @pytest.mark.parametrize("gen", [SQUARED, BERNOULLI_KL], ids=["squared", "kl"])
-    def test_risk_is_affine_in_lambda(self, gen):
+    @pytest.mark.parametrize(
+        "gen,link",
+        [
+            pytest.param(gen, link, id=gid if link == "identity" else f"{gid}-{link}")
+            for link in LINKS
+            for gen, gid in ((SQUARED, "squared"), (BERNOULLI_KL, "kl"))
+        ],
+    )
+    def test_risk_is_affine_in_lambda(self, gen, link):
         rng = np.random.default_rng(7)
         if gen is SQUARED:
             unlabeled = Dataset(features=rng.standard_normal((30, 2)))
@@ -279,16 +295,19 @@ class TestEmpiricalRisk:
             unlabeled = Dataset(features=rng.uniform(0.1, 0.45, (30, 2)))
             pairs = PairwiseSet(rng.uniform(0.1, 0.45, (12, 2)), rng.uniform(0.1, 0.45, (12, 2)))
             theta = np.array([1.0, 1.0])
-        model = LinearModel(theta)
-        h_u = unlabeled.features @ theta
-        h_w = pairs.winners @ theta
-        h_l = pairs.losers @ theta
-        slope = np.mean(gen.phi_prime(h_w) + gen.phi_prime(h_l)) / 2.0 - np.mean(
-            gen.phi_prime(h_u)
+        g_u, g_w, g_l = (
+            LINKS[link](M @ theta)[0] for M in (unlabeled.features, pairs.winners, pairs.losers)
         )
-        r0 = ra_empirical_risk(model, gen, unlabeled, pairs, RiskConfig(0.3, -0.2, 0.0))
-        r7 = ra_empirical_risk(model, gen, unlabeled, pairs, RiskConfig(0.3, -0.2, 0.7))
-        assert r7 - r0 == pytest.approx(0.7 * slope, abs=1e-12)
+        slope = np.mean(gen.phi_prime(g_w) + gen.phi_prime(g_l)) / 2.0 - np.mean(
+            gen.phi_prime(g_u)
+        )
+
+        def risk(lam):
+            cfg = RiskConfig(0.3, -0.2, lam)
+            fun, _, _ = linked_risk(gen, LINKS[link], cfg, unlabeled, pairs, False)
+            return fun(theta)
+
+        assert risk(0.7) - risk(0.0) == pytest.approx(0.7 * slope, abs=1e-12)
 
     def test_lambda_shift_invariant_in_expectation(self):
         # the lambda slope averages to zero across resamples, so risks at two
@@ -373,12 +392,30 @@ class TestRaFit:
         assert model.theta[0] == pytest.approx(1.0, abs=0.05)
         assert model.theta[1] == pytest.approx(2.0, abs=0.05)
 
-    def test_closed_form_matches_gradient_descent(self):
+    def test_closed_form_matches_newton(self):
         unlabeled, pairs = uniform_coupling(2000, 400, seed=2)
         cfg = RiskConfig(0.5, 0.0, 0.25)
-        closed = ra_fit(SQUARED, unlabeled, pairs, cfg, method="closed_form")
-        gd = ra_fit(SQUARED, unlabeled, pairs, cfg, method="gradient")
-        assert np.max(np.abs(closed.theta - gd.theta)) < 1e-5
+        closed = ra_fit(SQUARED, unlabeled, pairs, cfg)
+        fun, grad, hess = linked_risk(SQUARED, identity_link, cfg, unlabeled, pairs, False)
+        newton = minimize_gd(fun, grad, np.zeros(1), hess=hess)
+        assert newton.converged
+        assert np.max(np.abs(closed.theta - newton.theta)) < 1e-10
+
+    def test_non_squared_generator_newton_agrees_with_gradient_descent(self, gradient_descent):
+        # X ~ U(0, 1/2), Y = X: KL scores h = theta x stay inside (0, 1)
+        unlabeled, pairs = uniform_coupling(2000, 400, seed=5)
+        half = lambda X: 0.5 * X
+        unlabeled = Dataset(features=half(unlabeled.features))
+        pairs = PairwiseSet(half(pairs.winners), half(pairs.losers))
+        cfg = tune_weights(uniform_distribution(0.0, 0.5))
+        start = np.array([0.5])
+        model = ra_fit(BERNOULLI_KL, unlabeled, pairs, cfg, solver=SolverOptions(init=start))
+        fun, grad, _ = linked_risk(BERNOULLI_KL, identity_link, cfg, unlabeled, pairs, False)
+        gd = gradient_descent(fun, grad, start)
+        assert gd.converged
+        np.testing.assert_allclose(model.theta, gd.theta, rtol=0.0, atol=1e-6)
+        assert np.linalg.norm(grad(model.theta)) <= 1e-8
+        assert model.theta[0] == pytest.approx(1.0, abs=0.1)
 
     def test_zero_weights_give_zero_model(self):
         unlabeled, pairs = uniform_coupling(500, 50, seed=3)
@@ -390,12 +427,6 @@ class TestRaFit:
         pairs = PairwiseSet(np.ones((3, 1)), np.zeros((3, 1)))
         with pytest.raises(ShapeError):
             ra_fit(SQUARED, unlabeled, pairs, RiskConfig(0.5, 0.0, 0.25))
-
-    def test_closed_form_requires_squared_generator(self):
-        unlabeled = Dataset(features=np.full((6, 1), 0.2))
-        pairs = PairwiseSet(np.full((3, 1), 0.25), np.full((3, 1), 0.15))
-        with pytest.raises(ParameterError):
-            ra_fit(BERNOULLI_KL, unlabeled, pairs, RiskConfig(0.5, 0.0, 0.25), method="closed_form")
 
     def test_fit_deterministic(self):
         unlabeled, pairs = uniform_coupling(3000, 300, seed=4)

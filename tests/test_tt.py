@@ -8,12 +8,17 @@ from uncoupled import (
     Dataset,
     LinearModel,
     PairwiseSet,
+    ParameterError,
+    RiskConfig,
     SyntheticSpec,
     TtConfig,
+    fit_kde,
     gaussian_distribution,
     generate_synthetic,
+    kde_distribution,
     pairwise_from_arrays,
     predict,
+    random_unit_vector,
     sample_pairwise_from_spec,
     tt_cdf_risk,
     tt_fit,
@@ -23,9 +28,24 @@ from uncoupled import (
     uniform_distribution,
 )
 from uncoupled.optimize import minimize_gd
-from uncoupled.target_transform import _exact_cdf_gradient, tt_surrogate_hessian
+from uncoupled.risk_approx import identity_link, linked_risk
+from uncoupled.target_transform import cdf_link, sigmoid_link
 
 UNIFORM = uniform_distribution(0.0, 1.0)
+SURROGATE = RiskConfig(w1=0.5, w2=0.0, lam=0.5)
+LINKS = {
+    "identity": identity_link,
+    "sigmoid": sigmoid_link,
+    "gaussian_cdf": cdf_link(gaussian_distribution(0.0, 1.0)),
+    "kde_cdf": cdf_link(kde_distribution(fit_kde(np.random.default_rng(19).standard_normal(200)))),
+}
+# generator x link cases; the sigmoid link (the tt surrogate) carries the
+# bare generator id
+LINK_CASES = [
+    pytest.param(gen, link, id=gid if link == "sigmoid" else f"{gid}-{link}")
+    for link in LINKS
+    for gen, gid in ((SQUARED, "squared"), (BERNOULLI_KL, "kl"))
+]
 SIGMOID_1 = 0.7310585786300049  # 1 / (1 + e^-1)
 
 
@@ -160,8 +180,10 @@ class TestSurrogateGradient:
             unlabeled = Dataset(features=rng.standard_normal((15, 2)))
             pairs = PairwiseSet(rng.standard_normal((7, 2)), rng.standard_normal((7, 2)))
             theta = rng.standard_normal(2) * 0.5
-            model = LinearModel(theta)
-            grad = _exact_cdf_gradient(model, SQUARED, dist, unlabeled, pairs, cfg)
+            _, grad_fn, _ = linked_risk(
+                SQUARED, cdf_link(dist), RiskConfig(0.5, 0.0, 0.4), unlabeled, pairs, False
+            )
+            grad = grad_fn(theta)
             fd = finite_difference_gradient(
                 lambda t: tt_cdf_risk(LinearModel(t), SQUARED, dist, unlabeled, pairs, cfg),
                 theta,
@@ -191,20 +213,32 @@ class TestSurrogateGradient:
 
 
 class TestSurrogateHessian:
-    @pytest.mark.parametrize("gen", [SQUARED, BERNOULLI_KL], ids=["squared", "kl"])
+    @pytest.mark.parametrize("gen,link", LINK_CASES)
     @pytest.mark.parametrize("intercept", [False, True], ids=["no_icpt", "icpt"])
     @pytest.mark.parametrize("n_pairs", [0, 8], ids=["no_pairs", "pairs"])
-    def test_matches_finite_differences(self, gen, intercept, n_pairs):
+    def test_matches_finite_differences(self, gen, link, intercept, n_pairs):
         rng = np.random.default_rng(11)
         for _ in range(5):
-            unlabeled = Dataset(features=rng.standard_normal((20, 3)))
-            pairs = PairwiseSet(
-                rng.standard_normal((n_pairs, 3)), rng.standard_normal((n_pairs, 3))
-            )
-            theta = rng.standard_normal(3 + intercept)
-            model = lambda t: LinearModel(t, includes_intercept=intercept)
-            hess = tt_surrogate_hessian(model(theta), gen, unlabeled, pairs)
-            grad = lambda t: tt_surrogate_gradient(model(t), gen, unlabeled, pairs)
+            raw_kl = gen is BERNOULLI_KL and link == "identity"
+            # raw KL scores must lie in (0, 1); CDF-linked scores stay in the
+            # marginal's bulk, where KL's curvature of F(h) is within reach
+            # of a finite difference
+            if raw_kl:
+                draw = lambda n: rng.uniform(0.05, 0.15, (n, 3))
+            else:
+                draw = lambda n: rng.standard_normal((n, 3))
+            unlabeled = Dataset(features=draw(20))
+            pairs = PairwiseSet(draw(n_pairs), draw(n_pairs))
+            if raw_kl:
+                theta = np.concatenate(
+                    [rng.uniform(0.5, 1.0, 3), rng.uniform(0.0, 0.3, int(intercept))]
+                )
+            else:
+                scale = 0.3 if link.endswith("cdf") else 1.0
+                theta = rng.standard_normal(3 + intercept) * scale
+            cfg = RiskConfig(0.6, -0.1, 0.35)
+            _, grad, hess_fn = linked_risk(gen, LINKS[link], cfg, unlabeled, pairs, intercept)
+            hess = hess_fn(theta)
             fd = np.array(
                 [finite_difference_gradient(lambda t: grad(t)[i], theta) for i in range(theta.size)]
             )
@@ -244,21 +278,56 @@ class TestFit:
             assert final <= tt_surrogate_risk(LinearModel(start), SQUARED, unlabeled, pairs) + 1e-12
 
     @pytest.mark.parametrize("gen", [SQUARED, BERNOULLI_KL], ids=["squared", "kl"])
-    def test_newton_agrees_with_gradient_descent(self, gen):
+    def test_newton_agrees_with_gradient_descent(self, gen, gradient_descent):
         theta = np.array([0.6, -0.8, 0.0])
         spec = SyntheticSpec(dim=3, noise_std=1.0, theta_true=theta, seed=13)
         unlabeled = generate_synthetic(spec, 1000).without_targets()
         pairs = sample_pairwise_from_spec(spec, 300)
-        args = (gen, unlabeled, pairs)
-        fun = lambda t: tt_surrogate_risk(LinearModel(t), *args)
-        grad = lambda t: tt_surrogate_gradient(LinearModel(t), *args)
-        hess = lambda t: tt_surrogate_hessian(LinearModel(t), *args)
+        fun, grad, hess = linked_risk(gen, sigmoid_link, SURROGATE, unlabeled, pairs, False)
         for x0 in (np.zeros(3), np.full(3, 0.1)):
-            gd = minimize_gd(fun, grad, x0)
+            gd = gradient_descent(fun, grad, x0)
             newton = minimize_gd(fun, grad, x0, hess=hess)
             assert gd.converged and newton.converged
             assert newton.iterations < gd.iterations
             np.testing.assert_allclose(newton.theta, gd.theta, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("n_r", [100, 1000, 5000])
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_exact_newton_agrees_with_gradient_descent(self, seed, n_r, gradient_descent):
+        # a desk cell: d = 5, noise 0.1, n_U = 5000, analytic Gaussian marginal
+        theta = random_unit_vector(5, np.random.default_rng(seed))
+        spec = SyntheticSpec(dim=5, noise_std=0.1, theta_true=theta, seed=seed)
+        unlabeled = generate_synthetic(spec, 5000).without_targets()
+        pairs = sample_pairwise_from_spec(spec, n_r)
+        dist = gaussian_distribution(0.0, np.sqrt(1.01))
+        fun, grad, hess = linked_risk(SQUARED, cdf_link(dist), SURROGATE, unlabeled, pairs, False)
+        gd = gradient_descent(fun, grad, np.zeros(5))
+        newton = minimize_gd(fun, grad, np.zeros(5), hess=hess)
+        assert gd.converged and newton.converged
+        assert newton.iterations <= 10
+        np.testing.assert_allclose(newton.theta, gd.theta, rtol=0.0, atol=1e-6)
+        cfg = TtConfig(use_logistic_surrogate=False)
+        fitted = tt_fit(SQUARED, unlabeled, pairs, cfg, dist=dist)
+        np.testing.assert_array_equal(fitted.theta, newton.theta)
+
+    def test_surrogate_honours_lambda(self):
+        theta = np.array([1.0, 0.0])
+        spec = SyntheticSpec(dim=2, noise_std=0.1, theta_true=theta, seed=6)
+        unlabeled = generate_synthetic(spec, 400).without_targets()
+        pairs = sample_pairwise_from_spec(spec, 200)
+        fitted = tt_fit(SQUARED, unlabeled, pairs, TtConfig(lam=0.2))
+        _, grad, _ = linked_risk(
+            SQUARED, sigmoid_link, RiskConfig(0.5, 0.0, 0.2), unlabeled, pairs, False
+        )
+        assert np.linalg.norm(grad(fitted.theta)) <= 1e-8
+        default = tt_fit(SQUARED, unlabeled, pairs)
+        assert np.max(np.abs(fitted.theta - default.theta)) > 1e-3
+
+    def test_rejects_fewer_unlabeled_rows_than_parameters(self):
+        unlabeled = Dataset(features=np.array([[0.3, -0.2]]))
+        pairs = PairwiseSet(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
+        with pytest.raises(ParameterError):
+            tt_fit(SQUARED, unlabeled, pairs)
 
     def test_exact_mode_fits_too(self):
         theta = np.array([1.0])
