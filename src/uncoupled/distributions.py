@@ -5,10 +5,14 @@ All four callables of a TargetDistribution are vectorized over numpy
 arrays.  Quantile arguments are clamped into [1e-9, 1 - 1e-9] before
 inversion so that unbounded supports never produce infinities.
 
-The KDE is exact throughout: its bandwidth score is the exact 5-fold
-log-likelihood, and its pdf and cdf are full kernel sums.  Its inverse CDF
-caches a 257-node table of the exact cdf and refines each query inside the
-table's bracket by Newton steps with a bisection fallback, to within 1e-8.
+The KDE is exact throughout.  Its bandwidth score is the exact 5-fold
+log-likelihood, with each pair of folds scored once, and points whose plain
+kernel sum would underflow rescored with a shifted sum.  Its pdf is a full
+kernel sum.  Its cdf is a full sum too, except that chunks of sorted points
+where Phi is exactly 1 are counted instead of computed.  Its inverse CDF
+caches a 257-node table of the exact cdf, pdf and pdf', starts each query
+from the Hermite interpolant of the inverse inside the table's bracket, and
+refines it by Newton steps with a bisection fallback, to within 1e-8.
 """
 
 from __future__ import annotations
@@ -151,35 +155,78 @@ def _chunked(n: int, block: int):
         yield start, min(start + block, n)
 
 
+# Pairwise blocks never hold more than this many elements.
+_KERNEL_BUDGET = 2_000_000
+# Beyond this a * d_min the unshifted kernel sum of a CV row could underflow
+# (exp(-708) is the smallest normal double).
+_UNDERFLOW_EXPONENT = 700.0
+
+
+def _shifted_log_sums(val: np.ndarray, train: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """log sum_j exp(-a_k (val_i - train_j)^2) for every a_k and row i, as a
+    (len(a), len(val)) array.  Each row is shifted by its nearest-neighbour
+    distance d_min: log(sum(exp(-a D'))) - a d_min, whose shifted sum is >= 1
+    and never underflows to log(0)."""
+    out = np.empty((a.size, val.size))
+    block = max(1, _KERNEL_BUDGET // train.size)
+    for lo, hi in _chunked(val.size, block):
+        d = val[lo:hi, None] - train[None, :]
+        d *= d
+        d_min = d.min(axis=1)
+        d -= d_min[:, None]
+        buf = np.empty_like(d)
+        for k in range(a.size):
+            np.multiply(d, -a[k], out=buf)
+            np.exp(buf, out=buf)
+            out[k, lo:hi] = np.log(buf.sum(axis=1)) - a[k] * d_min
+    return out
+
+
 def _cv_scores(v: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """5-fold cross-validated log-likelihood of each bandwidth in `grid` for
     the sorted sample `v` (folds by sorted-order index modulo 5).
 
-    Each fold's squared distances are formed once per block of validation
-    rows and shifted by the row's nearest-neighbour distance d_min, so the
-    log density of a row at bandwidth h is log(sum(exp(-a D'))) - a d_min
-    with a = 1 / (2 h^2): the logsumexp of the kernel exponents, whose
-    shifted sum is >= 1 and never underflows to log(0).
+    The kernel is symmetric, so each of the 10 fold pairs (f, g), f < g, is
+    exponentiated once per bandwidth: its row sums go to fold f's points and
+    its column sums to fold g's, accumulated per (bandwidth, point) before
+    one log.  Unshifted, the sum of a point whose nearest training point is
+    d_min away underflows once a d_min nears 708, with a = 1 / (2 h^2); the
+    (bandwidth, point) cells with a d_min > 700 are recomputed shifted by
+    d_min (`_shifted_log_sums`).
     """
-    fold_of = np.arange(v.size) % 5
+    n = v.size
     a = 0.5 / grid**2
+    sums = np.zeros((grid.size, n))
+    d_min = np.full(n, np.inf)
+    for f in range(5):
+        for g in range(f + 1, 5):
+            rows, cols = v[f::5], v[g::5]
+            row_min, row_sums = d_min[f::5], sums[:, f::5]
+            block = max(1, _KERNEL_BUDGET // cols.size)
+            for lo, hi in _chunked(rows.size, block):
+                d = rows[lo:hi, None] - cols[None, :]
+                d *= d
+                np.minimum(row_min[lo:hi], d.min(axis=1), out=row_min[lo:hi])
+                np.minimum(d_min[g::5], d.min(axis=0), out=d_min[g::5])
+                buf = np.empty_like(d)
+                for k in range(grid.size):
+                    np.multiply(d, -a[k], out=buf)
+                    np.exp(buf, out=buf)
+                    row_sums[k, lo:hi] += buf.sum(axis=1)
+                    sums[k, g::5] += buf.sum(axis=0)
+    with np.errstate(divide="ignore"):
+        log_sums = np.log(sums)
+    under = a[:, None] * d_min[None, :] > _UNDERFLOW_EXPONENT
     scores = np.zeros(grid.size)
     for f in range(5):
-        train = v[fold_of != f]
-        val = v[fold_of == f]
-        block = max(1, 2_000_000 // train.size)
-        for lo, hi in _chunked(val.size, block):
-            d = val[lo:hi, None] - train[None, :]
-            d *= d
-            d_min = d.min(axis=1)
-            d -= d_min[:, None]
-            sum_d_min = float(np.sum(d_min))
-            buf = np.empty_like(d)
-            for k in range(grid.size):
-                np.multiply(d, -a[k], out=buf)
-                np.exp(buf, out=buf)
-                scores[k] += float(np.sum(np.log(buf.sum(axis=1)))) - a[k] * sum_d_min
-        scores -= val.size * np.log(train.size * grid * _SQRT_2PI)
+        fold_cells, fold_under = log_sums[:, f::5], under[:, f::5]
+        redo = np.flatnonzero(fold_under.any(axis=0))
+        if redo.size:
+            train = np.delete(v, np.arange(f, n, 5))
+            shifted = _shifted_log_sums(v[f::5][redo], train, a)
+            fold_cells[:, redo] = np.where(fold_under[:, redo], shifted, fold_cells[:, redo])
+        n_val = fold_cells.shape[1]
+        scores += fold_cells.sum(axis=1) - n_val * np.log((n - n_val) * grid * _SQRT_2PI)
     return scores
 
 
@@ -189,10 +236,11 @@ def fit_kde(targets, bandwidth_grid=None) -> KdeModel:
     Folds are assigned by sorted-order index modulo 5, which is both
     deterministic and invariant under permutations of the input.  The default
     grid is 20 log-spaced bandwidths between h_silverman/10 and
-    h_silverman*10.  Ties prefer the smallest bandwidth.  The score is the
-    exact Gaussian-kernel log-likelihood of every validation point under its
-    training folds; each fold's pairwise distances are computed once and
-    reused for every bandwidth in the grid.
+    h_silverman*10; an explicit grid is sorted first, so ties prefer the
+    smallest bandwidth.  The score is the exact Gaussian-kernel
+    log-likelihood of every validation point under its training folds
+    (`_cv_scores`): each pair of folds is scored once for every bandwidth in
+    the grid.
     """
     v = np.sort(np.asarray(targets, dtype=float).ravel())
     if v.size == 0:
@@ -205,7 +253,7 @@ def fit_kde(targets, bandwidth_grid=None) -> KdeModel:
         h0 = silverman_bandwidth(v)
         grid = np.geomspace(h0 / 10.0, h0 * 10.0, 20)
     else:
-        grid = np.asarray(bandwidth_grid, dtype=float).ravel()
+        grid = np.sort(np.asarray(bandwidth_grid, dtype=float).ravel())
         if grid.size == 0 or np.any(~np.isfinite(grid)) or np.any(grid <= 0.0):
             raise ParameterError("bandwidth grid must be nonempty and positive")
 
@@ -214,19 +262,32 @@ def fit_kde(targets, bandwidth_grid=None) -> KdeModel:
 
 
 _CDF_TABLE_NODES = 257
+# ndtr(z) is exactly 1.0 for every z >= 8.2924; the tests pin it from 8.3 up.
+_NDTR_ONE = 8.3
+# Sample points per chunk of the cdf sum, and queries per kernel block.
+_CDF_CHUNK = 64
+_QUERY_BLOCK = 64
 
 
 def kde_distribution(model: KdeModel) -> TargetDistribution:
     """Wrap a KdeModel as a TargetDistribution on [min - 5h, max + 5h].
 
-    pdf, pdf_prime and cdf are exact kernel sums.  The inverse CDF tabulates
-    the exact CDF at 257 nodes on the first call and caches the table; each
-    query takes its bracket from the table, starts from linear interpolation
-    inside it and takes Newton steps, falling back to bisection whenever a
-    step leaves the bracket.  It stops once the bracket is at most 1e-8
-    wide or a step is below 1e-9, so the result is within 1e-8 of the
-    smallest y with cdf(y) >= u.  Quantiles below cdf(lo) map to lo and
-    above cdf(hi) to hi.
+    pdf, pdf_prime and cdf are exact kernel sums, over blocks of sorted
+    queries.  The cdf sums the sorted sample in fixed chunks of 64 points,
+    left to right.  A chunk that lies wholly at z >= 8.3 for a block's
+    smallest query adds exactly its size, because ndtr is exactly 1 there,
+    and gets no ndtr call.  So each query's value is the same float in any
+    batch, and the cdf is exactly monotone.
+
+    The inverse CDF tabulates the exact cdf, pdf and pdf' at 257 nodes on
+    the first call and caches the table.  Each query takes its bracket from
+    the table and starts from the quintic Hermite interpolant of the inverse
+    (derivatives 1/pdf and -pdf'/pdf^3), or from linear interpolation where
+    that is not finite or leaves the bracket.  It then takes Newton steps,
+    falling back to bisection whenever a step leaves the bracket.  It stops
+    once the bracket is at most 1e-8 wide or a step is below 1e-9, so the
+    result is within 1e-8 of the smallest y with cdf(y) >= u.  Quantiles
+    below cdf(lo) map to lo and above cdf(hi) to hi.
     """
     pts = model.sample_points
     h = model.bandwidth
@@ -234,24 +295,40 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
     lo = float(pts[0] - 5.0 * h)
     hi = float(pts[-1] + 5.0 * h)
     pdf_norm = n * h * _SQRT_2PI
-    block = max(1, 2_000_000 // n)
+    n_chunks = -(-n // _CDF_CHUNK)
+    # +inf pads the last chunk: its z is -inf, and ndtr(-inf) adds 0
+    padded = np.concatenate((pts, np.full(n_chunks * _CDF_CHUNK - n, np.inf)))
+    chunk_max = pts[np.minimum(np.arange(1, n_chunks + 1) * _CDF_CHUNK, n) - 1]
+    block = max(1, min(_QUERY_BLOCK, _KERNEL_BUDGET // padded.size))
 
-    def cdf_rows(z):
-        return ndtr(z).mean(axis=1)
+    def cdf_rows(y, z):
+        # The chunks wholly at z >= 8.3 for the smallest query are a prefix.
+        # Their ndtr sums would be exactly their sizes, so starting the
+        # left-to-right sum of chunk sums at m * 64 gives the same float.
+        m = int(np.count_nonzero((y[0] - chunk_max) / h >= _NDTR_ONE))
+        if m == n_chunks:
+            return np.ones(y.size)
+        sums = ndtr(z[:, m * _CDF_CHUNK :]).reshape(y.size, -1, _CDF_CHUNK).sum(axis=2)
+        sums[:, 0] += m * _CDF_CHUNK
+        return np.cumsum(sums, axis=1)[:, -1] / n
 
-    def pdf_rows(z):
+    def pdf_rows(y, z):
+        z = z[:, :n]
         return np.exp(-0.5 * z * z).sum(axis=1) / pdf_norm
 
-    def pdf_prime_rows(z):
+    def pdf_prime_rows(y, z):
+        z = z[:, :n]
         return -(z * np.exp(-0.5 * z * z)).sum(axis=1) / (pdf_norm * h)
 
     def kernel_sums(y, *rows):
         flat = np.ravel(y)
+        order = np.argsort(flat, kind="stable")
+        ys = flat[order]
         outs = [np.empty(flat.size) for _ in rows]
         for a, b in _chunked(flat.size, block):
-            z = (flat[a:b, None] - pts[None, :]) / h
+            z = (ys[a:b, None] - padded[None, :]) / h
             for out, row in zip(outs, rows):
-                out[a:b] = row(z)
+                out[order[a:b]] = row(ys[a:b], z)
         return [out.reshape(np.shape(y)) for out in outs]
 
     def pdf(y):
@@ -270,18 +347,33 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
     @functools.cache
     def cdf_table():
         nodes = np.linspace(lo, hi, _CDF_TABLE_NODES)
-        return nodes, cdf(nodes)
+        return (nodes, *kernel_sums(nodes, cdf_rows, pdf_rows, pdf_prime_rows))
 
     def inv(u):
         q = np.ravel(_clamp_quantiles(u))
-        nodes, levels = cdf_table()
+        nodes, levels, dens, slope = cdf_table()
         k = np.searchsorted(levels, q, side="left")
         out = np.where(k == 0, lo, hi)
         todo = np.flatnonzero((k > 0) & (k < nodes.size))
         qa = q[todo]
-        a, b = nodes[k[todo] - 1], nodes[k[todo]]
-        Fa, Fb = levels[k[todo] - 1], levels[k[todo]]
-        x = a + (qa - Fa) / (Fb - Fa) * (b - a)
+        i = k[todo]
+        a, b = nodes[i - 1], nodes[i]
+        Fa, dF = levels[i - 1], levels[i] - levels[i - 1]
+        t = (qa - Fa) / dF
+        linear = a + t * (b - a)
+        # the quintic Hermite interpolant of the inverse cdf x(q), whose
+        # derivatives at a node are x' = 1/pdf and x'' = -pdf'/pdf^3, scaled
+        # here to t = (q - Fa) / dF; pdf ~ 0 makes it non-finite or throws it
+        # out of the bracket, and then the linear start stands
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s = 1.0 - t
+            m0, m1 = dF / dens[i - 1], dF / dens[i]
+            c0, c1 = -slope[i - 1] * m0**3 / dF, -slope[i] * m1**3 / dF
+            x = s**3 * ((1.0 + 3.0 * t + 6.0 * t * t) * a + t * (1.0 + 3.0 * t) * m0
+                        + 0.5 * t * t * c0)
+            x += t**3 * ((1.0 + 3.0 * s + 6.0 * s * s) * b - s * (1.0 + 3.0 * s) * m1
+                         + 0.5 * s * s * c1)
+        x = np.where(np.isfinite(x) & (x >= a) & (x <= b), x, linear)
         for _ in range(max_steps):
             F, f = kernel_sums(x, cdf_rows, pdf_rows)
             below = F < qa

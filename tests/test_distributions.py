@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtr
 
 from uncoupled import (
     DomainError,
@@ -16,6 +16,7 @@ from uncoupled import (
     kde_distribution,
     uniform_distribution,
 )
+import uncoupled.distributions
 from uncoupled.distributions import _cv_scores, silverman_bandwidth
 
 INV_SQRT_2PI = 0.3989422804014327
@@ -138,17 +139,27 @@ def reference_cv_scores(v, grid):
     return scores
 
 
-def reference_inv_cdf(dist, u):
-    """60 halvings of the support window on cdf(mid) < u."""
-    lo, hi = dist.support_bounds
-    a = np.full(u.shape, lo)
-    b = np.full(u.shape, hi)
+def reference_cdf(model, y):
+    """Full-sum kernel cdf, one query at a time."""
+    pts, h = model.sample_points, model.bandwidth
+    return np.array([ndtr((q - pts) / h).mean() for q in np.ravel(y)]).reshape(np.shape(y))
+
+
+def reference_inv_cdf(model, u):
+    """60 halvings of the support window on reference_cdf(mid) < u."""
+    pts, h = model.sample_points, model.bandwidth
+    a = np.full(u.shape, pts[0] - 5.0 * h)
+    b = np.full(u.shape, pts[-1] + 5.0 * h)
     for _ in range(60):
         mid = 0.5 * (a + b)
-        too_low = dist.cdf(mid) < u
+        too_low = reference_cdf(model, mid) < u
         a = np.where(too_low, mid, a)
         b = np.where(too_low, b, mid)
     return 0.5 * (a + b)
+
+
+def _lognormal_tail_model():
+    return fit_kde(np.random.default_rng(8).lognormal(0.0, 1.0, 1000))
 
 
 def _bandwidth_gate_cases():
@@ -164,6 +175,9 @@ def _bandwidth_gate_cases():
         ("lognormal", lognormal, None),
         ("explicit_grid", rng.normal(0.0, 2.0, 300), np.array([0.03, 0.1, 0.3, 0.6, 1.0, 3.0])),
         ("repeated_values", repeated, None),
+        # the point at 30 is ~27 from its nearest neighbour: a d_min > 700
+        # for the small bandwidths, where only the shifted sum is finite
+        ("isolated_point", np.append(rng.normal(0.0, 1.0, 300), 30.0), np.geomspace(0.02, 2.0, 8)),
     ]
 
 
@@ -177,7 +191,9 @@ class TestKdeExactness:
             h0 = silverman_bandwidth(v)
             grid = np.geomspace(h0 / 10.0, h0 * 10.0, 20)
         ref = reference_cv_scores(v, grid)
-        np.testing.assert_allclose(_cv_scores(v, grid), ref, rtol=1e-10, atol=0.0)
+        got = _cv_scores(v, grid)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
         model = fit_kde(values, bandwidth_grid=grid)
         assert model.bandwidth == grid[int(np.argmax(ref))]
 
@@ -189,7 +205,7 @@ class TestKdeExactness:
             # the pdf is ~1e-136 mid-gap and F sits at exactly 0.5 across it,
             # so the median needs the bisection fallback
             ("gap_50_bandwidths", KdeModel(np.array([0.0, 50.0]), bandwidth=1.0)),
-            ("lognormal_tail", fit_kde(np.random.default_rng(8).lognormal(0.0, 1.0, 1000))),
+            ("lognormal_tail", _lognormal_tail_model()),
         ],
         ids=lambda p: p if isinstance(p, str) else "",
     )
@@ -197,7 +213,7 @@ class TestKdeExactness:
         dist = kde_distribution(model)
         u = np.array([1e-9, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-9])
         got = dist.inv_cdf(u)
-        np.testing.assert_allclose(got, reference_inv_cdf(dist, u), rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(got, reference_inv_cdf(model, u), rtol=0.0, atol=1e-8)
 
         lo, hi = dist.support_bounds
         dense = np.concatenate(([1e-9, 1e-6], np.linspace(0.001, 0.999, 999), [1 - 1e-6, 1 - 1e-9]))
@@ -207,6 +223,68 @@ class TestKdeExactness:
         scalar = dist.inv_cdf(0.25)
         assert isinstance(scalar, float)
         assert scalar == dist.inv_cdf(np.array([0.25]))[0]
+
+    def test_isolated_point_needs_the_shifted_sum(self):
+        (_, values, grid), = [c for c in _bandwidth_gate_cases() if c[0] == "isolated_point"]
+        v = np.sort(values)
+        fold_of = np.arange(v.size) % 5
+        d_min = np.array([np.min((x - v[fold_of != f]) ** 2) for x, f in zip(v, fold_of)])
+        assert np.max(0.5 / grid[0] ** 2 * d_min) > 700.0
+
+    def test_tied_scores_prefer_the_smallest_bandwidth(self, monkeypatch):
+        monkeypatch.setattr(
+            uncoupled.distributions, "_cv_scores", lambda v, grid: np.zeros(grid.size)
+        )
+        model = fit_kde(np.arange(10.0), bandwidth_grid=np.array([3.0, 1.0, 0.3, 0.1]))
+        assert model.bandwidth == 0.1
+
+    def test_ndtr_saturates_from_8_3(self):
+        assert np.all(ndtr(np.linspace(8.3, 40.0, 10**6)) == 1.0)
+
+    @pytest.mark.parametrize(
+        "name,model",
+        [
+            ("lognormal_tail", _lognormal_tail_model()),
+            ("repeated_values", fit_kde(np.round(np.random.default_rng(4).normal(0.0, 1.0, 500), 1))),
+            ("two_points", KdeModel(np.array([0.0, 50.0]), bandwidth=1.0)),
+        ],
+        ids=lambda p: p if isinstance(p, str) else "",
+    )
+    def test_cdf_matches_full_sum(self, name, model):
+        dist = kde_distribution(model)
+        pts, h = model.sample_points, model.bandwidth
+        # each query sits just either side of where some point saturates
+        edge = pts + 8.2924 * h
+        y = np.concatenate((edge + 1e-12, edge - 1e-12, np.repeat(pts[::5], 3)))
+        y = np.random.default_rng(0).permutation(y)
+        np.testing.assert_allclose(dist.cdf(y), reference_cdf(model, y), rtol=0.0, atol=1e-15)
+        scalar = dist.cdf(float(pts[len(pts) // 2]))
+        assert isinstance(scalar, float)
+        assert scalar == pytest.approx(float(reference_cdf(model, pts[len(pts) // 2])), abs=1e-15)
+
+        lo, hi = dist.support_bounds
+        grid = np.linspace(lo - 10.0 * h, hi + 10.0 * h, 20_001)
+        values = dist.cdf(grid)
+        assert np.all(np.diff(values) >= 0.0)
+        # the same float whichever batch or block a query lands in
+        np.testing.assert_array_equal(dist.cdf(grid[::-1])[::-1], values)
+        for i in range(0, grid.size, 997):
+            assert dist.cdf(grid[i : i + 1])[0] == values[i]
+            assert dist.cdf(grid[i]) == values[i]
+        np.testing.assert_array_equal(dist.cdf(y), dist.cdf(y[::-1])[::-1])
+
+    def test_newton_phase_needs_few_cdf_evaluations(self, monkeypatch):
+        dist = kde_distribution(_lognormal_tail_model())
+        dist.inv_cdf(0.5)  # builds the node table
+        rows = []
+
+        def counting_ndtr(z):
+            rows.append(z.shape[0])
+            return ndtr(z)
+
+        monkeypatch.setattr(uncoupled.distributions, "ndtr", counting_ndtr)
+        dist.inv_cdf(np.linspace(0.001, 0.999, 999))
+        assert sum(rows) / 999 <= 2.0
 
 
 class TestEmpiricalCdf:
