@@ -30,10 +30,8 @@ from .core import (
     predict,
 )
 from .distributions import (
-    EmpiricalCdf,
     KdeModel,
     TargetDistribution,
-    empirical_cdf_eval,
     empirical_distribution,
     fit_kde,
     gaussian_distribution,
@@ -45,14 +43,12 @@ from .pairgen import (
     SyntheticSpec,
     counterexample_sampler,
     generate_synthetic,
-    make_pairwise,
     pairwise_from_arrays,
     random_unit_vector,
     sample_pairwise_from_spec,
 )
-from .optimize import GdResult, SolverOptions, minimize_gd
+from .optimize import GdResult, minimize_gd
 from .risk_approx import (
-    RaTuning,
     RaVariances,
     err_objective,
     err_objective_empirical,
@@ -60,26 +56,12 @@ from .risk_approx import (
     optimal_lambda,
     ra_empirical_risk,
     ra_fit,
-    ra_risk_gradient,
     solve_normal_equations,
     tune_weights,
     tune_weights_empirical,
 )
-from .target_transform import (
-    TtConfig,
-    tt_cdf_risk,
-    tt_fit,
-    tt_predict,
-    tt_surrogate_gradient,
-    tt_surrogate_risk,
-)
-from .baselines import (
-    RankerModel,
-    lr_fit,
-    rank_predict,
-    ranker_fit,
-    ranking_error,
-)
+from .target_transform import TtConfig, tt_fit, tt_predict
+from .baselines import lr_fit, rank_predict, ranker_fit, ranking_error
 from .evaluation import (
     DEFAULT_SEED,
     METHOD_ORDER,

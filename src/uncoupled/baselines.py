@@ -8,8 +8,6 @@ outrank it and read the matching quantile of the target distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .core import (
@@ -18,12 +16,11 @@ from .core import (
     LinearModel,
     ParameterError,
     PairwiseSet,
-    _freeze,
     augment_intercept,
     predict,
 )
 from .distributions import TargetDistribution
-from .optimize import SolverOptions, minimize_gd
+from .optimize import minimize_gd
 from .risk_approx import solve_normal_equations
 
 _DEFAULT_RANK_REG = 1e-4
@@ -40,31 +37,6 @@ def lr_fit(data: Dataset, *, include_intercept: bool = False) -> LinearModel:
     rhs = X.T @ data.targets / n
     theta = solve_normal_equations(G, rhs)
     return LinearModel(theta=theta, includes_intercept=include_intercept)
-
-
-@dataclass(frozen=True)
-class RankerModel:
-    """Linear scoring function trained on pairwise comparisons."""
-
-    theta: np.ndarray = field()
-    reg_strength: float = _DEFAULT_RANK_REG
-
-    def __post_init__(self):
-        th = _freeze(self.theta)
-        if th.ndim != 1 or th.size == 0:
-            raise ParameterError("ranker theta must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(th)):
-            raise ParameterError("ranker theta must be finite")
-        if not (np.isfinite(self.reg_strength) and self.reg_strength >= 0.0):
-            raise ParameterError("reg_strength must be finite and >= 0")
-        object.__setattr__(self, "theta", th)
-
-    @property
-    def dim(self) -> int:
-        return self.theta.size
-
-    def score(self, x) -> float | np.ndarray:
-        return predict(LinearModel(self.theta), x)
 
 
 def _hinge_loss(theta: np.ndarray, W: np.ndarray, L: np.ndarray, reg: float) -> float:
@@ -88,11 +60,7 @@ def _hinge_hess(theta: np.ndarray, W: np.ndarray, L: np.ndarray, reg: float) -> 
     return 2.0 * (active.T @ active) / D.shape[0] + 2.0 * reg * np.eye(theta.size)
 
 
-def ranker_fit(
-    pairs: PairwiseSet,
-    reg: float = _DEFAULT_RANK_REG,
-    solver: SolverOptions | None = None,
-) -> RankerModel:
+def ranker_fit(pairs: PairwiseSet, reg: float = _DEFAULT_RANK_REG) -> LinearModel:
     """Squared-hinge ranking fit: mean over comparisons of
     max(0, 1 - (score(x+) - score(x-)))^2 plus reg * ||theta||^2,
     minimized from zero by damped Newton steps on its generalized Hessian
@@ -103,30 +71,27 @@ def ranker_fit(
     if not (np.isfinite(reg) and reg >= 0.0):
         raise ParameterError("reg must be finite and >= 0")
     W, L = pairs.winners, pairs.losers
-    opts = solver or SolverOptions()
-    x0 = opts.init if opts.init is not None else np.zeros(pairs.dim)
     result = minimize_gd(
         lambda th: _hinge_loss(th, W, L, reg),
         lambda th: _hinge_grad(th, W, L, reg),
-        x0,
-        opts,
+        np.zeros(pairs.dim),
         hess=lambda th: _hinge_hess(th, W, L, reg),
     )
-    return RankerModel(theta=result.theta, reg_strength=float(reg))
+    return LinearModel(theta=result.theta)
 
 
-def ranking_error(ranker: RankerModel, pairs: PairwiseSet) -> float:
+def ranking_error(ranker: LinearModel, pairs: PairwiseSet) -> float:
     """Fraction of comparisons the scorer gets strictly wrong (score ties
     count as correct)."""
     if pairs.n_pairs < 1:
         raise EmptyDataError("ranking_error needs at least one comparison")
-    sp = predict(LinearModel(ranker.theta), pairs.winners)
-    sm = predict(LinearModel(ranker.theta), pairs.losers)
+    sp = predict(ranker, pairs.winners)
+    sm = predict(ranker, pairs.losers)
     return float(np.mean(sp < sm))
 
 
 def rank_predict(
-    ranker: RankerModel,
+    ranker: LinearModel,
     unlabeled: Dataset,
     dist: TargetDistribution,
     x_test,
@@ -138,9 +103,9 @@ def rank_predict(
     the plug-in level is q = (n_U - n') / n_U, clamped to
     [1/(n_U + 1), n_U/(n_U + 1)] to stay inside the quantile domain.
     """
-    base = np.sort(np.asarray(ranker.score(unlabeled.features), dtype=float))
+    base = np.sort(np.asarray(predict(ranker, unlabeled.features), dtype=float))
     n_u = base.size
-    s = ranker.score(x_test)
+    s = predict(ranker, x_test)
     scalar = np.isscalar(s)
     sv = np.atleast_1d(np.asarray(s, dtype=float))
     # count of base scores strictly greater than each test score

@@ -1,5 +1,6 @@
 """Target-distribution abstraction: analytic (uniform, Gaussian), kernel
-density estimates with cross-validated bandwidth, and empirical CDFs.
+density estimates with cross-validated bandwidth, and an interpolated
+empirical CDF.
 
 All four callables of a TargetDistribution are vectorized over numpy
 arrays.  Quantile arguments are clamped into [1e-9, 1 - 1e-9] before
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from .core import DomainError, ParameterError, ShapeError
+from .core import DomainError, ParameterError
 
 _QUANTILE_CLAMP = 1e-9
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
@@ -414,43 +415,7 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
 
 
 # ---------------------------------------------------------------------------
-# empirical CDFs
-
-
-@dataclass(frozen=True, eq=False)
-class EmpiricalCdf:
-    """Step-function CDF of a finite sample; values are stored sorted."""
-
-    sorted_values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.sorted_values, dtype=float).ravel()
-        if v.size == 0:
-            raise ParameterError("empirical CDF needs at least one value")
-        if not np.all(np.isfinite(v)):
-            raise ParameterError("values contain non-finite entries")
-        if np.any(np.diff(v) < 0.0):
-            raise ParameterError("values must be sorted ascending")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "sorted_values", v)
-
-    @classmethod
-    def from_values(cls, values) -> "EmpiricalCdf":
-        return cls(sorted_values=np.sort(np.asarray(values, dtype=float).ravel()))
-
-    @property
-    def n(self) -> int:
-        return self.sorted_values.size
-
-
-def empirical_cdf_eval(ecdf: EmpiricalCdf, y) -> float | np.ndarray:
-    """Fraction of sample values <= y (right-continuous step function)."""
-    arr = np.asarray(y, dtype=float)
-    out = np.searchsorted(ecdf.sorted_values, arr, side="right") / ecdf.n
-    if arr.ndim == 0:
-        return float(out)
-    return out
+# the empirical marginal
 
 
 def empirical_distribution(values) -> TargetDistribution:

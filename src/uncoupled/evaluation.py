@@ -105,6 +105,8 @@ class ExperimentSpec:
             n_r = _full_scale_n_r()
         if any(v < 1 for v in n_r):
             raise ParameterError("all n_r values must be >= 1")
+        if len(set(n_r)) != len(n_r):
+            raise ParameterError(f"n_r values must be distinct, got {n_r}")
         object.__setattr__(self, "n_r_values", n_r)
         if self.n_u < 1:
             raise ParameterError("n_u must be >= 1")

@@ -6,7 +6,7 @@ Newton step (Nocedal & Wright, Numerical Optimization, ch. 3 and 6): the
 direction solves (H + mu I) d = -g by Cholesky, with mu = 0 when H is
 positive definite and doubled from a small shift until the factorization
 succeeds otherwise, and the line search starts from the full step.  There
-are no tuning knobs worth exposing beyond tolerances.
+are no knobs: the stopping rule and line search are module constants.
 """
 
 from __future__ import annotations
@@ -15,30 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DivergenceError, ParameterError
+from .core import DivergenceError
 
 # first shift tried on a Hessian that is not positive definite, relative to
 # its largest diagonal entry
 _SHIFT = 1e-3
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    max_iter: int = 10_000
-    grad_tol: float = 1e-8
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    init: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ParameterError("max_iter must be >= 1")
-        if not (self.grad_tol > 0.0):
-            raise ParameterError("grad_tol must be positive")
-        if not (0.0 < self.armijo < 1.0):
-            raise ParameterError("armijo must lie in (0, 1)")
-        if not (0.0 < self.shrink < 1.0):
-            raise ParameterError("shrink must lie in (0, 1)")
+# stopping rule and Armijo line search
+MAX_ITER = 10_000
+GRAD_TOL = 1e-8
+ARMIJO = 1e-4
+SHRINK = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,27 +62,25 @@ def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     return d
 
 
-def minimize_gd(fun, grad, x0, options: SolverOptions | None = None, *, hess) -> GdResult:
+def minimize_gd(fun, grad, x0, *, hess) -> GdResult:
     """Minimize fun from x0 by damped Newton steps, with hess a callable
     returning the d x d Hessian.  Stops once the gradient norm reaches
-    options.grad_tol, after options.max_iter steps, or when the line search
-    collapses, and raises DivergenceError on a non-finite objective or
-    gradient."""
-    opts = options or SolverOptions()
+    GRAD_TOL, after MAX_ITER steps, or when the line search collapses, and
+    raises DivergenceError on a non-finite objective or gradient."""
     x = np.array(x0, dtype=float)
     f = float(fun(x))
     if not np.isfinite(f):
         raise DivergenceError("objective is non-finite at the starting point")
     g = np.asarray(grad(x), dtype=float)
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if not np.all(np.isfinite(g)):
             raise DivergenceError("gradient became non-finite")
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= opts.grad_tol:
+        if gnorm <= GRAD_TOL:
             return GdResult(x, f, gnorm, it - 1, True)
         direction = _newton_direction(hess(x), g)
         t = 1.0
-        decrease = -opts.armijo * float(g @ direction)
+        decrease = -ARMIJO * float(g @ direction)
         while True:
             trial = x + t * direction
             f_trial = float(fun(trial))
@@ -104,7 +88,7 @@ def minimize_gd(fun, grad, x0, options: SolverOptions | None = None, *, hess) ->
                 raise DivergenceError("objective became non-finite during line search")
             if f_trial <= f - t * decrease:
                 break
-            t *= opts.shrink
+            t *= SHRINK
             if t < 1e-20:
                 # step has collapsed to rounding level; nothing left to gain
                 return GdResult(x, f, gnorm, it - 1, False)
@@ -112,4 +96,4 @@ def minimize_gd(fun, grad, x0, options: SolverOptions | None = None, *, hess) ->
         f = f_trial
         g = np.asarray(grad(x), dtype=float)
     gnorm = float(np.linalg.norm(g))
-    return GdResult(x, f, gnorm, opts.max_iter, gnorm <= opts.grad_tol)
+    return GdResult(x, f, gnorm, MAX_ITER, gnorm <= GRAD_TOL)

@@ -100,22 +100,6 @@ def pairwise_from_arrays(x1, y1, x2, y2) -> PairwiseSet:
     return PairwiseSet(winners=winners, losers=losers)
 
 
-def make_pairwise(pairs) -> PairwiseSet:
-    """Build a PairwiseSet from an iterable of ((x, y), (x2, y2)) sample
-    pairs; the member with the larger target (ties: the first) wins."""
-    firsts_x, firsts_y, seconds_x, seconds_y = [], [], [], []
-    for (xa, ya), (xb, yb) in pairs:
-        firsts_x.append(np.asarray(xa, dtype=float))
-        seconds_x.append(np.asarray(xb, dtype=float))
-        firsts_y.append(float(ya))
-        seconds_y.append(float(yb))
-    if not firsts_x:
-        raise ParameterError("need at least one comparison")
-    return pairwise_from_arrays(
-        np.stack(firsts_x), np.asarray(firsts_y), np.stack(seconds_x), np.asarray(seconds_y)
-    )
-
-
 def sample_pairwise_from_spec(spec: SyntheticSpec, n_r: int, stream: int = STREAM_PAIRWISE) -> PairwiseSet:
     """Draw n_r comparisons from 2 * n_r fresh (X, Y) samples, independent of
     any unlabeled dataset drawn under a different stream tag."""

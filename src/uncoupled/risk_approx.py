@@ -44,27 +44,9 @@ from .core import (
     predict,
 )
 from .distributions import TargetDistribution
-from .optimize import SolverOptions, minimize_gd
+from .optimize import minimize_gd
 
 _RIDGE = 1e-8
-
-
-@dataclass(frozen=True)
-class RaTuning:
-    """The Err quadrature grid: n_split + 1 equally spaced nodes between the
-    quantile_lo and quantile_hi quantiles of the target distribution, each
-    weighted by pdf * dy.  The weights are the exact weighted-LAD optimum on
-    that grid (Koenker & Bassett 1978), so the grid is all there is to set."""
-
-    n_split: int = 1000
-    quantile_lo: float = 0.01
-    quantile_hi: float = 0.99
-
-    def __post_init__(self):
-        if self.n_split < 1:
-            raise ParameterError("n_split must be >= 1")
-        if not (0.0 < self.quantile_lo < self.quantile_hi < 1.0):
-            raise ParameterError("need 0 < quantile_lo < quantile_hi < 1")
 
 
 @dataclass(frozen=True)
@@ -84,16 +66,21 @@ class RaVariances:
 # ---------------------------------------------------------------------------
 # Err objective and weight tuning
 
+# The Err quadrature grid: _ERR_NODES equally spaced nodes between the
+# _ERR_QUANTILES of the target distribution, each weighted by pdf * dy.  The
+# weights are the exact weighted-LAD optimum on that grid.
+_ERR_NODES = 1001
+_ERR_QUANTILES = (0.01, 0.99)
 
-def _err_grid(dist: TargetDistribution, tuning: RaTuning):
-    y_lo = float(dist.inv_cdf(tuning.quantile_lo))
-    y_hi = float(dist.inv_cdf(tuning.quantile_hi))
+
+def _err_grid(dist: TargetDistribution):
+    y_lo, y_hi = (float(dist.inv_cdf(q)) for q in _ERR_QUANTILES)
     if not y_hi > y_lo:
         raise ParameterError(
             f"degenerate quantile range [{y_lo:g}, {y_hi:g}] for the Err grid"
         )
-    y = np.linspace(y_lo, y_hi, tuning.n_split + 1)
-    dy = (y_hi - y_lo) / tuning.n_split
+    y = np.linspace(y_lo, y_hi, _ERR_NODES)
+    dy = (y_hi - y_lo) / (_ERR_NODES - 1)
     weight = np.asarray(dist.pdf(y), dtype=float) * dy
     F = np.asarray(dist.cdf(y), dtype=float)
     return y, F, weight
@@ -115,11 +102,9 @@ def _err(y, F, weight, w1: float, w2: float) -> float:
     return float(np.abs(resid) @ weight)
 
 
-def err_objective(
-    dist: TargetDistribution, w1: float, w2: float, tuning: RaTuning | None = None
-) -> float:
+def err_objective(dist: TargetDistribution, w1: float, w2: float) -> float:
     """Grid approximation of Err between the 1% and 99% quantiles."""
-    return _err(*_err_grid(dist, tuning or RaTuning()), w1, w2)
+    return _err(*_err_grid(dist), w1, w2)
 
 
 def err_objective_empirical(targets, w1: float, w2: float) -> float:
@@ -181,11 +166,11 @@ def _lad_weights(y, F, weight) -> RiskConfig:
     return RiskConfig(w1=w1, w2=w2, lam=(w1 + w2) / 2.0)
 
 
-def tune_weights(dist: TargetDistribution, tuning: RaTuning | None = None) -> RiskConfig:
+def tune_weights(dist: TargetDistribution) -> RiskConfig:
     """Exact minimizer of the Err grid objective (nodes y, weights pdf * dy):
     the weighted LAD fit of y on (1, F_Y(y)) described in the module
     docstring, with lam = (w1 + w2) / 2.  Deterministic."""
-    return _lad_weights(*_err_grid(dist, tuning or RaTuning()))
+    return _lad_weights(*_err_grid(dist))
 
 
 def tune_weights_empirical(targets) -> RiskConfig:
@@ -362,21 +347,6 @@ def ra_empirical_risk(
     return fun(model.theta)
 
 
-def ra_risk_gradient(
-    model: LinearModel,
-    gen: BregmanGenerator,
-    unlabeled: Dataset,
-    pairs: PairwiseSet,
-    cfg: RiskConfig,
-) -> np.ndarray:
-    """Analytic gradient of ra_empirical_risk in theta (including the
-    intercept coordinate when the model has one)."""
-    _, grad, _ = linked_risk(
-        gen, identity_link, cfg, unlabeled, pairs, model.includes_intercept
-    )
-    return grad(model.theta)
-
-
 _MAX_COND = 1e12
 
 
@@ -408,7 +378,7 @@ def ra_fit(
     cfg: RiskConfig,
     *,
     include_intercept: bool = False,
-    solver: SolverOptions | None = None,
+    init: np.ndarray | None = None,
 ) -> LinearModel:
     """Minimize ra_empirical_risk over linear models.
 
@@ -419,7 +389,9 @@ def ra_fit(
 
     solved directly (ridge 1e-8 on singular G).  Any other generator takes
     damped Newton steps on the identity-link closures of linked_risk from
-    theta = 0 (or solver.init).  Both need n_U >= the parameter count.
+    theta = init, or 0 when init is None; a generator whose domain excludes
+    0, such as Bernoulli KL, needs an init inside it.  Both need n_U >= the
+    parameter count.
     """
     ncols = fit_columns(unlabeled, pairs, include_intercept)
     if gen.name == "squared":
@@ -435,7 +407,8 @@ def ra_fit(
         return LinearModel(theta=theta, includes_intercept=include_intercept)
 
     fun, grad, hess = linked_risk(gen, identity_link, cfg, unlabeled, pairs, include_intercept)
-    opts = solver or SolverOptions()
-    x0 = opts.init if opts.init is not None else np.zeros(ncols)
-    result = minimize_gd(fun, grad, x0, opts, hess=hess)
+    x0 = np.zeros(ncols) if init is None else np.asarray(init, dtype=float)
+    if x0.shape != (ncols,):
+        raise ShapeError(f"init must have shape ({ncols},), got {x0.shape}")
+    result = minimize_gd(fun, grad, x0, hess=hess)
     return LinearModel(theta=result.theta, includes_intercept=include_intercept)

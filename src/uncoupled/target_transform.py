@@ -33,7 +33,7 @@ from .core import (
     predict,
 )
 from .distributions import TargetDistribution
-from .optimize import SolverOptions, minimize_gd
+from .optimize import minimize_gd
 from .risk_approx import fit_columns, linked_risk
 
 _SIGMOID_CLAMP = 1e-9
@@ -74,61 +74,6 @@ def cdf_link(dist: TargetDistribution):
     return link
 
 
-def _tt_weights(lam: float) -> RiskConfig:
-    return RiskConfig(w1=0.5, w2=0.0, lam=lam)
-
-
-def tt_cdf_risk(
-    model: LinearModel,
-    gen: BregmanGenerator,
-    dist: TargetDistribution,
-    unlabeled: Dataset,
-    pairs: PairwiseSet,
-    cfg: TtConfig | None = None,
-) -> float:
-    """Pairwise-data risk for the CDF-transformed target, excluding its
-    model-free constant:
-
-      - mean_U[ (lam - F(h)) phi'(F(h)) + phi(F(h)) ]
-      - mean_R[ ((1 - lam)/2) phi'(F(h(x+))) - (lam/2) phi'(F(h(x-))) ]
-
-    with F = dist.cdf: the ra risk at (1/2, 0) on the linked score F(h);
-    +inf when F(h) leaves the generator's domain.
-    """
-    cfg = cfg or TtConfig()
-    fun, _, _ = linked_risk(
-        gen, cdf_link(dist), _tt_weights(cfg.lam), unlabeled, pairs, model.includes_intercept
-    )
-    return fun(model.theta)
-
-
-def tt_surrogate_risk(
-    model: LinearModel,
-    gen: BregmanGenerator,
-    unlabeled: Dataset,
-    pairs: PairwiseSet,
-) -> float:
-    """Logistic-surrogate risk at lam = 1/2: scores go through a clamped
-    sigmoid instead of the target CDF."""
-    fun, _, _ = linked_risk(
-        gen, sigmoid_link, _tt_weights(0.5), unlabeled, pairs, model.includes_intercept
-    )
-    return fun(model.theta)
-
-
-def tt_surrogate_gradient(
-    model: LinearModel,
-    gen: BregmanGenerator,
-    unlabeled: Dataset,
-    pairs: PairwiseSet,
-) -> np.ndarray:
-    """Analytic gradient of tt_surrogate_risk in theta."""
-    _, grad, _ = linked_risk(
-        gen, sigmoid_link, _tt_weights(0.5), unlabeled, pairs, model.includes_intercept
-    )
-    return grad(model.theta)
-
-
 _MULTISTART_SCALE = 0.1
 
 
@@ -140,17 +85,15 @@ def tt_fit(
     dist: TargetDistribution | None = None,
     *,
     include_intercept: bool = False,
-    solver: SolverOptions | None = None,
 ) -> LinearModel:
     """Fit of the transformed-target risk at cfg.lam by damped Newton steps
     on the closures of linked_risk: the clamped-sigmoid link in surrogate
     mode, dist's (cdf, pdf, pdf_prime) link in exact mode.
 
-    Starts from zero (or solver.init).  Only when the zero start does not
-    converge are +0.1 and -0.1 per coordinate tried too, keeping the lowest
-    final risk (ties go to the earlier start).  The default surrogate mode
-    needs no distribution; exact mode needs dist.  Needs n_U >= the
-    parameter count.
+    Starts from zero.  Only when the zero start does not converge are +0.1
+    and -0.1 per coordinate tried too, keeping the lowest final risk (ties
+    go to the earlier start).  The default surrogate mode needs no
+    distribution; exact mode needs dist.  Needs n_U >= the parameter count.
     """
     cfg = cfg or TtConfig()
     if cfg.use_logistic_surrogate:
@@ -161,15 +104,12 @@ def tt_fit(
         link = cdf_link(dist)
     ncols = fit_columns(unlabeled, pairs, include_intercept)
     fun, grad, hess = linked_risk(
-        gen, link, _tt_weights(cfg.lam), unlabeled, pairs, include_intercept
+        gen, link, RiskConfig(w1=0.5, w2=0.0, lam=cfg.lam), unlabeled, pairs, include_intercept
     )
-
-    opts = solver or SolverOptions()
-    x0 = np.zeros(ncols) if opts.init is None else np.asarray(opts.init, dtype=float)
-    result = minimize_gd(fun, grad, x0, opts, hess=hess)
-    if opts.init is None and not result.converged:
+    result = minimize_gd(fun, grad, np.zeros(ncols), hess=hess)
+    if not result.converged:
         for scale in (_MULTISTART_SCALE, -_MULTISTART_SCALE):
-            retry = minimize_gd(fun, grad, np.full(ncols, scale), opts, hess=hess)
+            retry = minimize_gd(fun, grad, np.full(ncols, scale), hess=hess)
             if retry.value < result.value:
                 result = retry
     return LinearModel(theta=result.theta, includes_intercept=include_intercept)

@@ -15,9 +15,7 @@ from uncoupled import (
     CsvSchema,
     Dataset,
     ExperimentSpec,
-    LinearModel,
     PairwiseSet,
-    ResultTable,
     SQUARED,
     check_counterexample,
     check_lemma1,
@@ -25,16 +23,14 @@ from uncoupled import (
     check_unbiasedness,
     err_objective,
     load_csv,
-    ra_empirical_risk,
-    ra_risk_gradient,
     run_benchmark,
     run_synthetic,
-    tt_surrogate_gradient,
-    tt_surrogate_risk,
     tune_weights,
     uniform_distribution,
 )
 from uncoupled.core import RiskConfig
+from uncoupled.risk_approx import identity_link, linked_risk
+from uncoupled.target_transform import sigmoid_link
 from uncoupled.cli import main as cli_main
 
 HOUSING_PATH = pathlib.Path(__file__).resolve().parent.parent / "data" / "housing.csv"
@@ -123,14 +119,18 @@ def test_criterion_6_gradient_checks(capsys):
             w2=float(rng.uniform(-1, 1)),
             lam=float(rng.uniform(-1, 1)),
         )
-        grad = ra_risk_gradient(LinearModel(theta), SQUARED, unl, pairs, cfg)
-        fd = _fd(lambda t: ra_empirical_risk(LinearModel(t), SQUARED, unl, pairs, cfg), theta)
+        fun, grad_fn, _ = linked_risk(SQUARED, identity_link, cfg, unl, pairs, False)
+        grad = grad_fn(theta)
+        fd = _fd(fun, theta)
         scale = max(1.0, float(np.max(np.abs(fd))))
         worst = max(worst, float(np.max(np.abs(grad - fd))) / scale)
+    # the tt surrogate: the ra risk at (1/2, 0), lam = 1/2, on a sigmoid
+    tt = RiskConfig(w1=0.5, w2=0.0, lam=0.5)
     for _ in range(50):
         unl, pairs, theta = _random_instance(rng)
-        grad = tt_surrogate_gradient(LinearModel(theta), SQUARED, unl, pairs)
-        fd = _fd(lambda t: tt_surrogate_risk(LinearModel(t), SQUARED, unl, pairs), theta)
+        fun, grad_fn, _ = linked_risk(SQUARED, sigmoid_link, tt, unl, pairs, False)
+        grad = grad_fn(theta)
+        fd = _fd(fun, theta)
         scale = max(1.0, float(np.max(np.abs(fd))))
         worst = max(worst, float(np.max(np.abs(grad - fd))) / scale)
     ok = worst < 1e-5

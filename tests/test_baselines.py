@@ -7,7 +7,6 @@ from uncoupled import (
     LinearModel,
     PairwiseSet,
     ParameterError,
-    RankerModel,
     SyntheticSpec,
     gaussian_distribution,
     lr_fit,
@@ -19,7 +18,7 @@ from uncoupled import (
     sample_pairwise_from_spec,
     uniform_distribution,
 )
-from uncoupled.baselines import _hinge_grad, _hinge_hess, _hinge_loss
+from uncoupled.baselines import _DEFAULT_RANK_REG, _hinge_grad, _hinge_hess, _hinge_loss
 from uncoupled.optimize import minimize_gd
 
 
@@ -65,26 +64,6 @@ class TestLeastSquares:
             lr_fit(Dataset(features=np.ones((4, 2))))
 
 
-class TestRankerModel:
-    def test_score_is_linear(self):
-        ranker = RankerModel(np.array([2.0, -1.0]))
-        assert ranker.score(np.array([3.0, 4.0])) == pytest.approx(2.0)
-        assert ranker.dim == 2
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"theta": np.ones((2, 2))},
-            {"theta": np.array([])},
-            {"theta": np.array([np.nan, 1.0])},
-            {"theta": np.ones(2), "reg_strength": -0.5},
-        ],
-    )
-    def test_rejects_bad_arguments(self, kwargs):
-        with pytest.raises(ParameterError):
-            RankerModel(**kwargs)
-
-
 def separable_pairs(seed=4, n=80, d=3):
     rng = np.random.default_rng(seed)
     direction = np.array([1.0, -0.5, 2.0])[:d]
@@ -102,7 +81,7 @@ class TestRankerFit:
     def test_loss_not_worse_than_zero_start(self):
         pairs, _ = separable_pairs(seed=5)
         ranker = ranker_fit(pairs)
-        reg = ranker.reg_strength
+        reg = _DEFAULT_RANK_REG
         zero = _hinge_loss(np.zeros(pairs.dim), pairs.winners, pairs.losers, reg)
         final = _hinge_loss(ranker.theta, pairs.winners, pairs.losers, reg)
         assert final <= zero + 1e-12
@@ -184,16 +163,16 @@ class TestRankerNewton:
 class TestRankingError:
     def test_counts_strict_inversions_only(self):
         pairs = PairwiseSet(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
-        ranker = RankerModel(np.array([1.0]))
+        ranker = LinearModel(np.array([1.0]))
         assert ranking_error(ranker, pairs) == 0.5
 
     def test_score_ties_count_as_correct(self):
         pairs = PairwiseSet(np.ones((5, 2)), np.ones((5, 2)))
-        assert ranking_error(RankerModel(np.array([1.0, 1.0])), pairs) == 0.0
+        assert ranking_error(LinearModel(np.array([1.0, 1.0])), pairs) == 0.0
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(EmptyDataError):
-            ranking_error(RankerModel(np.ones(1)), PairwiseSet(np.empty((0, 1)), np.empty((0, 1))))
+            ranking_error(LinearModel(np.ones(1)), PairwiseSet(np.empty((0, 1)), np.empty((0, 1))))
 
 
 class TestRankPredict:
@@ -202,7 +181,7 @@ class TestRankPredict:
     def base_ten(self):
         # identity scorer over scores 1..10
         scores = np.arange(1.0, 11.0)
-        return RankerModel(np.array([1.0])), Dataset(features=scores[:, None])
+        return LinearModel(np.array([1.0])), Dataset(features=scores[:, None])
 
     def test_interior_quantile(self):
         # one unlabeled score above the test point: level (10 - 2)/10 = 0.8
@@ -221,11 +200,11 @@ class TestRankPredict:
 
     def test_monotone_in_test_score(self):
         rng = np.random.default_rng(11)
-        ranker = RankerModel(np.array([1.0, -2.0]))
+        ranker = LinearModel(np.array([1.0, -2.0]))
         unlabeled = Dataset(features=rng.standard_normal((40, 2)))
         x = rng.standard_normal((200, 2))
         preds = np.asarray(rank_predict(ranker, unlabeled, gaussian_distribution(0.0, 1.0), x))
-        order = np.argsort(np.asarray(ranker.score(x)))
+        order = np.argsort(np.asarray(predict(ranker, x)))
         assert np.all(np.diff(preds[order]) >= -1e-12)
 
     def test_invariant_under_increasing_score_maps(self):
@@ -238,10 +217,10 @@ class TestRankPredict:
         ones_u = np.hstack([U, np.ones((30, 1))])
         ones_x = np.hstack([x, np.ones((25, 1))])
         base = rank_predict(
-            RankerModel(theta), Dataset(features=U), self.UNIFORM, x
+            LinearModel(theta), Dataset(features=U), self.UNIFORM, x
         )
         mapped = rank_predict(
-            RankerModel(np.append(2.0 * theta, 3.0)),
+            LinearModel(np.append(2.0 * theta, 3.0)),
             Dataset(features=ones_u),
             self.UNIFORM,
             ones_x,

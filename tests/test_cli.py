@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import uncoupled.evaluation
 from uncoupled import ResultTable
 from uncoupled.cli import main
 
@@ -63,6 +64,20 @@ class TestSynth:
         lines = plot.read_text().splitlines()
         assert lines[0].startswith("# n_r ")
         assert lines[1].split()[0] == "60"
+
+    def test_duplicate_n_r_exits_one_before_any_fit(self, capsys, tmp_path, monkeypatch):
+        fits = []
+        for name in ("lr_fit", "ranker_fit", "ra_fit", "tt_fit"):
+            monkeypatch.setattr(uncoupled.evaluation, name, lambda *a, name=name, **k: fits.append(name))
+        out = tmp_path / "dup.csv"
+        code, _, stderr = run(
+            capsys,
+            "synth", "--n-u", "200", "--n-r", "20,20", "--repeats", "1",
+            "--test-size", "50", "--out", str(out),
+        )
+        assert code == 1
+        assert "error: ParameterError: n_r values must be distinct" in stderr
+        assert fits == [] and not out.exists()
 
     def test_desk_preset_accepts_overrides(self, capsys, tmp_path):
         out = tmp_path / "desk.csv"

@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy.special import logsumexp, ndtr
 
 from uncoupled import (
     DomainError,
-    EmpiricalCdf,
     KdeModel,
     ParameterError,
-    empirical_cdf_eval,
     empirical_distribution,
     fit_kde,
     gaussian_distribution,
@@ -288,45 +284,14 @@ class TestKdeExactness:
 
 
 class TestEmpiricalCdf:
-    def test_step_values(self):
-        ecdf = EmpiricalCdf(np.array([1.0, 2.0, 3.0]))
-        assert empirical_cdf_eval(ecdf, 2.0) == pytest.approx(2.0 / 3.0)
-        assert empirical_cdf_eval(ecdf, 0.0) == 0.0
-        assert empirical_cdf_eval(ecdf, 3.0) == 1.0
-
-    @given(st.permutations([3.0, -1.0, 4.0, 1.0, 5.0]))
-    def test_order_invariance(self, ordering):
-        ecdf = EmpiricalCdf(np.sort(ordering))
-        ref = EmpiricalCdf(np.array([-1.0, 1.0, 3.0, 4.0, 5.0]))
-        grid = np.linspace(-2.0, 6.0, 50)
-        np.testing.assert_array_equal(
-            empirical_cdf_eval(ecdf, grid), empirical_cdf_eval(ref, grid)
-        )
-
-    def test_kolmogorov_distance_shrinks_with_sample_size(self):
-        dist = gaussian_distribution(0.0, 1.0)
-        wins = 0
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            sups = []
-            for m in (100, 10_000):
-                values = np.sort(rng.standard_normal(m))
-                ecdf = EmpiricalCdf(values)
-                # sup over the jump points catches the KS distance of a step cdf
-                upper = empirical_cdf_eval(ecdf, values)
-                lower = upper - 1.0 / m
-                truth = dist.cdf(values)
-                sups.append(max(np.abs(upper - truth).max(), np.abs(lower - truth).max()))
-            wins += sups[1] < sups[0]
-        assert wins >= 95
-
     def test_interpolated_variant_tracks_steps(self):
         rng = np.random.default_rng(3)
         values = rng.normal(0.0, 2.0, 500)
         dist = empirical_distribution(values)
-        ecdf = EmpiricalCdf(np.sort(values))
         grid = np.linspace(values.min(), values.max(), 200)
-        gap = np.abs(dist.cdf(grid) - empirical_cdf_eval(ecdf, grid))
+        # right-continuous step ECDF: fraction of values <= each grid point
+        steps = np.searchsorted(np.sort(values), grid, side="right") / values.size
+        gap = np.abs(dist.cdf(grid) - steps)
         assert gap.max() <= 1.0 / np.sqrt(500) + 1.0 / 500
 
 

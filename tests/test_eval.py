@@ -84,6 +84,7 @@ class TestExperimentSpec:
             {"noise_std": -0.1},
             {"dim": 0},
             {"test_size": 0},
+            {"n_r_values": (20, 20)},
         ],
     )
     def test_rejects_bad_settings(self, kwargs):

@@ -8,7 +8,6 @@ from uncoupled import (
     SyntheticSpec,
     counterexample_sampler,
     generate_synthetic,
-    make_pairwise,
     pairwise_from_arrays,
     random_unit_vector,
     sample_pairwise_from_spec,
@@ -106,12 +105,6 @@ class TestPairwiseConstruction:
         b = pairwise_from_arrays(x2, y2, x1, y1)
         np.testing.assert_array_equal(a.winners, b.winners)
         np.testing.assert_array_equal(a.losers, b.losers)
-
-    def test_make_pairwise_matches_array_form(self):
-        items = [(([0.0, 1.0], 3.0), ([1.0, 0.0], -1.0)), (([2.0, 2.0], 0.0), ([5.0, 5.0], 4.0))]
-        pairs = make_pairwise(items)
-        np.testing.assert_array_equal(pairs.winners, [[0.0, 1.0], [5.0, 5.0]])
-        np.testing.assert_array_equal(pairs.losers, [[1.0, 0.0], [2.0, 2.0]])
 
     def test_zero_noise_winner_scores_dominate(self):
         pairs = sample_pairwise_from_spec(spec_for(E1, noise=0.0), 300)

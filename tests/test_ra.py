@@ -10,7 +10,6 @@ from uncoupled import (
     LinearModel,
     PairwiseSet,
     ParameterError,
-    RaTuning,
     RaVariances,
     RiskConfig,
     ShapeError,
@@ -26,14 +25,14 @@ from uncoupled import (
     pairwise_from_arrays,
     ra_empirical_risk,
     ra_fit,
-    ra_risk_gradient,
     sample_pairwise_from_spec,
     solve_normal_equations,
     tune_weights,
     tune_weights_empirical,
     uniform_distribution,
 )
-from uncoupled.optimize import SolverOptions, minimize_gd
+from uncoupled.distributions import TargetDistribution
+from uncoupled.optimize import minimize_gd
 from uncoupled.risk_approx import identity_link, linked_risk
 from uncoupled.target_transform import cdf_link, sigmoid_link
 
@@ -75,9 +74,16 @@ class TestErrObjective:
         assert err_objective(dist, 0.5, -0.2) > base
 
     def test_degenerate_quantile_range_rejected(self):
-        dist = uniform_distribution(0.0, 1.0)
+        # a point mass: every quantile is the same value
+        point = TargetDistribution(
+            pdf=np.zeros_like,
+            pdf_prime=np.zeros_like,
+            cdf=lambda y: np.where(np.asarray(y) >= 1.0, 1.0, 0.0),
+            inv_cdf=lambda u: np.ones_like(np.asarray(u, dtype=float)),
+            support_bounds=(1.0, 1.0),
+        )
         with pytest.raises(ParameterError):
-            err_objective(dist, 0.5, 0.0, RaTuning(quantile_lo=0.6, quantile_hi=0.4))
+            err_objective(point, 0.5, 0.0)
 
 
 class TestTuneWeights:
@@ -368,8 +374,8 @@ class TestRiskGradient:
                 pairs = PairwiseSet(rng.uniform(0.1, 0.3, (10, 3)), rng.uniform(0.1, 0.3, (10, 3)))
                 theta = rng.uniform(0.5, 1.0, 3)
             cfg = RiskConfig(*rng.uniform(-0.8, 0.8, 2), rng.uniform(-0.5, 0.5))
-            model = LinearModel(theta)
-            grad = ra_risk_gradient(model, gen, unlabeled, pairs, cfg)
+            _, grad_fn, _ = linked_risk(gen, identity_link, cfg, unlabeled, pairs, False)
+            grad = grad_fn(theta)
             fd = finite_difference_gradient(
                 lambda t: ra_empirical_risk(LinearModel(t), gen, unlabeled, pairs, cfg),
                 theta,
@@ -409,13 +415,19 @@ class TestRaFit:
         pairs = PairwiseSet(half(pairs.winners), half(pairs.losers))
         cfg = tune_weights(uniform_distribution(0.0, 0.5))
         start = np.array([0.5])
-        model = ra_fit(BERNOULLI_KL, unlabeled, pairs, cfg, solver=SolverOptions(init=start))
+        model = ra_fit(BERNOULLI_KL, unlabeled, pairs, cfg, init=start)
         fun, grad, _ = linked_risk(BERNOULLI_KL, identity_link, cfg, unlabeled, pairs, False)
         gd = gradient_descent(fun, grad, start)
         assert gd.converged
         np.testing.assert_allclose(model.theta, gd.theta, rtol=0.0, atol=1e-6)
         assert np.linalg.norm(grad(model.theta)) <= 1e-8
         assert model.theta[0] == pytest.approx(1.0, abs=0.1)
+
+    def test_init_of_the_wrong_length_rejected(self):
+        unlabeled, pairs = uniform_coupling(50, 20, seed=6)
+        cfg = RiskConfig(0.25, 0.0, 0.125)
+        with pytest.raises(ShapeError):
+            ra_fit(BERNOULLI_KL, unlabeled, pairs, cfg, init=np.array([0.5, 0.5]))
 
     def test_zero_weights_give_zero_model(self):
         unlabeled, pairs = uniform_coupling(500, 50, seed=3)
@@ -453,7 +465,5 @@ class TestNormalEquations:
 
 class TestTuningConfig:
     def test_rejects_bad_grid(self):
-        with pytest.raises(ParameterError):
-            RaTuning(n_split=0)
         with pytest.raises(ParameterError):
             RaVariances(-1.0, 2.0)

@@ -20,11 +20,8 @@ from uncoupled import (
     predict,
     random_unit_vector,
     sample_pairwise_from_spec,
-    tt_cdf_risk,
     tt_fit,
     tt_predict,
-    tt_surrogate_gradient,
-    tt_surrogate_risk,
     uniform_distribution,
 )
 from uncoupled.optimize import minimize_gd
@@ -49,6 +46,12 @@ LINK_CASES = [
 SIGMOID_1 = 0.7310585786300049  # 1 / (1 + e^-1)
 
 
+def tt_closures(gen, link, unlabeled, pairs, lam=0.5):
+    """fun and grad of the tt risk: linked_risk at (w1, w2) = (1/2, 0)."""
+    fun, grad, _ = linked_risk(gen, link, RiskConfig(0.5, 0.0, lam), unlabeled, pairs, False)
+    return fun, grad
+
+
 def single_feature(*values):
     return Dataset(features=np.asarray(values, dtype=float)[:, None])
 
@@ -62,30 +65,28 @@ class TestCdfRisk:
         # F(0) = 0 makes every phi'(0)/phi(0) term vanish for the squared gen
         unlabeled = single_feature(0.3, -0.8)
         pairs = pair_1d(0.5, -0.5)
-        model = LinearModel(np.zeros(1))
-        risk = tt_cdf_risk(model, SQUARED, UNIFORM, unlabeled, pairs, TtConfig(lam=0.5))
-        assert risk == 0.0
+        fun, _ = tt_closures(SQUARED, cdf_link(UNIFORM), unlabeled, pairs)
+        assert fun(np.zeros(1)) == 0.0
 
     def test_hand_instance(self):
         # -[(1/2 - 1/4)(1/2) + 1/16] - [(1/4)(3/2) - (1/4)(1/2)] = -0.4375
         unlabeled = single_feature(0.25)
         pairs = pair_1d(0.75, 0.25)
-        model = LinearModel(np.array([1.0]))
-        risk = tt_cdf_risk(model, SQUARED, UNIFORM, unlabeled, pairs, TtConfig(lam=0.5))
-        assert risk == pytest.approx(-0.4375, abs=1e-12)
+        fun, _ = tt_closures(SQUARED, cdf_link(UNIFORM), unlabeled, pairs)
+        assert fun(np.array([1.0])) == pytest.approx(-0.4375, abs=1e-12)
 
     def test_lambda_terms_cancel_in_expectation(self):
         # uniform coupling, fixed h = identity: risks at two lambda values
         # agree in expectation; compare paired resample means
-        model = LinearModel(np.array([1.0]))
+        theta = np.array([1.0])
         diffs = []
         for k in range(1000):
             rng = np.random.default_rng(5000 + k)
             unlabeled = Dataset(features=rng.random((200, 1)))
             x1, x2 = rng.random((2, 200))
             pairs = pairwise_from_arrays(x1[:, None], x1, x2[:, None], x2)
-            lo = tt_cdf_risk(model, SQUARED, UNIFORM, unlabeled, pairs, TtConfig(lam=0.1))
-            hi = tt_cdf_risk(model, SQUARED, UNIFORM, unlabeled, pairs, TtConfig(lam=0.9))
+            lo = tt_closures(SQUARED, cdf_link(UNIFORM), unlabeled, pairs, lam=0.1)[0](theta)
+            hi = tt_closures(SQUARED, cdf_link(UNIFORM), unlabeled, pairs, lam=0.9)[0](theta)
             diffs.append(hi - lo)
         diffs = np.asarray(diffs)
         se = diffs.std(ddof=1) / np.sqrt(diffs.size)
@@ -97,14 +98,14 @@ class TestSurrogateRisk:
         rng = np.random.default_rng(2)
         unlabeled = Dataset(features=rng.standard_normal((17, 3)))
         pairs = PairwiseSet(rng.standard_normal((6, 3)), rng.standard_normal((6, 3)))
-        risk = tt_surrogate_risk(LinearModel(np.zeros(3)), SQUARED, unlabeled, pairs)
-        assert risk == pytest.approx(-0.25, abs=1e-12)
+        fun, _ = tt_closures(SQUARED, sigmoid_link, unlabeled, pairs)
+        assert fun(np.zeros(3)) == pytest.approx(-0.25, abs=1e-12)
 
     def test_single_point_hand_value(self):
         # s = sigmoid(1): -( (1/2 - s) 2s + s^2 ) with an empty pair set
         unlabeled = single_feature(1.0)
         pairs = PairwiseSet(np.empty((0, 1)), np.empty((0, 1)))
-        risk = tt_surrogate_risk(LinearModel(np.array([1.0])), SQUARED, unlabeled, pairs)
+        risk = tt_closures(SQUARED, sigmoid_link, unlabeled, pairs)[0](np.array([1.0]))
         expected = -((0.5 - SIGMOID_1) * 2 * SIGMOID_1 + SIGMOID_1**2)
         assert risk == pytest.approx(expected, abs=1e-12)
         assert risk == pytest.approx(-0.19661193324148185, abs=1e-12)
@@ -115,8 +116,7 @@ class TestSurrogateRisk:
         pairs = PairwiseSet(winners, -winners)
         unlabeled = Dataset(features=rng.standard_normal((10, 2)))
         theta = rng.standard_normal(2)
-        model = LinearModel(theta)
-        risk = tt_surrogate_risk(model, SQUARED, unlabeled, pairs)
+        risk = tt_closures(SQUARED, sigmoid_link, unlabeled, pairs)[0](theta)
         # sigma(t) + sigma(-t) = 1 collapses the pair sum
         su = 1.0 / (1.0 + np.exp(-unlabeled.features @ theta))
         sp = 1.0 / (1.0 + np.exp(-winners @ theta))
@@ -125,26 +125,26 @@ class TestSurrogateRisk:
 
     def test_decreases_when_winner_scores_increase(self):
         unlabeled = single_feature(0.1, -0.4)
-        model = LinearModel(np.array([1.0]))
-        low = tt_surrogate_risk(model, SQUARED, unlabeled, pair_1d(0.2, -0.3))
-        high = tt_surrogate_risk(model, SQUARED, unlabeled, pair_1d(1.5, -0.3))
+        theta = np.array([1.0])
+        low = tt_closures(SQUARED, sigmoid_link, unlabeled, pair_1d(0.2, -0.3))[0](theta)
+        high = tt_closures(SQUARED, sigmoid_link, unlabeled, pair_1d(1.5, -0.3))[0](theta)
         assert high < low
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
         unlabeled = Dataset(features=rng.standard_normal((30, 2)))
         W, L = rng.standard_normal((2, 12, 2))
-        model = LinearModel(rng.standard_normal(2))
-        base = tt_surrogate_risk(model, SQUARED, unlabeled, PairwiseSet(W, L))
+        theta = rng.standard_normal(2)
+        base = tt_closures(SQUARED, sigmoid_link, unlabeled, PairwiseSet(W, L))[0](theta)
         pu = rng.permutation(30)
         pr = rng.permutation(12)
-        shuffled = tt_surrogate_risk(
-            model,
+        shuffled, _ = tt_closures(
             SQUARED,
+            sigmoid_link,
             Dataset(features=unlabeled.features[pu]),
             PairwiseSet(W[pr], L[pr]),
         )
-        assert shuffled == pytest.approx(base, rel=1e-12)
+        assert shuffled(theta) == pytest.approx(base, rel=1e-12)
 
 
 def finite_difference_gradient(f, theta, step=1e-6):
@@ -165,29 +165,22 @@ class TestSurrogateGradient:
             unlabeled = Dataset(features=rng.standard_normal((20, 3)))
             pairs = PairwiseSet(rng.standard_normal((8, 3)), rng.standard_normal((8, 3)))
             theta = rng.standard_normal(3)
-            grad = tt_surrogate_gradient(LinearModel(theta), gen, unlabeled, pairs)
-            fd = finite_difference_gradient(
-                lambda t: tt_surrogate_risk(LinearModel(t), gen, unlabeled, pairs), theta
-            )
+            fun, grad_fn = tt_closures(gen, sigmoid_link, unlabeled, pairs)
+            grad = grad_fn(theta)
+            fd = finite_difference_gradient(fun, theta)
             scale = max(1.0, float(np.max(np.abs(fd))))
             assert np.max(np.abs(grad - fd)) / scale < 1e-5
 
     def test_exact_cdf_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         dist = gaussian_distribution(0.0, 1.0)
-        cfg = TtConfig(lam=0.4, use_logistic_surrogate=False)
         for _ in range(5):
             unlabeled = Dataset(features=rng.standard_normal((15, 2)))
             pairs = PairwiseSet(rng.standard_normal((7, 2)), rng.standard_normal((7, 2)))
             theta = rng.standard_normal(2) * 0.5
-            _, grad_fn, _ = linked_risk(
-                SQUARED, cdf_link(dist), RiskConfig(0.5, 0.0, 0.4), unlabeled, pairs, False
-            )
+            fun, grad_fn = tt_closures(SQUARED, cdf_link(dist), unlabeled, pairs, lam=0.4)
             grad = grad_fn(theta)
-            fd = finite_difference_gradient(
-                lambda t: tt_cdf_risk(LinearModel(t), SQUARED, dist, unlabeled, pairs, cfg),
-                theta,
-            )
+            fd = finite_difference_gradient(fun, theta)
             scale = max(1.0, float(np.max(np.abs(fd))))
             assert np.max(np.abs(grad - fd)) / scale < 1e-5
 
@@ -197,7 +190,7 @@ class TestSurrogateGradient:
         unlabeled = Dataset(features=np.vstack([half, -half]))
         W = rng.standard_normal((9, 3))
         pairs = PairwiseSet(np.vstack([W, -W]), np.vstack([-W, W]))
-        grad = tt_surrogate_gradient(LinearModel(np.zeros(3)), SQUARED, unlabeled, pairs)
+        grad = tt_closures(SQUARED, sigmoid_link, unlabeled, pairs)[1](np.zeros(3))
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_single_point_hand_gradient(self):
@@ -208,7 +201,7 @@ class TestSurrogateGradient:
         h = float(x @ theta)
         s = 1.0 / (1.0 + np.exp(-h))
         expected = -(s * (1.0 - s)) * (1.0 - 2.0 * s) * x
-        grad = tt_surrogate_gradient(LinearModel(theta), SQUARED, unlabeled, pairs)
+        grad = tt_closures(SQUARED, sigmoid_link, unlabeled, pairs)[1](theta)
         np.testing.assert_allclose(grad, expected, atol=1e-12)
 
 
@@ -273,9 +266,10 @@ class TestFit:
         unlabeled = generate_synthetic(spec, 400).without_targets()
         pairs = sample_pairwise_from_spec(spec, 200)
         model = tt_fit(SQUARED, unlabeled, pairs)
-        final = tt_surrogate_risk(model, SQUARED, unlabeled, pairs)
+        fun, _ = tt_closures(SQUARED, sigmoid_link, unlabeled, pairs)
+        final = fun(model.theta)
         for start in (np.zeros(2), np.full(2, 0.1), np.full(2, -0.1)):
-            assert final <= tt_surrogate_risk(LinearModel(start), SQUARED, unlabeled, pairs) + 1e-12
+            assert final <= fun(start) + 1e-12
 
     @pytest.mark.parametrize("gen", [SQUARED, BERNOULLI_KL], ids=["squared", "kl"])
     def test_newton_agrees_with_gradient_descent(self, gen, gradient_descent):
@@ -337,8 +331,9 @@ class TestFit:
         dist = gaussian_distribution(0.0, np.sqrt(1.01))
         cfg = TtConfig(lam=0.5, use_logistic_surrogate=False)
         model = tt_fit(SQUARED, unlabeled, pairs, cfg, dist=dist)
-        start_risk = tt_cdf_risk(LinearModel(np.zeros(1)), SQUARED, dist, unlabeled, pairs, cfg)
-        final_risk = tt_cdf_risk(model, SQUARED, dist, unlabeled, pairs, cfg)
+        fun, _ = tt_closures(SQUARED, cdf_link(dist), unlabeled, pairs, lam=0.5)
+        start_risk = fun(np.zeros(1))
+        final_risk = fun(model.theta)
         assert final_risk <= start_risk + 1e-12
 
 
