@@ -105,12 +105,7 @@ def rank_predict(
     """
     base = np.sort(np.asarray(predict(ranker, unlabeled.features), dtype=float))
     n_u = base.size
-    s = predict(ranker, x_test)
-    scalar = np.isscalar(s)
-    sv = np.atleast_1d(np.asarray(s, dtype=float))
     # count of base scores strictly greater than each test score
-    n_above = n_u - np.searchsorted(base, sv, side="right")
+    n_above = n_u - np.searchsorted(base, predict(ranker, x_test), side="right")
     q = (n_u - (1 + n_above)) / n_u
-    q = np.clip(q, 1.0 / (n_u + 1), n_u / (n_u + 1.0))
-    out = np.asarray(dist.inv_cdf(q), dtype=float)
-    return float(out[0]) if scalar else out
+    return dist.inv_cdf(np.clip(q, 1.0 / (n_u + 1), n_u / (n_u + 1.0)))

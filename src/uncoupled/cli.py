@@ -18,6 +18,7 @@ from .dataio import CsvSchema, load_csv, standardize
 from .distributions import gaussian_distribution, uniform_distribution
 from .evaluation import (
     DEFAULT_SEED,
+    METHOD_ORDER,
     ExperimentSpec,
     ResultTable,
     check_counterexample,
@@ -60,6 +61,11 @@ def _method_list(text: str) -> tuple[str, ...]:
     values = tuple(part.strip().lower() for part in text.split(",") if part.strip())
     if not values:
         raise argparse.ArgumentTypeError("expected at least one method")
+    unknown = [v for v in values if v not in METHOD_ORDER]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown method {unknown[0]!r}; choose from {','.join(METHOD_ORDER)}"
+        )
     return values
 
 
@@ -245,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--methods",
             type=_method_list,
             default=None,
-            help="comma-separated subset of lr,rank,ra,tt (default all)",
+            help=f"comma-separated subset of {','.join(METHOD_ORDER)} (default all)",
         )
 
     p_synth = sub.add_parser(

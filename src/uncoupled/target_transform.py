@@ -1,62 +1,39 @@
 """Target-transform ("tt") estimator.
 
-Instead of regressing on the raw target, push scores through the target CDF.
-The transformed target F_Y(Y) is uniform on [0, 1], and for a target uniform
-on [a, b] the ra weights (w1, w2) = (b/2, a/2) are exact (Err = 0).  So the
-tt risk is the ra risk with RiskConfig(w1=1/2, w2=0, lam) on a linked score
-g(h(x)), and `risk_approx.linked_risk` gives its value, gradient and
-Hessian.  This module adds the links, the fit and the read-out, which maps
-predictions back through the quantile function.
+Instead of regressing on the raw target, push scores through a link g onto
+the target CDF's scale.  The transformed target F_Y(Y) is uniform on
+[0, 1], and for a target uniform on [a, b] the ra weights (w1, w2) =
+(b/2, a/2) are exact (Err = 0).  So the tt risk is the ra risk with
+RiskConfig(w1=1/2, w2=0, lam=1/2) on the linked score g(h(x)), and
+`risk_approx.linked_risk` gives its value, gradient and Hessian.  The fit
+learns g(h(x)) ~ F_Y(y); the read-out is F_Y^{-1}(g(h(x))).
 
-Two links are supported:
+The link is the estimator's only setting, and one link drives both the fit
+and the read-out:
 
-* exact: g = F_Y itself (g' = pdf, g'' = pdf_prime), so the fitted
-  F_Y(h(x)) approximates F_Y(y(x)) directly;
-* logistic surrogate (default): g is a clamped sigmoid, which needs no
-  distribution and is read out by tt_predict.
+* sigmoid_link (default): a clamped sigmoid, which needs no distribution
+  to fit;
+* cdf_link(dist): the exact link g = F_Y, with g' = pdf and g'' = pdf_prime.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import expit
 
-from .core import (
-    BregmanGenerator,
-    Dataset,
-    LinearModel,
-    PairwiseSet,
-    ParameterError,
-    RiskConfig,
-    predict,
-)
-from .distributions import TargetDistribution
+from .core import BregmanGenerator, Dataset, LinearModel, PairwiseSet, RiskConfig, predict
+from .distributions import _QUANTILE_CLAMP, TargetDistribution
 from .optimize import minimize_gd
 from .risk_approx import fit_columns, linked_risk
 
-_SIGMOID_CLAMP = 1e-9
-
-
-@dataclass(frozen=True)
-class TtConfig:
-    lam: float = 0.5
-    use_logistic_surrogate: bool = True
-
-    def __post_init__(self):
-        if not np.isfinite(self.lam):
-            raise ParameterError("lam must be finite")
-
-
-def _clamped_sigmoid(h: np.ndarray) -> np.ndarray:
-    return np.clip(expit(h), _SIGMOID_CLAMP, 1.0 - _SIGMOID_CLAMP)
+_TT_RISK = RiskConfig(w1=0.5, w2=0.0, lam=0.5)
+_MULTISTART_SCALE = 0.1
 
 
 def sigmoid_link(h: np.ndarray):
     """Clamped sigmoid s with s' = s(1 - s) and s'' = s'(1 - 2s); the
     derivatives treat the clamp as inactive."""
-    s = _clamped_sigmoid(h)
+    s = np.clip(expit(h), _QUANTILE_CLAMP, 1.0 - _QUANTILE_CLAMP)
     s1 = s * (1.0 - s)
     return s, s1, s1 * (1.0 - 2.0 * s)
 
@@ -74,38 +51,23 @@ def cdf_link(dist: TargetDistribution):
     return link
 
 
-_MULTISTART_SCALE = 0.1
-
-
 def tt_fit(
     gen: BregmanGenerator,
     unlabeled: Dataset,
     pairs: PairwiseSet,
-    cfg: TtConfig | None = None,
-    dist: TargetDistribution | None = None,
+    link=sigmoid_link,
     *,
     include_intercept: bool = False,
 ) -> LinearModel:
-    """Fit of the transformed-target risk at cfg.lam by damped Newton steps
-    on the closures of linked_risk: the clamped-sigmoid link in surrogate
-    mode, dist's (cdf, pdf, pdf_prime) link in exact mode.
+    """Fit of the transformed-target risk on g(h(x)) for the link g, by
+    damped Newton steps on the closures of linked_risk.
 
     Starts from zero.  Only when the zero start does not converge are +0.1
     and -0.1 per coordinate tried too, keeping the lowest final risk (ties
-    go to the earlier start).  The default surrogate mode needs no
-    distribution; exact mode needs dist.  Needs n_U >= the parameter count.
+    go to the earlier start).  Needs n_U >= the parameter count.
     """
-    cfg = cfg or TtConfig()
-    if cfg.use_logistic_surrogate:
-        link = sigmoid_link
-    elif dist is None:
-        raise ParameterError("exact mode needs a target distribution")
-    else:
-        link = cdf_link(dist)
     ncols = fit_columns(unlabeled, pairs, include_intercept)
-    fun, grad, hess = linked_risk(
-        gen, link, RiskConfig(w1=0.5, w2=0.0, lam=cfg.lam), unlabeled, pairs, include_intercept
-    )
+    fun, grad, hess = linked_risk(gen, link, _TT_RISK, unlabeled, pairs, include_intercept)
     result = minimize_gd(fun, grad, np.zeros(ncols), hess=hess)
     if not result.converged:
         for scale in (_MULTISTART_SCALE, -_MULTISTART_SCALE):
@@ -115,15 +77,12 @@ def tt_fit(
     return LinearModel(theta=result.theta, includes_intercept=include_intercept)
 
 
-def tt_predict(model: LinearModel, dist: TargetDistribution, x) -> float | np.ndarray:
-    """Map scores back to the target scale: F_Y^{-1}(sigmoid(h(x))).
-
-    This reads out logistic-surrogate fits only.  A model fitted with
-    TtConfig(use_logistic_surrogate=False) fits F_Y(h(x)) to F_Y(y), so h(x)
-    itself estimates y: read it out with `predict`.
-    """
-    h = predict(model, x)
-    scalar = np.isscalar(h)
-    s = _clamped_sigmoid(np.atleast_1d(np.asarray(h, dtype=float)))
-    out = np.asarray(dist.inv_cdf(s), dtype=float)
-    return float(out[0]) if scalar else out
+def tt_predict(
+    model: LinearModel, dist: TargetDistribution, x, link=sigmoid_link
+) -> float | np.ndarray:
+    """Map scores back to the target scale: F_Y^{-1}(g(h(x))) for the link
+    g the model was fitted with.  g is clamped into [1e-9, 1 - 1e-9] first,
+    so predictions stay inside the marginal's quantile range even where an
+    exact fit's scores land far outside the target's."""
+    g = link(predict(model, x))[0]
+    return dist.inv_cdf(np.clip(g, _QUANTILE_CLAMP, 1.0 - _QUANTILE_CLAMP))

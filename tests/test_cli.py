@@ -232,6 +232,12 @@ class TestParser:
             main(["synth", "--seed", "-3"])
         assert exc.value.code == 2
 
+    def test_unknown_method_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--methods", "lr,foo"])
+        assert exc.value.code == 2
+        assert "unknown method 'foo'" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

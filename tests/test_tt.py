@@ -6,16 +6,17 @@ from uncoupled import (
     BERNOULLI_KL,
     SQUARED,
     Dataset,
+    ExperimentSpec,
     LinearModel,
     PairwiseSet,
     ParameterError,
     RiskConfig,
     SyntheticSpec,
-    TtConfig,
     fit_kde,
     gaussian_distribution,
     generate_synthetic,
     kde_distribution,
+    mse,
     pairwise_from_arrays,
     predict,
     random_unit_vector,
@@ -24,6 +25,7 @@ from uncoupled import (
     tt_predict,
     uniform_distribution,
 )
+from uncoupled.evaluation import _repeat_seed, _synthetic_data
 from uncoupled.optimize import minimize_gd
 from uncoupled.risk_approx import identity_link, linked_risk
 from uncoupled.target_transform import cdf_link, sigmoid_link
@@ -300,8 +302,7 @@ class TestFit:
         assert gd.converged and newton.converged
         assert newton.iterations <= 10
         np.testing.assert_allclose(newton.theta, gd.theta, rtol=0.0, atol=1e-6)
-        cfg = TtConfig(use_logistic_surrogate=False)
-        fitted = tt_fit(SQUARED, unlabeled, pairs, cfg, dist=dist)
+        fitted = tt_fit(SQUARED, unlabeled, pairs, cdf_link(dist))
         np.testing.assert_array_equal(fitted.theta, newton.theta)
 
     def test_surrogate_honours_lambda(self):
@@ -309,13 +310,9 @@ class TestFit:
         spec = SyntheticSpec(dim=2, noise_std=0.1, theta_true=theta, seed=6)
         unlabeled = generate_synthetic(spec, 400).without_targets()
         pairs = sample_pairwise_from_spec(spec, 200)
-        fitted = tt_fit(SQUARED, unlabeled, pairs, TtConfig(lam=0.2))
-        _, grad, _ = linked_risk(
-            SQUARED, sigmoid_link, RiskConfig(0.5, 0.0, 0.2), unlabeled, pairs, False
-        )
+        fitted = tt_fit(SQUARED, unlabeled, pairs)
+        _, grad, _ = linked_risk(SQUARED, sigmoid_link, SURROGATE, unlabeled, pairs, False)
         assert np.linalg.norm(grad(fitted.theta)) <= 1e-8
-        default = tt_fit(SQUARED, unlabeled, pairs)
-        assert np.max(np.abs(fitted.theta - default.theta)) > 1e-3
 
     def test_rejects_fewer_unlabeled_rows_than_parameters(self):
         unlabeled = Dataset(features=np.array([[0.3, -0.2]]))
@@ -329,8 +326,7 @@ class TestFit:
         unlabeled = generate_synthetic(spec, 300).without_targets()
         pairs = sample_pairwise_from_spec(spec, 150)
         dist = gaussian_distribution(0.0, np.sqrt(1.01))
-        cfg = TtConfig(lam=0.5, use_logistic_surrogate=False)
-        model = tt_fit(SQUARED, unlabeled, pairs, cfg, dist=dist)
+        model = tt_fit(SQUARED, unlabeled, pairs, cdf_link(dist))
         fun, _ = tt_closures(SQUARED, cdf_link(dist), unlabeled, pairs, lam=0.5)
         start_risk = fun(np.zeros(1))
         final_risk = fun(model.theta)
@@ -370,3 +366,41 @@ class TestPredict:
     def test_scalar_input_returns_float(self):
         value = tt_predict(LinearModel(np.array([1.0])), UNIFORM, np.array([0.2]))
         assert isinstance(value, float)
+
+
+class TestExactReadOut:
+    """Full-scale synthetic repeat 2 at the default seed, built as the sweep
+    builds it.  On its first 20 pool pairs the exact fit converges to a
+    large theta, and its raw scores land far outside the target's range."""
+
+    @pytest.fixture(scope="class")
+    def cell(self):
+        spec = ExperimentSpec()
+        rep = _synthetic_data(SURROGATE, spec, _repeat_seed(spec.seed, 2))
+        dist, _, pool = rep.uncoupled()
+        return rep, dist, pool
+
+    def fit(self, cell, n_r):
+        rep, dist, pool = cell
+        pairs = PairwiseSet(pool.winners[:n_r], pool.losers[:n_r])
+        link = cdf_link(dist)
+        return tt_fit(SQUARED, rep.train.without_targets(), pairs, link), link
+
+    def test_blown_up_cell_reads_out_bounded(self, cell):
+        rep, dist, _ = cell
+        model, link = self.fit(cell, 20)
+        assert np.linalg.norm(model.theta) == pytest.approx(19.56656174867238, rel=1e-9)
+        preds = tt_predict(model, dist, rep.test.features, link)
+        assert np.all(preds >= dist.inv_cdf(1e-9))
+        assert np.all(preds <= dist.inv_cdf(1.0 - 1e-9))
+        assert mse(preds, rep.test.targets) < 30.0
+
+    def test_read_out_is_the_score_where_the_cdf_is_not_saturated(self, cell):
+        rep, dist, _ = cell
+        model, link = self.fit(cell, 10240)
+        x = rep.test.features
+        h = predict(model, x)
+        near = np.abs(h) < 5.0
+        assert near.any()
+        preds = tt_predict(model, dist, x, link)
+        np.testing.assert_allclose(preds[near], h[near], rtol=0.0, atol=1e-9)
