@@ -7,13 +7,18 @@ arrays.  Quantile arguments are clamped into [1e-9, 1 - 1e-9] before
 inversion so that unbounded supports never produce infinities.
 
 The KDE is exact throughout.  Its bandwidth score is the exact 5-fold
-log-likelihood, with each pair of folds scored once, and points whose plain
-kernel sum would underflow rescored with a shifted sum.  Its pdf is a full
-kernel sum.  Its cdf is a full sum too, except that chunks of sorted points
-where Phi is exactly 1 are counted instead of computed.  Its inverse CDF
-caches a 257-node table of the exact cdf, pdf and pdf', starts each query
-from the Hermite interpolant of the inverse inside the table's bracket, and
-refines it by Newton steps with a bisection fallback, to within 1e-8.
+log-likelihood, with each pair of folds scored once.  Its exponents are
+floored at -700, so that np.exp stays on its fast path; points with
+a d_min > 600 are rescored with a sum shifted by d_min, and every other
+point's sum moves by at most n e^-100 relative.  Its pdf and pdf' are full
+kernel sums, with no floor: a pdf of 1e-136 stays exact.  Its cdf is a full
+sum too, except that chunks of sorted points where Phi is exactly 1 are
+counted instead of computed.  One pass per block of queries gives the cdf,
+pdf and pdf', and the last query's three values are cached, so asking for
+all three costs one pass.  Its inverse CDF caches a 257-node table of the
+exact cdf, pdf and pdf', starts each query from the Hermite interpolant of
+the inverse inside the table's bracket, and refines it by Newton steps with
+a bisection fallback, to within 1e-8.
 """
 
 from __future__ import annotations
@@ -158,9 +163,11 @@ def _chunked(n: int, block: int):
 
 # Pairwise blocks never hold more than this many elements.
 _KERNEL_BUDGET = 2_000_000
-# Beyond this a * d_min the unshifted kernel sum of a CV row could underflow
-# (exp(-708) is the smallest normal double).
-_UNDERFLOW_EXPONENT = 700.0
+# CV exponents are floored here before np.exp, which leaves numpy's vector
+# fast path for results below about e^-708 (see `_cv_scores`).
+_EXP_FLOOR = -700.0
+# Beyond this a * d_min a CV cell is rescored shifted.
+_UNDERFLOW_EXPONENT = 600.0
 
 
 def _shifted_log_sums(val: np.ndarray, train: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -178,6 +185,7 @@ def _shifted_log_sums(val: np.ndarray, train: np.ndarray, a: np.ndarray) -> np.n
         buf = np.empty_like(d)
         for k in range(a.size):
             np.multiply(d, -a[k], out=buf)
+            np.maximum(buf, _EXP_FLOOR, out=buf)
             np.exp(buf, out=buf)
             out[k, lo:hi] = np.log(buf.sum(axis=1)) - a[k] * d_min
     return out
@@ -190,10 +198,16 @@ def _cv_scores(v: np.ndarray, grid: np.ndarray) -> np.ndarray:
     The kernel is symmetric, so each of the 10 fold pairs (f, g), f < g, is
     exponentiated once per bandwidth: its row sums go to fold f's points and
     its column sums to fold g's, accumulated per (bandwidth, point) before
-    one log.  Unshifted, the sum of a point whose nearest training point is
-    d_min away underflows once a d_min nears 708, with a = 1 / (2 h^2); the
-    (bandwidth, point) cells with a d_min > 700 are recomputed shifted by
-    d_min (`_shifted_log_sums`).
+    one log.
+
+    Every exponent -a d, with a = 1 / (2 h^2), is floored at -700 before
+    np.exp, whose vector loop is 15 to 130 times slower on results that
+    underflow.  A point whose nearest training point is d_min away has a
+    largest term of e^(-a d_min).  The (bandwidth, point) cells with
+    a d_min > 600 are recomputed shifted by d_min (`_shifted_log_sums`),
+    where the largest term is exactly 1.  In every other cell the largest
+    term is at least e^-600 and each floored term is off by less than
+    e^-700, so the sum moves by at most n e^-100 relative.
     """
     n = v.size
     a = 0.5 / grid**2
@@ -210,11 +224,14 @@ def _cv_scores(v: np.ndarray, grid: np.ndarray) -> np.ndarray:
                 np.minimum(row_min[lo:hi], d.min(axis=1), out=row_min[lo:hi])
                 np.minimum(d_min[g::5], d.min(axis=0), out=d_min[g::5])
                 buf = np.empty_like(d)
+                # BLAS matrix-vector products: several times faster than .sum(axis)
+                row_ones, col_ones = np.ones(hi - lo), np.ones(cols.size)
                 for k in range(grid.size):
                     np.multiply(d, -a[k], out=buf)
+                    np.maximum(buf, _EXP_FLOOR, out=buf)
                     np.exp(buf, out=buf)
-                    row_sums[k, lo:hi] += buf.sum(axis=1)
-                    sums[k, g::5] += buf.sum(axis=0)
+                    row_sums[k, lo:hi] += buf @ col_ones
+                    sums[k, g::5] += row_ones @ buf
     with np.errstate(divide="ignore"):
         log_sums = np.log(sums)
     under = a[:, None] * d_min[None, :] > _UNDERFLOW_EXPONENT
@@ -280,6 +297,14 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
     and gets no ndtr call.  So each query's value is the same float in any
     batch, and the cdf is exactly monotone.
 
+    The three come from one pass per block, in buffers allocated once per
+    call: z, then the cdf's ndtr chunk sums and one array exp(-z^2 / 2),
+    which the pdf sums and pdf' then scales in place by z.  That exp is not
+    floored, so a pdf far below e^-700 (1e-136 mid-way between two points
+    50 bandwidths apart) stays exact.  pdf, pdf_prime and cdf share a
+    one-entry cache keyed on the query's shape and bytes and return its
+    read-only arrays, so asking for all three at one query costs one pass.
+
     The inverse CDF tabulates the exact cdf, pdf and pdf' at 257 nodes on
     the first call and caches the table.  Each query takes its bracket from
     the table and starts from the quintic Hermite interpolant of the inverse
@@ -308,38 +333,54 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
         # left-to-right sum of chunk sums at m * 64 gives the same float.
         m = int(np.count_nonzero((y[0] - chunk_max) / h >= _NDTR_ONE))
         if m == n_chunks:
-            return np.ones(y.size)
+            return 1.0
         sums = ndtr(z[:, m * _CDF_CHUNK :]).reshape(y.size, -1, _CDF_CHUNK).sum(axis=2)
         sums[:, 0] += m * _CDF_CHUNK
         return np.cumsum(sums, axis=1)[:, -1] / n
 
-    def pdf_rows(y, z):
-        z = z[:, :n]
-        return np.exp(-0.5 * z * z).sum(axis=1) / pdf_norm
-
-    def pdf_prime_rows(y, z):
-        z = z[:, :n]
-        return -(z * np.exp(-0.5 * z * z)).sum(axis=1) / (pdf_norm * h)
-
-    def kernel_sums(y, *rows):
+    def kernel_pass(y, slope=True):
+        """[cdf, pdf, pdf'] at y, or [cdf, pdf] without slope."""
         flat = np.ravel(y)
         order = np.argsort(flat, kind="stable")
         ys = flat[order]
-        outs = [np.empty(flat.size) for _ in rows]
+        outs = [np.empty(flat.size) for _ in range(3 if slope else 2)]
+        z_buf = np.empty((min(block, flat.size), padded.size))
+        e_buf = np.empty((z_buf.shape[0], n))
         for a, b in _chunked(flat.size, block):
-            z = (ys[a:b, None] - padded[None, :]) / h
-            for out, row in zip(outs, rows):
-                out[order[a:b]] = row(ys[a:b], z)
+            z, e, at = z_buf[: b - a], e_buf[: b - a], order[a:b]
+            np.subtract(ys[a:b, None], padded[None, :], out=z)
+            z /= h
+            outs[0][at] = cdf_rows(ys[a:b], z)
+            np.multiply(z[:, :n], -0.5, out=e)
+            e *= z[:, :n]
+            np.exp(e, out=e)
+            outs[1][at] = e.sum(axis=1) / pdf_norm
+            if slope:
+                e *= z[:, :n]
+                outs[2][at] = -e.sum(axis=1) / (pdf_norm * h)
         return [out.reshape(np.shape(y)) for out in outs]
 
+    # one entry: the query's shape and bytes, and its read-only cdf, pdf, pdf'
+    last = {}
+
+    def cached_pass(y):
+        key = (y.shape, y.tobytes())
+        if key not in last:
+            last.clear()
+            values = kernel_pass(y)
+            for v in values:
+                v.flags.writeable = False
+            last[key] = values
+        return last[key]
+
     def pdf(y):
-        return kernel_sums(y, pdf_rows)[0]
+        return cached_pass(y)[1]
 
     def pdf_prime(y):
-        return kernel_sums(y, pdf_prime_rows)[0]
+        return cached_pass(y)[2]
 
     def cdf(y):
-        return kernel_sums(y, cdf_rows)[0]
+        return cached_pass(y)[0]
 
     # the halvings plain bisection of [lo, hi] needs to reach 1e-8: the
     # Newton loop never takes more
@@ -348,7 +389,7 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
     @functools.cache
     def cdf_table():
         nodes = np.linspace(lo, hi, _CDF_TABLE_NODES)
-        return (nodes, *kernel_sums(nodes, cdf_rows, pdf_rows, pdf_prime_rows))
+        return (nodes, *kernel_pass(nodes))
 
     def inv(u):
         q = np.ravel(_clamp_quantiles(u))
@@ -376,7 +417,7 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
                          + 0.5 * s * s * c1)
         x = np.where(np.isfinite(x) & (x >= a) & (x <= b), x, linear)
         for _ in range(max_steps):
-            F, f = kernel_sums(x, cdf_rows, pdf_rows)
+            F, f = kernel_pass(x, slope=False)
             below = F < qa
             a = np.where(below, x, a)
             b = np.where(below, b, x)

@@ -6,6 +6,7 @@ from uncoupled import (
     DomainError,
     KdeModel,
     ParameterError,
+    cdf_link,
     empirical_distribution,
     fit_kde,
     gaussian_distribution,
@@ -174,7 +175,14 @@ def _bandwidth_gate_cases():
         # the point at 30 is ~27 from its nearest neighbour: a d_min > 700
         # for the small bandwidths, where only the shifted sum is finite
         ("isolated_point", np.append(rng.normal(0.0, 1.0, 300), 30.0), np.geomspace(0.02, 2.0, 8)),
+        # a point 0.745 beyond the largest: a d_min ~ 694 at h = 0.02, within
+        # e^6 of the exponent floor, so only the shifted sum is exact there
+        ("near_floor", _past_the_max(rng.normal(0.0, 1.0, 300), 0.745), np.geomspace(0.02, 2.0, 8)),
     ]
+
+
+def _past_the_max(values, gap):
+    return np.append(values, values.max() + gap)
 
 
 class TestKdeExactness:
@@ -226,6 +234,16 @@ class TestKdeExactness:
         fold_of = np.arange(v.size) % 5
         d_min = np.array([np.min((x - v[fold_of != f]) ** 2) for x, f in zip(v, fold_of)])
         assert np.max(0.5 / grid[0] ** 2 * d_min) > 700.0
+
+    def test_rows_between_600_and_700_are_rescored(self):
+        # rescored since the threshold fell from 700 to 600; with the old
+        # threshold the floored terms would dominate these rows' sums
+        (_, values, grid), = [c for c in _bandwidth_gate_cases() if c[0] == "near_floor"]
+        v = np.sort(values)
+        fold_of = np.arange(v.size) % 5
+        d_min = np.array([np.min((x - v[fold_of != f]) ** 2) for x, f in zip(v, fold_of)])
+        scaled = 0.5 / grid[0] ** 2 * d_min
+        assert np.any((scaled > 600.0) & (scaled <= 700.0))
 
     def test_tied_scores_prefer_the_smallest_bandwidth(self, monkeypatch):
         monkeypatch.setattr(
@@ -281,6 +299,52 @@ class TestKdeExactness:
         monkeypatch.setattr(uncoupled.distributions, "ndtr", counting_ndtr)
         dist.inv_cdf(np.linspace(0.001, 0.999, 999))
         assert sum(rows) / 999 <= 2.0
+
+
+class TestKdeOnePass:
+    def test_one_pass_serves_cdf_pdf_and_pdf_prime(self, monkeypatch):
+        model = _lognormal_tail_model()
+        pts, h = model.sample_points, model.bandwidth
+        dist = kde_distribution(model)
+        calls = []
+
+        def counting_ndtr(z):
+            calls.append(z.shape[0])
+            return ndtr(z)
+
+        monkeypatch.setattr(uncoupled.distributions, "ndtr", counting_ndtr)
+        lo, hi = dist.support_bounds
+        y = np.random.default_rng(5).uniform(lo, hi, 300)
+        pdf = dist.pdf(y)
+        assert calls
+        calls.clear()
+        cdf, slope = dist.cdf(y), dist.pdf_prime(y)
+        assert calls == []
+
+        # the same floats as the plain kernel sums
+        z = (y[:, None] - pts[None, :]) / h
+        norm = pts.size * h * np.sqrt(2.0 * np.pi)
+        np.testing.assert_array_equal(pdf, np.exp(-0.5 * z * z).sum(axis=1) / norm)
+        np.testing.assert_array_equal(slope, -(z * np.exp(-0.5 * z * z)).sum(axis=1) / (norm * h))
+        np.testing.assert_allclose(cdf, reference_cdf(model, y), rtol=0.0, atol=1e-15)
+        for values in (pdf, cdf, slope):
+            assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            cdf[0] = 0.0
+
+        # the link's three values cost one cdf's ndtr calls
+        scores = np.random.default_rng(6).normal(2.0, 2.0, 300)
+        calls.clear()
+        cdf_link(dist)(scores)
+        via_link = len(calls)
+        calls.clear()
+        kde_distribution(model).cdf(scores)
+        assert via_link == len(calls) > 0
+
+        # a query of the same shape but other values gets its own values
+        np.testing.assert_allclose(dist.cdf(scores), reference_cdf(model, scores), rtol=0.0, atol=1e-15)
+        for f in (dist.cdf, dist.pdf, dist.pdf_prime):
+            assert isinstance(f(1.5), float)
 
 
 class TestEmpiricalCdf:
