@@ -4,7 +4,13 @@ empirical CDF.
 
 All four callables of a TargetDistribution are vectorized over numpy
 arrays.  Quantile arguments are clamped into [1e-9, 1 - 1e-9] before
-inversion so that unbounded supports never produce infinities.
+inversion so that unbounded supports never produce infinities.  At -inf and
++inf the cdf, pdf and pdf' take their limits (cdf 0 or 1, pdf and pdf' 0),
+and a nan query gives nan.
+
+The Gaussian marginal is built from scipy.special's ndtr and ndtri with the
+arithmetic of scipy.stats.norm, and gives its floats bit for bit, without
+importing scipy.stats.
 
 The KDE is exact throughout.  Its bandwidth score is the exact 5-fold
 log-likelihood, with each pair of folds scored once.  Its exponents are
@@ -28,8 +34,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .core import DomainError, ParameterError
 
@@ -72,25 +77,36 @@ def _scalarize(f):
 
 
 def _flat(y) -> np.ndarray:
-    """pdf' of a piecewise-linear cdf: 0 wherever it exists."""
-    return np.zeros(np.shape(y))
+    """pdf' of a piecewise-linear cdf: 0 wherever it exists, nan at nan."""
+    return np.where(np.isnan(y), np.nan, 0.0)
 
 
 def gaussian_distribution(mean: float, std: float) -> TargetDistribution:
+    """N(mean, std^2), with the floats of scipy.stats.norm(mean, std): the
+    same operations in the same order on the standardized x."""
     if not (std > 0.0 and np.isfinite(std) and np.isfinite(mean)):
         raise ParameterError(f"need finite mean and std > 0, got {mean!r}, {std!r}")
-    dist = norm(loc=mean, scale=std)
+
+    def pdf(y):
+        x = (y - mean) / std
+        return np.exp(-x**2 / 2.0) / _SQRT_2PI / std
+
+    def cdf(y):
+        return ndtr((y - mean) / std)
 
     def inv(u):
-        return dist.ppf(_clamp_quantiles(u))
+        return ndtri(_clamp_quantiles(u)) * std + mean
 
     def pdf_prime(y):
-        return -(y - mean) / (std * std) * dist.pdf(y)
+        # at +-inf, -inf * 0 would give nan where the limit is 0
+        with np.errstate(invalid="ignore"):
+            slope = -(y - mean) / (std * std) * pdf(y)
+        return np.where(np.isinf(y), 0.0, slope)
 
     return TargetDistribution(
-        pdf=_scalarize(dist.pdf),
+        pdf=_scalarize(pdf),
         pdf_prime=_scalarize(pdf_prime),
-        cdf=_scalarize(dist.cdf),
+        cdf=_scalarize(cdf),
         inv_cdf=_scalarize(inv),
         support_bounds=(mean - 10.0 * std, mean + 10.0 * std),
         name=f"gaussian(mean={mean:g}, std={std:g})",
@@ -103,7 +119,7 @@ def uniform_distribution(a: float, b: float) -> TargetDistribution:
     width = b - a
 
     def pdf(y):
-        return np.where((y >= a) & (y <= b), 1.0 / width, 0.0)
+        return np.where((y >= a) & (y <= b), 1.0 / width, _flat(y))
 
     def cdf(y):
         return np.clip((y - a) / width, 0.0, 1.0)
@@ -322,7 +338,8 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
     hi = float(pts[-1] + 5.0 * h)
     pdf_norm = n * h * _SQRT_2PI
     n_chunks = -(-n // _CDF_CHUNK)
-    # +inf pads the last chunk: its z is -inf, and ndtr(-inf) adds 0
+    # +inf pads the last chunk: its z is -inf at every finite query, and
+    # ndtr(-inf) adds 0
     padded = np.concatenate((pts, np.full(n_chunks * _CDF_CHUNK - n, np.inf)))
     chunk_max = pts[np.minimum(np.arange(1, n_chunks + 1) * _CDF_CHUNK, n) - 1]
     block = max(1, min(_QUERY_BLOCK, _KERNEL_BUDGET // padded.size))
@@ -344,9 +361,20 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
         order = np.argsort(flat, kind="stable")
         ys = flat[order]
         outs = [np.empty(flat.size) for _ in range(3 if slope else 2)]
-        z_buf = np.empty((min(block, flat.size), padded.size))
+        # -inf sorts first, then the finite queries, then +inf and nan; the
+        # non-finite ones take their limits and stay out of the kernel blocks
+        start = int(np.searchsorted(ys, -np.inf, side="right"))
+        stop = int(np.searchsorted(ys, np.inf, side="left"))
+        edge = np.r_[order[:start], order[stop:]]
+        y_edge = flat[edge]
+        limit = _flat(y_edge)
+        outs[0][edge] = np.where(y_edge > 0.0, 1.0, limit)
+        for out in outs[1:]:
+            out[edge] = limit
+        ys, order = ys[start:stop], order[start:stop]
+        z_buf = np.empty((min(block, ys.size), padded.size))
         e_buf = np.empty((z_buf.shape[0], n))
-        for a, b in _chunked(flat.size, block):
+        for a, b in _chunked(ys.size, block):
             z, e, at = z_buf[: b - a], e_buf[: b - a], order[a:b]
             np.subtract(ys[a:b, None], padded[None, :], out=z)
             z /= h
@@ -491,7 +519,7 @@ def empirical_distribution(values) -> TargetDistribution:
         idx = np.searchsorted(knots, arr, side="right") - 1
         inside = (idx >= 0) & (idx < slopes.size)
         safe = np.clip(idx, 0, slopes.size - 1)
-        return np.where(inside, slopes[safe], 0.0)
+        return np.where(inside, slopes[safe], _flat(arr))
 
     def inv(u):
         return np.interp(_clamp_quantiles(u), levels, knots)

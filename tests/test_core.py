@@ -1,10 +1,15 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import uncoupled
 from uncoupled import (
     BERNOULLI_KL,
     SQUARED,
@@ -167,3 +172,14 @@ class TestDataclasses:
             model.theta = np.zeros(2)
         with pytest.raises(Exception):
             model.theta[0] = 9.0
+
+
+def test_package_import_leaves_scipy_stats_out():
+    """The package and its CLI load scipy.special, not scipy.stats, whose
+    import alone costs more CPU time than numpy and scipy.special together."""
+    src = Path(uncoupled.__file__).resolve().parent.parent
+    code = "import sys, uncoupled, uncoupled.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

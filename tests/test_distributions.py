@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp, ndtr
+from scipy.stats import norm
 
 from uncoupled import (
     DomainError,
@@ -49,6 +52,40 @@ class TestGaussian:
     def test_bad_std_rejected(self, std):
         with pytest.raises(ParameterError):
             gaussian_distribution(0.0, std)
+
+
+class TestGaussianMatchesScipy:
+    """The Gaussian marginal is built from ndtr and ndtri, so that the
+    package never imports scipy.stats; it must give the frozen
+    scipy.stats.norm's floats bit for bit."""
+
+    @pytest.mark.parametrize("mean,std", [(0.0, 1.0), (-2.0, 3.0), (1e3, 1e-3), (0.7, 250.0)])
+    def test_bitwise_equal_to_frozen_norm(self, mean, std):
+        ref = norm(loc=mean, scale=std)
+        dist = gaussian_distribution(mean, std)
+        rng = np.random.default_rng(31)
+        y = np.concatenate((
+            rng.normal(mean, 5.0 * std, 20_000),
+            mean + std * np.array([-40.0, 40.0, 0.0]),
+            [-np.inf, np.inf, np.nan],
+        ))
+        u = np.concatenate((rng.uniform(0.0, 1.0, 20_000), [1e-9, 1.0 - 1e-9, 1e-12, 1.0 - 1e-12]))
+        u = u[(u > 0.0) & (u < 1.0)]
+        finite = np.isfinite(y)
+        slope = np.where(np.isnan(y), np.nan, 0.0)
+        slope[finite] = -(y[finite] - mean) / (std * std) * ref.pdf(y[finite])
+        expected = [
+            (dist.pdf, y, ref.pdf(y)),
+            (dist.cdf, y, ref.cdf(y)),
+            (dist.pdf_prime, y, slope),
+            (dist.inv_cdf, u, ref.ppf(np.clip(u, 1e-9, 1.0 - 1e-9))),
+        ]
+        for f, x, want in expected:
+            assert np.array_equal(f(x), want, equal_nan=True)
+            for i in (0, -4, -3, -1):
+                got = f(x[i])
+                assert isinstance(got, float)
+                assert np.array_equal(got, want[i], equal_nan=True)
 
 
 class TestUniform:
@@ -405,3 +442,30 @@ class TestDistributionContract:
     def test_cdf_of_quantile_identity(self, name, dist):
         for u in np.linspace(0.001, 0.999, 21):
             assert dist.cdf(dist.inv_cdf(u)) == pytest.approx(u, abs=1e-6)
+
+
+def _non_finite_cases():
+    # 50 points leave the cdf's last 64-point chunk padded
+    small = fit_kde(np.random.default_rng(4).normal(0.0, 1.0, 50))
+    return all_distributions() + [("kde_50", kde_distribution(small))]
+
+
+class TestNonFiniteQueries:
+    @pytest.mark.parametrize("name,dist", _non_finite_cases(), ids=lambda p: p if isinstance(p, str) else "")
+    def test_limits_at_infinity_and_nan_stays_nan(self, name, dist):
+        lo, hi = dist.support_bounds
+        y = np.array([-np.inf, lo, 0.5 * (lo + hi), np.inf, np.nan, hi, 0.3 * lo + 0.7 * hi])
+        funcs = (dist.cdf, dist.pdf, dist.pdf_prime)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batched = [f(y) for f in funcs]
+            alone = [[f(v) for v in y] for f in funcs]
+            finite_only = [f(y[np.isfinite(y)]) for f in funcs]
+        limits = ([0.0, 1.0, np.nan], [0.0, 0.0, np.nan], [0.0, 0.0, np.nan])
+        for values, scalars, finite, limit in zip(batched, alone, finite_only, limits):
+            np.testing.assert_array_equal(values[[0, 3, 4]], limit)
+            assert all(isinstance(v, float) for v in scalars)
+            # each query gets the same float alone, in a batch with non-finite
+            # queries, or among the finite ones only
+            np.testing.assert_array_equal(values, scalars)
+            np.testing.assert_array_equal(values[np.isfinite(y)], finite)
