@@ -61,7 +61,7 @@ from .risk_approx import (
     tune_weights_empirical,
 )
 from .target_transform import cdf_link, tt_fit, tt_predict
-from .baselines import lr_fit, rank_predict, ranker_fit, ranking_error
+from .baselines import lr_fit, rank_predict, ranker_fit
 from .evaluation import (
     DEFAULT_SEED,
     METHOD_ORDER,
@@ -77,6 +77,6 @@ from .evaluation import (
     run_benchmark,
     run_synthetic,
 )
-from .dataio import CsvSchema, StandardizeRecord, apply_standardization, load_csv, standardize
+from .dataio import CsvSchema, load_csv, standardize
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .distributions import TargetDistribution
 from .optimize import minimize_gd
 from .risk_approx import solve_normal_equations
 
-_DEFAULT_RANK_REG = 1e-4
+_RANK_REG = 1e-4
 
 
 def lr_fit(data: Dataset, *, include_intercept: bool = False) -> LinearModel:
@@ -39,55 +39,39 @@ def lr_fit(data: Dataset, *, include_intercept: bool = False) -> LinearModel:
     return LinearModel(theta=theta, includes_intercept=include_intercept)
 
 
-def _hinge_loss(theta: np.ndarray, W: np.ndarray, L: np.ndarray, reg: float) -> float:
-    margin = (W - L) @ theta
-    viol = np.maximum(0.0, 1.0 - margin)
-    return float(np.mean(viol**2) + reg * theta @ theta)
+def _hinge_loss(theta: np.ndarray, D: np.ndarray) -> float:
+    viol = np.maximum(0.0, 1.0 - D @ theta)
+    return float(np.mean(viol**2) + _RANK_REG * theta @ theta)
 
 
-def _hinge_grad(theta: np.ndarray, W: np.ndarray, L: np.ndarray, reg: float) -> np.ndarray:
-    D = W - L
-    margin = D @ theta
-    viol = np.maximum(0.0, 1.0 - margin)
-    return -2.0 * (D.T @ viol) / D.shape[0] + 2.0 * reg * theta
+def _hinge_grad(theta: np.ndarray, D: np.ndarray) -> np.ndarray:
+    viol = np.maximum(0.0, 1.0 - D @ theta)
+    return -2.0 * (D.T @ viol) / D.shape[0] + 2.0 * _RANK_REG * theta
 
 
-def _hinge_hess(theta: np.ndarray, W: np.ndarray, L: np.ndarray, reg: float) -> np.ndarray:
+def _hinge_hess(theta: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Generalized Hessian of _hinge_loss: 2 D_act^T D_act / n + 2 reg I,
-    with D_act the rows of W - L whose margin is below 1."""
-    D = W - L
+    with D_act the rows of D = W - L whose margin is below 1."""
     active = D[D @ theta < 1.0]
-    return 2.0 * (active.T @ active) / D.shape[0] + 2.0 * reg * np.eye(theta.size)
+    return 2.0 * (active.T @ active) / D.shape[0] + 2.0 * _RANK_REG * np.eye(theta.size)
 
 
-def ranker_fit(pairs: PairwiseSet, reg: float = _DEFAULT_RANK_REG) -> LinearModel:
+def ranker_fit(pairs: PairwiseSet) -> LinearModel:
     """Squared-hinge ranking fit: mean over comparisons of
-    max(0, 1 - (score(x+) - score(x-)))^2 plus reg * ||theta||^2,
-    minimized from zero by damped Newton steps on its generalized Hessian
-    (Chapelle & Keerthi, "Efficient algorithms for ranking with SVMs",
-    2010)."""
+    max(0, 1 - (score(x+) - score(x-)))^2 plus reg * ||theta||^2 with the
+    constant reg = 1e-4, minimized from zero by damped Newton steps on its
+    generalized Hessian (Chapelle & Keerthi, "Efficient algorithms for
+    ranking with SVMs", 2010)."""
     if pairs.n_pairs < 1:
         raise EmptyDataError("ranker_fit needs at least one comparison")
-    if not (np.isfinite(reg) and reg >= 0.0):
-        raise ParameterError("reg must be finite and >= 0")
-    W, L = pairs.winners, pairs.losers
+    D = pairs.winners - pairs.losers
     result = minimize_gd(
-        lambda th: _hinge_loss(th, W, L, reg),
-        lambda th: _hinge_grad(th, W, L, reg),
+        lambda th: _hinge_loss(th, D),
+        lambda th: _hinge_grad(th, D),
         np.zeros(pairs.dim),
-        hess=lambda th: _hinge_hess(th, W, L, reg),
+        hess=lambda th: _hinge_hess(th, D),
     )
     return LinearModel(theta=result.theta)
-
-
-def ranking_error(ranker: LinearModel, pairs: PairwiseSet) -> float:
-    """Fraction of comparisons the scorer gets strictly wrong (score ties
-    count as correct)."""
-    if pairs.n_pairs < 1:
-        raise EmptyDataError("ranking_error needs at least one comparison")
-    sp = predict(ranker, pairs.winners)
-    sm = predict(ranker, pairs.losers)
-    return float(np.mean(sp < sm))
 
 
 def rank_predict(

@@ -9,6 +9,7 @@ output is deterministic given the full flag set; the default seed is 1729.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -31,6 +32,21 @@ from .evaluation import (
 from .risk_approx import tune_weights, tune_weights_empirical
 
 _STD_NOTE = "std convention: sample std over repeats (ddof=1); 0.0 when repeats=1"
+
+_CHECK_SUITES = {
+    "lemma1": lambda args: check_lemma1(
+        n_samples=args.samples or 1_000_000, seed=args.seed
+    ),
+    "theorem1": lambda args: check_theorem1_variance(
+        resamples=args.resamples or 2000, seed=args.seed
+    ),
+    "counterexample": lambda args: check_counterexample(
+        n_samples=args.samples or 1_000_000, seed=args.seed
+    ),
+    "unbiasedness": lambda args: check_unbiasedness(
+        resamples=args.resamples or 1000, seed=args.seed
+    ),
+}
 
 
 def _positive_int(text: str) -> int:
@@ -101,22 +117,19 @@ def _emit(table: ResultTable, command: str, seed: int, config: str, args) -> Non
     if args.out:
         _write_text(args.out, table.to_csv())
         print(f"wrote {args.out}")
-    if getattr(args, "plot_data", None):
+    if args.plot_data:
         _write_text(args.plot_data, table.to_plot_table())
         print(f"wrote {args.plot_data}")
 
 
 def cmd_synth(args) -> int:
     base = ExperimentSpec.desk() if args.preset == "desk" else ExperimentSpec()
-    spec = ExperimentSpec(
-        methods=args.methods if args.methods else base.methods,
-        n_u=args.n_u if args.n_u is not None else base.n_u,
-        n_r_values=args.n_r if args.n_r else base.n_r_values,
-        repeats=args.repeats if args.repeats is not None else base.repeats,
-        seed=args.seed,
-        noise_std=args.noise_std if args.noise_std is not None else base.noise_std,
-        dim=args.dim if args.dim is not None else base.dim,
-        test_size=args.test_size if args.test_size is not None else base.test_size,
+    given = dict(
+        methods=args.methods, n_u=args.n_u, n_r_values=args.n_r, repeats=args.repeats,
+        noise_std=args.noise_std, dim=args.dim, test_size=args.test_size,
+    )
+    spec = dataclasses.replace(
+        base, seed=args.seed, **{k: v for k, v in given.items() if v is not None}
     )
     table = run_synthetic(spec, jobs=args.jobs, lambda_mode=args.lambda_mode)
     config = (
@@ -139,7 +152,7 @@ def cmd_bench(args) -> int:
     data, dropped = load_csv(args.data, schema)
     print(f"loaded {data.n} rows x {data.dim} features ({dropped} dropped)")
     if args.standardize:
-        data, _ = standardize(data)
+        data = standardize(data)
     spec = ExperimentSpec(
         methods=args.methods if args.methods else ExperimentSpec.methods,
         n_r_values=args.n_r,
@@ -185,24 +198,10 @@ def cmd_tune(args) -> int:
 
 
 def cmd_check(args) -> int:
-    suites = {
-        "lemma1": lambda: check_lemma1(
-            n_samples=args.samples or 1_000_000, seed=args.seed
-        ),
-        "theorem1": lambda: check_theorem1_variance(
-            resamples=args.resamples or 2000, seed=args.seed
-        ),
-        "counterexample": lambda: check_counterexample(
-            n_samples=args.samples or 1_000_000, seed=args.seed
-        ),
-        "unbiasedness": lambda: check_unbiasedness(
-            resamples=args.resamples or 1000, seed=args.seed
-        ),
-    }
-    names = [args.only] if args.only else list(suites)
+    names = [args.only] if args.only else list(_CHECK_SUITES)
     all_passed = True
     for name in names:
-        report = suites[name]()
+        report = _CHECK_SUITES[name](args)
         print(report)
         all_passed = all_passed and report.passed
     print("all checks passed" if all_passed else "some checks FAILED")
@@ -222,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, include_plot=True):
+    def add_common(p):
         p.add_argument(
             "--seed",
             type=_seed,
@@ -230,11 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"RNG seed (default {DEFAULT_SEED})",
         )
         p.add_argument("--out", help="write the result CSV to this path")
-        if include_plot:
-            p.add_argument(
-                "--plot-data",
-                help="write a gnuplot-friendly whitespace table to this path",
-            )
+        p.add_argument(
+            "--plot-data", help="write a gnuplot-friendly whitespace table to this path"
+        )
         p.add_argument(
             "--jobs", type=_positive_int, default=1, help="worker processes (default 1)"
         )
@@ -338,11 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
             "unbiasedness (uniform-coupling risk)."
         )
     )
-    p_check.add_argument(
-        "--only",
-        choices=("lemma1", "theorem1", "counterexample", "unbiasedness"),
-        default=None,
-    )
+    p_check.add_argument("--only", choices=tuple(_CHECK_SUITES), default=None)
     p_check.add_argument(
         "--samples",
         type=_positive_int,

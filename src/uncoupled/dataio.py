@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, EmptyDataError, ParameterError, SchemaError, _freeze
+from .core import Dataset, EmptyDataError, ParameterError, SchemaError
 
 MISSING_TOKENS = frozenset({"", "?", "NA", "NaN"})
 
@@ -158,52 +158,16 @@ def load_csv(path, schema: CsvSchema):
     return dataset, dropped
 
 
-@dataclass(frozen=True)
-class StandardizeRecord:
-    """Per-column centering/scaling constants; degenerate (zero-variance)
-    columns are centered only, with std recorded as 1."""
-
-    means: np.ndarray
-    stds: np.ndarray
-    degenerate: np.ndarray
-
-    def __post_init__(self):
-        means = _freeze(self.means)
-        stds = _freeze(self.stds)
-        degenerate = np.asarray(self.degenerate, dtype=bool).copy()
-        degenerate.flags.writeable = False
-        if not (means.ndim == stds.ndim == degenerate.ndim == 1):
-            raise ParameterError("record components must be 1-d")
-        if not (means.size == stds.size == degenerate.size):
-            raise ParameterError("record components must share length")
-        if np.any(stds <= 0.0):
-            raise ParameterError("recorded stds must be positive")
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "stds", stds)
-        object.__setattr__(self, "degenerate", degenerate)
-
-
-def standardize(data: Dataset):
+def standardize(data: Dataset) -> Dataset:
     """Center and scale features to zero mean, unit std (population std).
 
-    Returns (standardized dataset, record).  Zero-variance columns are
-    centered but not scaled, and flagged in the record.
+    Columns whose std is below 1e-12 are centered but not scaled.
     """
     means = data.features.mean(axis=0)
     stds = data.features.std(axis=0)
-    degenerate = stds < 1e-12
-    stds = np.where(degenerate, 1.0, stds)
-    record = StandardizeRecord(means=means, stds=stds, degenerate=degenerate)
-    return apply_standardization(data, record), record
-
-
-def apply_standardization(data: Dataset, record: StandardizeRecord) -> Dataset:
-    """Apply previously recorded centering/scaling to a compatible dataset."""
-    if record.means.size != data.dim:
-        raise SchemaError(
-            f"record has {record.means.size} columns, dataset has {data.dim}"
-        )
-    features = (data.features - record.means) / record.stds
+    stds = np.where(stds < 1e-12, 1.0, stds)
     return Dataset(
-        features=features, targets=data.targets, feature_names=data.feature_names
+        features=(data.features - means) / stds,
+        targets=data.targets,
+        feature_names=data.feature_names,
     )

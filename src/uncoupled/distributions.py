@@ -44,15 +44,14 @@ _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 @dataclass(frozen=True, eq=False)
 class TargetDistribution:
-    """pdf, its derivative, cdf and inverse cdf, with a finite working
-    support window.  pdf_prime is the derivative of pdf wherever it exists
-    (0 on the flat pieces of a piecewise-linear cdf)."""
+    """pdf, its derivative, cdf and inverse cdf.  pdf_prime is the
+    derivative of pdf wherever it exists (0 on the flat pieces of a
+    piecewise-linear cdf)."""
 
     pdf: Callable[[np.ndarray], np.ndarray]
     pdf_prime: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray]
     inv_cdf: Callable[[np.ndarray], np.ndarray]
-    support_bounds: tuple[float, float]
     name: str = ""
 
 
@@ -108,7 +107,6 @@ def gaussian_distribution(mean: float, std: float) -> TargetDistribution:
         pdf_prime=_scalarize(pdf_prime),
         cdf=_scalarize(cdf),
         inv_cdf=_scalarize(inv),
-        support_bounds=(mean - 10.0 * std, mean + 10.0 * std),
         name=f"gaussian(mean={mean:g}, std={std:g})",
     )
 
@@ -132,7 +130,6 @@ def uniform_distribution(a: float, b: float) -> TargetDistribution:
         pdf_prime=_scalarize(_flat),
         cdf=_scalarize(cdf),
         inv_cdf=_scalarize(inv),
-        support_bounds=(a, b),
         name=f"uniform({a:g}, {b:g})",
     )
 
@@ -478,7 +475,6 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
         pdf_prime=_scalarize(pdf_prime),
         cdf=_scalarize(cdf),
         inv_cdf=inv,
-        support_bounds=(lo, hi),
         name=f"kde(n={n}, h={h:g})",
     )
 
@@ -529,6 +525,5 @@ def empirical_distribution(values) -> TargetDistribution:
         pdf_prime=_scalarize(_flat),
         cdf=_scalarize(cdf),
         inv_cdf=_scalarize(inv),
-        support_bounds=(float(knots[0]), float(knots[-1])),
         name=f"empirical(n={n})",
     )

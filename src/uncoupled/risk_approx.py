@@ -46,8 +46,6 @@ from .core import (
 from .distributions import TargetDistribution
 from .optimize import minimize_gd
 
-_RIDGE = 1e-8
-
 
 @dataclass(frozen=True)
 class RaVariances:
@@ -348,10 +346,11 @@ def ra_empirical_risk(
 
 
 _MAX_COND = 1e12
+_RIDGE = 1e-8
 
 
-def solve_normal_equations(G: np.ndarray, rhs: np.ndarray, ridge: float = _RIDGE) -> np.ndarray:
-    """Solve G theta = rhs, retrying with a ridge of ridge * I when G is
+def solve_normal_equations(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve G theta = rhs, retrying with a ridge of 1e-8 * I when G is
     singular or ill-conditioned (collinear columns make the plain solve
     "succeed" with a huge null-space component whose cancellation error
     wrecks predictions); raises NumericError when even that fails."""
@@ -363,7 +362,7 @@ def solve_normal_equations(G: np.ndarray, rhs: np.ndarray, ridge: float = _RIDGE
     except np.linalg.LinAlgError:
         pass
     try:
-        theta = np.linalg.solve(G + ridge * np.eye(G.shape[0]), rhs)
+        theta = np.linalg.solve(G + _RIDGE * np.eye(G.shape[0]), rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericError("normal equations unsolvable even with ridge") from exc
     if not np.all(np.isfinite(theta)):

@@ -27,7 +27,6 @@ from .optimize import minimize_gd
 from .risk_approx import fit_columns, linked_risk
 
 _TT_RISK = RiskConfig(w1=0.5, w2=0.0, lam=0.5)
-_MULTISTART_SCALE = 0.1
 
 
 def sigmoid_link(h: np.ndarray):
@@ -59,21 +58,14 @@ def tt_fit(
     *,
     include_intercept: bool = False,
 ) -> LinearModel:
-    """Fit of the transformed-target risk on g(h(x)) for the link g, by
-    damped Newton steps on the closures of linked_risk.
-
-    Starts from zero.  Only when the zero start does not converge are +0.1
-    and -0.1 per coordinate tried too, keeping the lowest final risk (ties
-    go to the earlier start).  Needs n_U >= the parameter count.
+    """Fit of the transformed-target risk on g(h(x)) for the link g: one
+    damped Newton solve on the closures of linked_risk, from zero.  An
+    unconverged solve is returned as it is.  Needs n_U >= the parameter
+    count.
     """
     ncols = fit_columns(unlabeled, pairs, include_intercept)
     fun, grad, hess = linked_risk(gen, link, _TT_RISK, unlabeled, pairs, include_intercept)
     result = minimize_gd(fun, grad, np.zeros(ncols), hess=hess)
-    if not result.converged:
-        for scale in (_MULTISTART_SCALE, -_MULTISTART_SCALE):
-            retry = minimize_gd(fun, grad, np.full(ncols, scale), hess=hess)
-            if retry.value < result.value:
-                result = retry
     return LinearModel(theta=result.theta, includes_intercept=include_intercept)
 
 

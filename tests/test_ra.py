@@ -80,7 +80,6 @@ class TestErrObjective:
             pdf_prime=np.zeros_like,
             cdf=lambda y: np.where(np.asarray(y) >= 1.0, 1.0, 0.0),
             inv_cdf=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-            support_bounds=(1.0, 1.0),
         )
         with pytest.raises(ParameterError):
             err_objective(point, 0.5, 0.0)

@@ -286,6 +286,8 @@ class TestFit:
             assert gd.converged and newton.converged
             assert newton.iterations < gd.iterations
             np.testing.assert_allclose(newton.theta, gd.theta, rtol=0.0, atol=1e-6)
+        from_zero = minimize_gd(fun, grad, np.zeros(3), hess=hess)
+        np.testing.assert_array_equal(tt_fit(gen, unlabeled, pairs).theta, from_zero.theta)
 
     @pytest.mark.parametrize("n_r", [100, 1000, 5000])
     @pytest.mark.parametrize("seed", [1, 3])
