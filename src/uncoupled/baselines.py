@@ -39,21 +39,39 @@ def lr_fit(data: Dataset, *, include_intercept: bool = False) -> LinearModel:
     return LinearModel(theta=theta, includes_intercept=include_intercept)
 
 
-def _hinge_loss(theta: np.ndarray, D: np.ndarray) -> float:
-    viol = np.maximum(0.0, 1.0 - D @ theta)
-    return float(np.mean(viol**2) + _RANK_REG * theta @ theta)
+def _hinge_risk(D: np.ndarray):
+    """Closures (fun, grad, hess) of theta for the squared-hinge ranking
+    loss on the comparison differences D = W - L:
 
+      fun  = mean(max(0, 1 - D theta)^2) + reg ||theta||^2
+      grad = -2 D^T viol / n + 2 reg theta
+      hess = 2 D_act^T D_act / n + 2 reg I   (generalized Hessian)
 
-def _hinge_grad(theta: np.ndarray, D: np.ndarray) -> np.ndarray:
-    viol = np.maximum(0.0, 1.0 - D @ theta)
-    return -2.0 * (D.T @ viol) / D.shape[0] + 2.0 * _RANK_REG * theta
+    with D_act the rows whose margin is below 1.  D is stored transposed and
+    contiguous, and the three closures share one margin pass per theta."""
+    Dt = np.ascontiguousarray(D.T)
+    n = Dt.shape[1]
+    last = {}
 
+    def viol(theta):
+        key = theta.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = np.maximum(0.0, 1.0 - theta @ Dt)
+        return last[key]
 
-def _hinge_hess(theta: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Generalized Hessian of _hinge_loss: 2 D_act^T D_act / n + 2 reg I,
-    with D_act the rows of D = W - L whose margin is below 1."""
-    active = D[D @ theta < 1.0]
-    return 2.0 * (active.T @ active) / D.shape[0] + 2.0 * _RANK_REG * np.eye(theta.size)
+    def fun(theta) -> float:
+        v = viol(theta)
+        return float(v @ v / n + _RANK_REG * theta @ theta)
+
+    def grad(theta) -> np.ndarray:
+        return -2.0 * (Dt @ viol(theta)) / n + 2.0 * _RANK_REG * theta
+
+    def hess(theta) -> np.ndarray:
+        active = Dt[:, viol(theta) > 0.0]
+        return 2.0 * (active @ active.T) / n + 2.0 * _RANK_REG * np.eye(theta.size)
+
+    return fun, grad, hess
 
 
 def ranker_fit(pairs: PairwiseSet) -> LinearModel:
@@ -64,13 +82,8 @@ def ranker_fit(pairs: PairwiseSet) -> LinearModel:
     ranking with SVMs", 2010)."""
     if pairs.n_pairs < 1:
         raise EmptyDataError("ranker_fit needs at least one comparison")
-    D = pairs.winners - pairs.losers
-    result = minimize_gd(
-        lambda th: _hinge_loss(th, D),
-        lambda th: _hinge_grad(th, D),
-        np.zeros(pairs.dim),
-        hess=lambda th: _hinge_hess(th, D),
-    )
+    fun, grad, hess = _hinge_risk(pairs.winners - pairs.losers)
+    result = minimize_gd(fun, grad, np.zeros(pairs.dim), hess=hess)
     return LinearModel(theta=result.theta)
 
 

@@ -238,9 +238,12 @@ class BregmanGenerator:
     valid_domain: tuple[float, float] = (-np.inf, np.inf)
 
     def contains(self, x) -> bool:
+        """Whether every entry lies strictly inside valid_domain; nan and
+        +-inf never do, and an empty array does.  A nan makes min and max
+        nan, which fails both comparisons."""
         arr = np.asarray(x, dtype=float)
         lo, hi = self.valid_domain
-        return bool(np.all(arr > lo) and np.all(arr < hi) and np.all(np.isfinite(arr)))
+        return arr.size == 0 or bool(arr.min() > lo and arr.max() < hi)
 
     def require_domain(self, x, what: str = "value"):
         if not self.contains(x):

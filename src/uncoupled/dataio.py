@@ -65,8 +65,8 @@ def load_csv(path, schema: CsvSchema):
     """Read a CSV file into a Dataset with targets.
 
     Returns (dataset, dropped_row_count).  Raises OSError for unreadable
-    files, SchemaError for unresolvable columns, EmptyDataError when no row
-    survives filtering.
+    files, SchemaError for unresolvable columns or a file with no column
+    besides the target, EmptyDataError when no row survives filtering.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         raw = list(csv.reader(fh, delimiter=schema.delimiter))
@@ -80,6 +80,8 @@ def load_csv(path, schema: CsvSchema):
         raise SchemaError(f"{path}: no columns")
 
     target_idx = _resolve_column(schema.target_column, header, ncols)
+    if ncols < 2:
+        raise SchemaError(f"{path}: no feature column besides the target")
     cat_idxs = sorted(
         {_resolve_column(c, header, ncols) for c in schema.categorical_columns}
     )

@@ -5,7 +5,9 @@ and every fit supplies its (generalized) Hessian, so each step is a damped
 Newton step (Nocedal & Wright, Numerical Optimization, ch. 3 and 6): the
 direction solves (H + mu I) d = -g by Cholesky, with mu = 0 when H is
 positive definite and doubled from a small shift until the factorization
-succeeds otherwise, and the line search starts from the full step.  There
+succeeds otherwise, and the line search starts from the full step.  The
+fits' closures share one pass over the data per theta, so the gradient at
+an accepted trial and the next Hessian reuse the objective's pass.  There
 are no knobs: the stopping rule and line search are module constants.
 """
 
@@ -45,17 +47,16 @@ def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     H = np.asarray(H, dtype=float)
     if not np.all(np.isfinite(H)):
         return -g
-    mu = 0.0
-    base = _SHIFT * max(1.0, float(np.max(np.abs(np.diag(H)))))
-    eye = np.eye(H.shape[0])
+    mu, shifted = 0.0, H
     while True:
         try:
-            C = np.linalg.cholesky(H + mu * eye)
+            C = np.linalg.cholesky(shifted)
             break
         except np.linalg.LinAlgError:
-            mu = base if mu == 0.0 else 2.0 * mu
+            mu = 2.0 * mu if mu else _SHIFT * max(1.0, float(np.max(np.abs(np.diag(H)))))
             if not np.isfinite(mu):
                 return -g
+            shifted = H + mu * np.eye(H.shape[0])
     d = -np.linalg.solve(C.T, np.linalg.solve(C, g))
     if not float(g @ d) < 0.0:
         return -g

@@ -5,8 +5,9 @@ the target CDF's scale.  The transformed target F_Y(Y) is uniform on
 [0, 1], and for a target uniform on [a, b] the ra weights (w1, w2) =
 (b/2, a/2) are exact (Err = 0).  So the tt risk is the ra risk with
 RiskConfig(w1=1/2, w2=0, lam=1/2) on the linked score g(h(x)), and
-`risk_approx.linked_risk` gives its value, gradient and Hessian.  The fit
-learns g(h(x)) ~ F_Y(y); the read-out is F_Y^{-1}(g(h(x))).
+`risk_approx.linked_risk` gives its value, gradient and Hessian, with one
+link call per theta over all unlabeled and pair rows.  The fit learns
+g(h(x)) ~ F_Y(y); the read-out is F_Y^{-1}(g(h(x))).
 
 The link is the estimator's only setting, and one link drives both the fit
 and the read-out:
@@ -19,7 +20,6 @@ and the read-out:
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .core import BregmanGenerator, Dataset, LinearModel, PairwiseSet, RiskConfig, predict
 from .distributions import _QUANTILE_CLAMP, TargetDistribution
@@ -30,9 +30,11 @@ _TT_RISK = RiskConfig(w1=0.5, w2=0.0, lam=0.5)
 
 
 def sigmoid_link(h: np.ndarray):
-    """Clamped sigmoid s with s' = s(1 - s) and s'' = s'(1 - 2s); the
-    derivatives treat the clamp as inactive."""
-    s = np.clip(expit(h), _QUANTILE_CLAMP, 1.0 - _QUANTILE_CLAMP)
+    """Clamped sigmoid s = 1 / (1 + exp(-h)) with s' = s(1 - s) and
+    s'' = s'(1 - 2s); the derivatives treat the clamp as inactive.  exp
+    overflows to inf below h = -709, which gives s = 0 before the clamp."""
+    with np.errstate(over="ignore"):
+        s = np.clip(1.0 / (1.0 + np.exp(-h)), _QUANTILE_CLAMP, 1.0 - _QUANTILE_CLAMP)
     s1 = s * (1.0 - s)
     return s, s1, s1 * (1.0 - 2.0 * s)
 

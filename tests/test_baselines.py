@@ -17,7 +17,7 @@ from uncoupled import (
     sample_pairwise_from_spec,
     uniform_distribution,
 )
-from uncoupled.baselines import _hinge_grad, _hinge_hess, _hinge_loss
+from uncoupled.baselines import _hinge_risk
 from uncoupled.optimize import minimize_gd
 
 
@@ -80,8 +80,8 @@ class TestRankerFit:
     def test_loss_not_worse_than_zero_start(self):
         pairs, _ = separable_pairs(seed=5)
         ranker = ranker_fit(pairs)
-        D = pairs.winners - pairs.losers
-        assert _hinge_loss(ranker.theta, D) <= _hinge_loss(np.zeros(pairs.dim), D) + 1e-12
+        fun, _, _ = _hinge_risk(pairs.winners - pairs.losers)
+        assert fun(ranker.theta) <= fun(np.zeros(pairs.dim)) + 1e-12
 
     def test_swapping_pairs_negates_direction(self):
         pairs, _ = separable_pairs(seed=6)
@@ -100,11 +100,9 @@ class TestRankerFit:
 
 def hinge_solves(pairs, gradient_descent):
     """(reference gradient descent, damped Newton) from zero."""
-    D = pairs.winners - pairs.losers
-    fun = lambda t: _hinge_loss(t, D)
-    grad = lambda t: _hinge_grad(t, D)
+    fun, grad, hess = _hinge_risk(pairs.winners - pairs.losers)
     x0 = np.zeros(pairs.dim)
-    newton = minimize_gd(fun, grad, x0, hess=lambda t: _hinge_hess(t, D))
+    newton = minimize_gd(fun, grad, x0, hess=hess)
     return gradient_descent(fun, grad, x0), newton
 
 
@@ -114,6 +112,7 @@ class TestRankerNewton:
         W, L = rng.standard_normal((2, 40, 3))
         D = W - L
         theta = rng.standard_normal(3)
+        _, grad, hess_fn = _hinge_risk(D)
         step = 1e-6
         margin = D @ theta
         # away from the kinks at margin 1 the squared hinge is quadratic
@@ -122,11 +121,11 @@ class TestRankerNewton:
         assert 0 < np.sum(margin < 1.0) < margin.size
         fd = np.column_stack(
             [
-                (_hinge_grad(theta + e, D) - _hinge_grad(theta - e, D)) / (2 * step)
+                (grad(theta + e) - grad(theta - e)) / (2 * step)
                 for e in step * np.eye(3)
             ]
         )
-        hess = _hinge_hess(theta, D)
+        hess = hess_fn(theta)
         np.testing.assert_allclose(hess, fd, rtol=0.0, atol=1e-7)
 
     def test_newton_agrees_with_gradient_descent(self, gradient_descent):

@@ -139,6 +139,14 @@ class TestBench:
         assert "error: SchemaError" in stderr
         assert "nope" in stderr
 
+    def test_target_only_file_exits_one(self, capsys, tmp_path):
+        data = tmp_path / "target_only.csv"
+        data.write_text("y\n1\n2\n3\n")
+        code, _, stderr = run(capsys, "bench", "--data", str(data))
+        assert code == 1
+        assert "error: SchemaError" in stderr
+        assert "target_only.csv" in stderr and "no feature column" in stderr
+
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, stderr = run(
             capsys, "bench", "--data", str(tmp_path / "ghost.csv")

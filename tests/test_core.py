@@ -89,6 +89,37 @@ class TestGenerators:
         # (2x - 1) / (x (1 - x))^2 at x = 1/4 is -0.5 / (3/16)^2
         np.testing.assert_allclose(BERNOULLI_KL.phi_third(x), [-128.0 / 9.0, 0.0])
 
+    TINY = np.nextafter(0.0, 1.0)
+    BELOW_ONE = np.nextafter(1.0, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "gen,x,inside",
+        [
+            (SQUARED, np.nan, False),
+            (SQUARED, np.inf, False),
+            (SQUARED, -np.inf, False),
+            (SQUARED, np.array([1.0, np.nan]), False),
+            (SQUARED, np.array([[-1e308, 1e308], [0.0, -np.inf]]), False),
+            (SQUARED, np.array([-1e308, 0.0, 1e308]), True),
+            (SQUARED, np.array(3.5), True),
+            (SQUARED, np.empty(0), True),
+            (BERNOULLI_KL, 0.0, False),
+            (BERNOULLI_KL, 1.0, False),
+            (BERNOULLI_KL, np.array([0.5, 1.0]), False),
+            (BERNOULLI_KL, np.array([0.0, 0.5]), False),
+            (BERNOULLI_KL, np.array([0.5, np.nan]), False),
+            (BERNOULLI_KL, np.array([np.nan, np.nan]), False),
+            (BERNOULLI_KL, np.array([-np.inf, 0.5, np.inf]), False),
+            (BERNOULLI_KL, np.array([TINY, 0.5, BELOW_ONE]), True),
+            (BERNOULLI_KL, np.array(0.5), True),
+            (BERNOULLI_KL, np.empty((0, 3)), True),
+        ],
+    )
+    def test_contains_is_the_open_domain(self, gen, x, inside):
+        # nan and +-inf lie outside every domain, an empty array inside
+        assert gen.contains(x) is inside
+
     @pytest.mark.parametrize("gen", [SQUARED, BERNOULLI_KL], ids=["squared", "kl"])
     def test_second_derivative_nonnegative(self, gen):
         lo, hi = gen.valid_domain

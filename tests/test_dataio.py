@@ -105,6 +105,15 @@ class TestLoadCsv:
         with pytest.raises(SchemaError):
             load_csv(path, CsvSchema(target_column="y", categorical_columns=("y",)))
 
+    @pytest.mark.parametrize(
+        "text, target", [("y\n1\n2\n3\n", "y"), ("1\n2\n", -1)]
+    )
+    def test_target_only_file_rejected(self, tmp_path, text, target):
+        path = write(tmp_path, text, name="only_y.csv")
+        schema = CsvSchema(target_column=target, has_header=isinstance(target, str))
+        with pytest.raises(SchemaError, match=r"only_y\.csv: no feature column"):
+            load_csv(path, schema)
+
     def test_empty_file_rejected(self, tmp_path):
         path = write(tmp_path, "")
         with pytest.raises(EmptyDataError):

@@ -7,6 +7,7 @@ from uncoupled import (
     SQUARED,
     Dataset,
     DegenerateVarianceError,
+    DomainError,
     LinearModel,
     PairwiseSet,
     ParameterError,
@@ -31,6 +32,7 @@ from uncoupled import (
     tune_weights_empirical,
     uniform_distribution,
 )
+from uncoupled.core import augment_intercept
 from uncoupled.distributions import TargetDistribution
 from uncoupled.optimize import minimize_gd
 from uncoupled.risk_approx import identity_link, linked_risk
@@ -466,3 +468,103 @@ class TestTuningConfig:
     def test_rejects_bad_grid(self):
         with pytest.raises(ParameterError):
             RaVariances(-1.0, 2.0)
+
+
+def three_block_risk(gen, link, cfg, unlabeled, pairs, include_intercept):
+    """Reference (fun, grad, hess): the linked risk with the unlabeled rows,
+    winners and losers as three separate designs and three link calls."""
+    X, W, L = (
+        augment_intercept(M, include_intercept)
+        for M in (unlabeled.features, pairs.winners, pairs.losers)
+    )
+    n_u, n_r, lam = X.shape[0], W.shape[0], cfg.lam
+    a, b = cfg.w1 - lam / 2.0, cfg.w2 - lam / 2.0
+
+    def parts(theta):
+        out = [link(M @ theta) for M in (X, W, L)]
+        if not all(gen.contains(g) for g, _, _ in out):
+            return None
+        return out
+
+    def bend(g, d1, d2):
+        return gen.phi_third(g) * d1 * d1 + gen.phi_second(g) * d2
+
+    def fun(theta):
+        p = parts(theta)
+        if p is None:
+            return np.inf
+        (gu, _, _), (gp, _, _), (gm, _, _) = p
+        risk = -float(np.mean(gen.phi(gu) - (gu - lam) * gen.phi_prime(gu)))
+        if n_r:
+            risk -= float(np.mean(a * gen.phi_prime(gp) + b * gen.phi_prime(gm)))
+        return risk
+
+    def grad(theta):
+        (gu, du, _), (gp, dp, _), (gm, dm, _) = parts(theta)
+        out = X.T @ ((gu - lam) * gen.phi_second(gu) * du) / n_u
+        if n_r:
+            out = out - (
+                W.T @ (a * gen.phi_second(gp) * dp) + L.T @ (b * gen.phi_second(gm) * dm)
+            ) / n_r
+        return out
+
+    def hess(theta):
+        (gu, du, ddu), (gp, dp, ddp), (gm, dm, ddm) = parts(theta)
+        cu = gen.phi_second(gu) * du * du + (gu - lam) * bend(gu, du, ddu)
+        out = (X.T * cu) @ X / n_u
+        if n_r:
+            out = out - (
+                (W.T * (a * bend(gp, dp, ddp))) @ W + (L.T * (b * bend(gm, dm, ddm))) @ L
+            ) / n_r
+        return out
+
+    return fun, grad, hess
+
+
+LEAN_LINKS = {
+    **LINKS,
+    "kde": cdf_link(kde_distribution(fit_kde(np.random.default_rng(3).normal(0.2, 1.5, 300)))),
+}
+
+
+class TestLeanRisk:
+    """linked_risk's one-design closures against the three-block formulas."""
+
+    @pytest.mark.parametrize("n_u,n_r", [(500, 300), (500, 0), (20_000, 300)])
+    @pytest.mark.parametrize("include_intercept", [False, True], ids=["no-icpt", "icpt"])
+    @pytest.mark.parametrize(
+        "gen,link",
+        [(SQUARED, name) for name in LEAN_LINKS]
+        + [(BERNOULLI_KL, name) for name in ("sigmoid", "cdf", "kde")],
+        ids=lambda v: getattr(v, "name", v),
+    )
+    def test_matches_three_block_formulas(self, gen, link, include_intercept, n_u, n_r):
+        rng = np.random.default_rng(n_u + n_r + include_intercept)
+        unlabeled = Dataset(features=rng.standard_normal((n_u, 3)))
+        pairs = PairwiseSet(rng.standard_normal((n_r, 3)), rng.standard_normal((n_r, 3)))
+        cfg = RiskConfig(*rng.uniform(-0.8, 0.8, 2), rng.uniform(-0.5, 0.5))
+        args = (gen, LEAN_LINKS[link], cfg, unlabeled, pairs, include_intercept)
+        lean, ref = linked_risk(*args), three_block_risk(*args)
+        for theta in 0.5 * rng.standard_normal((3, 3 + include_intercept)):
+            for got, want in zip(lean, ref):
+                np.testing.assert_allclose(got(theta), want(theta), rtol=1e-12, atol=0.0)
+
+    def test_kl_outside_its_domain(self):
+        rng = np.random.default_rng(8)
+        unlabeled = Dataset(features=rng.uniform(0.1, 0.3, (30, 2)))
+        pairs = PairwiseSet(rng.uniform(0.1, 0.3, (10, 2)), rng.uniform(0.1, 0.3, (10, 2)))
+        cfg = RiskConfig(0.4, 0.1, 0.2)
+        fun, grad, hess = linked_risk(BERNOULLI_KL, identity_link, cfg, unlabeled, pairs, False)
+        assert np.isfinite(fun(np.array([1.0, 1.0])))
+        # one loser score lands on 0 exactly, every other score inside (0, 1)
+        W, L = pairs.winners.copy(), pairs.losers.copy()
+        L[4] = 0.0
+        edge = PairwiseSet(W, L)
+        for pair_set, theta in ((pairs, np.array([3.0, 3.0])), (edge, np.array([1.0, 1.0]))):
+            fun, grad, hess = linked_risk(
+                BERNOULLI_KL, identity_link, cfg, unlabeled, pair_set, False
+            )
+            assert fun(theta) == np.inf
+            for closure in (grad, hess):
+                with pytest.raises(DomainError):
+                    closure(theta)

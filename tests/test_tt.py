@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 from scipy.stats import kendalltau
 
 from uncoupled import (
@@ -46,6 +49,34 @@ LINK_CASES = [
     for gen, gid in ((SQUARED, "squared"), (BERNOULLI_KL, "kl"))
 ]
 SIGMOID_1 = 0.7310585786300049  # 1 / (1 + e^-1)
+
+
+class TestSigmoidLink:
+    CLAMP = 1e-9
+
+    def grid(self):
+        h = np.random.default_rng(21).uniform(-40.0, 40.0, 20_000)
+        edges = [0.0, 20.7, 36.0, 708.0, 709.8, 710.0, 745.0, 800.0]
+        return np.concatenate([h, edges, np.negative(edges)])
+
+    def test_within_two_ulp_of_expit_without_warnings(self):
+        h = self.grid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s, s1, s2 = sigmoid_link(h)
+        want = np.clip(expit(h), self.CLAMP, 1.0 - self.CLAMP)
+        assert np.all(np.abs(s - want) <= 2.0 * np.spacing(want))
+        np.testing.assert_array_equal(s1, s * (1.0 - s))
+        np.testing.assert_array_equal(s2, s1 * (1.0 - 2.0 * s))
+
+    def test_clamp_holds(self):
+        h = self.grid()
+        s = sigmoid_link(h)[0]
+        assert np.all((s >= self.CLAMP) & (s <= 1.0 - self.CLAMP))
+        far = np.abs(h) >= 36.0
+        np.testing.assert_array_equal(
+            s[far], np.where(h[far] > 0, 1.0 - self.CLAMP, self.CLAMP)
+        )
 
 
 def tt_closures(gen, link, unlabeled, pairs, lam=0.5):
