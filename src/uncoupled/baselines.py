@@ -16,7 +16,6 @@ from .core import (
     LinearModel,
     ParameterError,
     PairwiseSet,
-    augment_intercept,
     predict,
 )
 from .distributions import TargetDistribution
@@ -26,17 +25,16 @@ from .risk_approx import solve_normal_equations
 _RANK_REG = 1e-4
 
 
-def lr_fit(data: Dataset, *, include_intercept: bool = False) -> LinearModel:
+def lr_fit(data: Dataset) -> LinearModel:
     """Ordinary least squares on a labeled dataset (normal equations with a
     tiny-ridge retry on singular Gram matrices)."""
     if data.targets is None:
         raise ParameterError("lr_fit needs a dataset with targets")
-    X = augment_intercept(data.features, include_intercept)
+    X = data.features
     n = X.shape[0]
     G = X.T @ X / n
     rhs = X.T @ data.targets / n
-    theta = solve_normal_equations(G, rhs)
-    return LinearModel(theta=theta, includes_intercept=include_intercept)
+    return LinearModel(theta=solve_normal_equations(G, rhs))
 
 
 def _hinge_risk(D: np.ndarray):

@@ -340,7 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=_positive_int,
         default=None,
-        help="sample count for lemma1/counterexample (default 1000000)",
+        help=(
+            "sample count for lemma1/counterexample (default 1000000); their "
+            "fixed tolerances are sized for the default, and at 100000 "
+            "counterexample fails on Monte-Carlo noise alone"
+        ),
     )
     p_check.add_argument(
         "--resamples",

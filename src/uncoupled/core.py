@@ -71,14 +71,6 @@ def as_matrix(a, name: str) -> np.ndarray:
     return out
 
 
-def augment_intercept(X: np.ndarray, intercept: bool) -> np.ndarray:
-    """X with a trailing constant-1 column when intercept is set, else X
-    itself: the design matrix of a LinearModel with that intercept flag."""
-    if not intercept:
-        return X
-    return np.hstack([X, np.ones((X.shape[0], 1))])
-
-
 # ---------------------------------------------------------------------------
 # datasets
 
@@ -173,14 +165,9 @@ class PairwiseSet:
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    """h(x) = theta . x, optionally with an intercept.
-
-    With includes_intercept the parameter vector has one extra trailing
-    coordinate and predictions append a constant-1 feature.
-    """
+    """h(x) = theta . x.  An intercept is a constant-1 feature column."""
 
     theta: np.ndarray
-    includes_intercept: bool = False
 
     def __post_init__(self):
         t = np.asarray(self.theta, dtype=float)
@@ -188,14 +175,12 @@ class LinearModel:
             raise ShapeError("theta must be a nonempty 1-d array")
         if not np.all(np.isfinite(t)):
             raise ParameterError("theta contains non-finite entries")
-        if self.includes_intercept and t.size < 2:
-            raise ShapeError("theta needs >= 2 entries when an intercept is included")
         object.__setattr__(self, "theta", _freeze(t))
 
     @property
     def dim(self) -> int:
-        """Number of raw feature coordinates the model consumes."""
-        return self.theta.size - (1 if self.includes_intercept else 0)
+        """Number of feature coordinates the model consumes."""
+        return self.theta.size
 
 
 def predict(model: LinearModel, x) -> float | np.ndarray:
@@ -203,21 +188,14 @@ def predict(model: LinearModel, x) -> float | np.ndarray:
     batch (2-d input of shape (m, d), returns shape (m,))."""
     arr = np.asarray(x, dtype=float)
     d = model.dim
-    theta = model.theta
     if arr.ndim == 1:
         if arr.size != d:
             raise ShapeError(f"input has {arr.size} coordinates, model expects {d}")
-        out = float(arr @ theta[:d])
-        if model.includes_intercept:
-            out += float(theta[d])
-        return out
+        return float(arr @ model.theta)
     if arr.ndim == 2:
         if arr.shape[1] != d:
             raise ShapeError(f"input has {arr.shape[1]} columns, model expects {d}")
-        out = arr @ theta[:d]
-        if model.includes_intercept:
-            out = out + theta[d]
-        return out
+        return arr @ model.theta
     raise ShapeError(f"input must be 1-d or 2-d, got ndim={arr.ndim}")
 
 

@@ -275,7 +275,6 @@ class _RepeatData(NamedTuple):
 
     train: Dataset
     test: Dataset
-    include_intercept: bool
     uncoupled: Callable[[], tuple]
     constant: float | None = None
 
@@ -292,7 +291,7 @@ def _synthetic_data(cfg: RiskConfig, spec: ExperimentSpec, seed_r: int) -> _Repe
         dist = gaussian_distribution(0.0, math.sqrt(1.0 + spec.noise_std**2))
         return dist, cfg, sample_pairwise_from_spec(sspec, max(spec.n_r_values))
 
-    return _RepeatData(train, test, False, uncoupled)
+    return _RepeatData(train, test, uncoupled)
 
 
 def _benchmark_data(
@@ -320,7 +319,6 @@ def _benchmark_data(
     return _RepeatData(
         train=Dataset(features=x, targets=y),
         test=Dataset(features=data.features[test_idx], targets=data.targets[test_idx]),
-        include_intercept=True,
         uncoupled=uncoupled,
         # a degenerate marginal collapses every method's prediction to it
         constant=float(y[0]) if np.all(y == y[0]) else None,
@@ -330,17 +328,15 @@ def _benchmark_data(
 def _fit_predict(method, rep, unl, pairs, dist, cfg, lambda_mode):
     """Fit one uncoupled method on features and comparisons; predict the
     repeat's test features."""
-    x_test, intercept = rep.test.features, rep.include_intercept
+    x_test = rep.test.features
     if method == "rank":
         return rank_predict(ranker_fit(pairs), unl, dist, x_test)
     if method == "tt":
-        model = tt_fit(SQUARED, unl, pairs, include_intercept=intercept)
-        return tt_predict(model, dist, x_test)
+        return tt_predict(tt_fit(SQUARED, unl, pairs), dist, x_test)
     if lambda_mode == "variance":
-        first = ra_fit(SQUARED, unl, pairs, cfg, include_intercept=intercept)
-        v = estimate_variances(first, SQUARED, pairs)
+        v = estimate_variances(ra_fit(SQUARED, unl, pairs, cfg), SQUARED, pairs)
         cfg = RiskConfig(w1=cfg.w1, w2=cfg.w2, lam=optimal_lambda(cfg.w1, cfg.w2, v))
-    return predict(ra_fit(SQUARED, unl, pairs, cfg, include_intercept=intercept), x_test)
+    return predict(ra_fit(SQUARED, unl, pairs, cfg), x_test)
 
 
 def _repeat(args):
@@ -360,8 +356,7 @@ def _repeat(args):
 
     if "lr" in spec.methods:
         try:
-            model = lr_fit(rep.train, include_intercept=rep.include_intercept)
-            lr_value = mse(predict(model, rep.test.features), y_test)
+            lr_value = mse(predict(lr_fit(rep.train), rep.test.features), y_test)
             values.update((("lr", n_r), lr_value) for n_r in spec.n_r_values)
         except Exception as exc:  # noqa: BLE001 - record, don't abort the sweep
             fail("method=lr", exc)
@@ -465,12 +460,15 @@ def run_benchmark(
     train targets (cross-validated KDE, or the interpolated empirical CDF
     when empirical_cdf is set); comparisons pair uniformly resampled train
     rows by their true targets; supervised LR uses the labels directly.
-    Uncoupled methods never see the (feature, target) pairing.  The data
-    set fixes the sizes, so spec.n_u, spec.dim, spec.noise_std and
-    spec.test_size are ignored.
+    Uncoupled methods never see the (feature, target) pairing.  Every
+    method fits an intercept: a constant-1 column is appended to the
+    features once, before the split.  The data set fixes the sizes, so
+    spec.n_u, spec.dim, spec.noise_std and spec.test_size are ignored.
     """
     if data.targets is None:
         raise ParameterError("run_benchmark needs a dataset with targets")
+    ones = np.ones((data.n, 1))
+    data = Dataset(features=np.hstack([data.features, ones]), targets=data.targets)
     return _sweep(partial(_benchmark_data, data, empirical_cdf), spec, jobs, lambda_mode)
 
 
@@ -720,16 +718,8 @@ def check_unbiasedness(
         xu = rng.random(n)
         x1 = rng.random(n)
         x2 = rng.random(n)
-        win = x1 >= x2
-        winners = np.where(win, x1, x2)[:, None]
-        losers = np.where(win, x2, x1)[:, None]
-        values[k] = ra_empirical_risk(
-            model,
-            gen,
-            Dataset(features=xu[:, None]),
-            PairwiseSet(winners=winners, losers=losers),
-            cfg,
-        )
+        pairs = pairwise_from_arrays(x1[:, None], x1, x2[:, None], x2)
+        values[k] = ra_empirical_risk(model, gen, Dataset(features=xu[:, None]), pairs, cfg)
     constant = 1.0 / 3.0  # E[Y^2] for Y ~ U[0,1]
     analytic = (float(theta) - 1.0) ** 2 / 3.0
     mean_risk = float(np.mean(values)) + constant

@@ -43,7 +43,6 @@ from .core import (
     ParameterError,
     RiskConfig,
     ShapeError,
-    augment_intercept,
     predict,
 )
 from .distributions import TargetDistribution
@@ -230,7 +229,6 @@ def linked_risk(
     cfg: RiskConfig,
     unlabeled: Dataset,
     pairs: PairwiseSet,
-    include_intercept: bool,
 ):
     """Closures (fun, grad, hess) of theta for the pairwise-data Bregman risk
     of a linked score g = link(h), h = theta . x, excluding the model-free
@@ -247,25 +245,24 @@ def linked_risk(
       hess = mean_U[ (phi''(g) g'^2 + (g - lam) e) x x^T ]
              - mean_R[ a e+ x+ x+^T + b e- x- x-^T ]
 
-    The unlabeled rows, winners and losers (each with a trailing constant 1
-    when include_intercept is set) are written once as the columns of one
-    contiguous p x (n_U + 2 n_R) design, each column with its weight 1/n_U,
-    -a/n_R or -b/n_R.  So each theta costs one product theta @ design, one
-    link call and one domain check, shared by all three closures; grad is
-    one matrix-vector product, and hess is summed over column blocks of
-    _HESS_BLOCK.  fun is +inf where a linked score leaves the generator's
-    open domain, so a line search backs off there; grad and hess raise
-    DomainError.
+    The unlabeled rows, winners and losers are written once as the columns
+    of one contiguous d x (n_U + 2 n_R) design, each column with its weight
+    1/n_U, -a/n_R or -b/n_R.  So each theta costs one product theta @
+    design, one link call and one domain check, shared by all three
+    closures; grad is one matrix-vector product, and hess is summed over
+    column blocks of _HESS_BLOCK.  fun is +inf where a linked score leaves
+    the generator's open domain, so a line search backs off there; grad and
+    hess raise DomainError.  An intercept is a constant-1 feature column.
     """
     n_u, n_r, d = unlabeled.n, pairs.n_pairs, unlabeled.dim
     lam = cfg.lam
     a = cfg.w1 - lam / 2.0
     b = cfg.w2 - lam / 2.0
-    Mt = np.ones((d + bool(include_intercept), n_u + 2 * n_r))
-    Mt[:d, :n_u] = unlabeled.features.T
+    Mt = np.empty((d, n_u + 2 * n_r))
+    Mt[:, :n_u] = unlabeled.features.T
     if n_r:
-        Mt[:d, n_u : n_u + n_r] = pairs.winners.T
-        Mt[:d, n_u + n_r :] = pairs.losers.T
+        Mt[:, n_u : n_u + n_r] = pairs.winners.T
+        Mt[:, n_u + n_r :] = pairs.losers.T
     weight = np.repeat([1.0 / n_u, -a / (n_r or 1), -b / (n_r or 1)], [n_u, n_r, n_r])
     last = {}
 
@@ -308,7 +305,7 @@ def linked_risk(
         c = gen.phi_third(g) * d1 * d1 + second * d2
         c[:n_u] = second[:n_u] * d1[:n_u] * d1[:n_u] + (g[:n_u] - lam) * c[:n_u]
         c *= weight
-        out = np.zeros((Mt.shape[0],) * 2)
+        out = np.zeros((d, d))
         for s in range(0, Mt.shape[1], _HESS_BLOCK):
             block = Mt[:, s : s + _HESS_BLOCK]
             out += (block * c[s : s + _HESS_BLOCK]) @ block.T
@@ -317,21 +314,20 @@ def linked_risk(
     return fun, grad, hess
 
 
-def fit_columns(unlabeled: Dataset, pairs: PairwiseSet, include_intercept: bool) -> int:
-    """Number of parameters of a linear fit on (unlabeled, pairs).  Raises
-    ShapeError when the pair and unlabeled dims differ, and ParameterError
-    on fewer unlabeled rows than parameters, where the unlabeled term cannot
-    pin every direction of theta."""
+def fit_columns(unlabeled: Dataset, pairs: PairwiseSet) -> int:
+    """Number of parameters of a linear fit on (unlabeled, pairs), one per
+    feature.  Raises ShapeError when the pair and unlabeled dims differ, and
+    ParameterError on fewer unlabeled rows than parameters, where the
+    unlabeled term cannot pin every direction of theta."""
     if pairs.n_pairs > 0 and pairs.dim != unlabeled.dim:
         raise ShapeError(
             f"pairwise dim {pairs.dim} does not match unlabeled dim {unlabeled.dim}"
         )
-    ncols = unlabeled.dim + (1 if include_intercept else 0)
-    if unlabeled.n < ncols:
+    if unlabeled.n < unlabeled.dim:
         raise ParameterError(
-            f"need n_U >= {ncols} rows, one per parameter, got {unlabeled.n}"
+            f"need n_U >= {unlabeled.dim} rows, one per parameter, got {unlabeled.n}"
         )
-    return ncols
+    return unlabeled.dim
 
 
 def ra_empirical_risk(
@@ -350,9 +346,7 @@ def ra_empirical_risk(
     that is, linked_risk on the identity link; +inf when a score leaves the
     generator's domain.
     """
-    fun, _, _ = linked_risk(
-        gen, identity_link, cfg, unlabeled, pairs, model.includes_intercept
-    )
+    fun, _, _ = linked_risk(gen, identity_link, cfg, unlabeled, pairs)
     return fun(model.theta)
 
 
@@ -387,7 +381,6 @@ def ra_fit(
     pairs: PairwiseSet,
     cfg: RiskConfig,
     *,
-    include_intercept: bool = False,
     init: np.ndarray | None = None,
 ) -> LinearModel:
     """Minimize ra_empirical_risk over linear models.
@@ -401,24 +394,21 @@ def ra_fit(
     damped Newton steps on the identity-link closures of linked_risk from
     theta = init, or 0 when init is None; a generator whose domain excludes
     0, such as Bernoulli KL, needs an init inside it.  Both need n_U >= the
-    parameter count.
+    feature count.
     """
-    ncols = fit_columns(unlabeled, pairs, include_intercept)
+    ncols = fit_columns(unlabeled, pairs)
     if gen.name == "squared":
-        Xa = augment_intercept(unlabeled.features, include_intercept)
-        G = Xa.T @ Xa / unlabeled.n
-        rhs = cfg.lam * Xa.mean(axis=0)
+        X = unlabeled.features
+        G = X.T @ X / unlabeled.n
+        rhs = cfg.lam * X.mean(axis=0)
         if pairs.n_pairs > 0:
-            Wa = augment_intercept(pairs.winners, include_intercept)
-            La = augment_intercept(pairs.losers, include_intercept)
-            rhs = rhs + (cfg.w1 - cfg.lam / 2.0) * Wa.mean(axis=0)
-            rhs = rhs + (cfg.w2 - cfg.lam / 2.0) * La.mean(axis=0)
-        theta = solve_normal_equations(G, rhs)
-        return LinearModel(theta=theta, includes_intercept=include_intercept)
+            rhs = rhs + (cfg.w1 - cfg.lam / 2.0) * pairs.winners.mean(axis=0)
+            rhs = rhs + (cfg.w2 - cfg.lam / 2.0) * pairs.losers.mean(axis=0)
+        return LinearModel(theta=solve_normal_equations(G, rhs))
 
-    fun, grad, hess = linked_risk(gen, identity_link, cfg, unlabeled, pairs, include_intercept)
+    fun, grad, hess = linked_risk(gen, identity_link, cfg, unlabeled, pairs)
     x0 = np.zeros(ncols) if init is None else np.asarray(init, dtype=float)
     if x0.shape != (ncols,):
         raise ShapeError(f"init must have shape ({ncols},), got {x0.shape}")
     result = minimize_gd(fun, grad, x0, hess=hess)
-    return LinearModel(theta=result.theta, includes_intercept=include_intercept)
+    return LinearModel(theta=result.theta)

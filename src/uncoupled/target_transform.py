@@ -57,18 +57,16 @@ def tt_fit(
     unlabeled: Dataset,
     pairs: PairwiseSet,
     link=sigmoid_link,
-    *,
-    include_intercept: bool = False,
 ) -> LinearModel:
     """Fit of the transformed-target risk on g(h(x)) for the link g: one
     damped Newton solve on the closures of linked_risk, from zero.  An
-    unconverged solve is returned as it is.  Needs n_U >= the parameter
+    unconverged solve is returned as it is.  Needs n_U >= the feature
     count.
     """
-    ncols = fit_columns(unlabeled, pairs, include_intercept)
-    fun, grad, hess = linked_risk(gen, link, _TT_RISK, unlabeled, pairs, include_intercept)
+    ncols = fit_columns(unlabeled, pairs)
+    fun, grad, hess = linked_risk(gen, link, _TT_RISK, unlabeled, pairs)
     result = minimize_gd(fun, grad, np.zeros(ncols), hess=hess)
-    return LinearModel(theta=result.theta, includes_intercept=include_intercept)
+    return LinearModel(theta=result.theta)
 
 
 def tt_predict(

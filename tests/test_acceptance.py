@@ -119,7 +119,7 @@ def test_criterion_6_gradient_checks(capsys):
             w2=float(rng.uniform(-1, 1)),
             lam=float(rng.uniform(-1, 1)),
         )
-        fun, grad_fn, _ = linked_risk(SQUARED, identity_link, cfg, unl, pairs, False)
+        fun, grad_fn, _ = linked_risk(SQUARED, identity_link, cfg, unl, pairs)
         grad = grad_fn(theta)
         fd = _fd(fun, theta)
         scale = max(1.0, float(np.max(np.abs(fd))))
@@ -128,7 +128,7 @@ def test_criterion_6_gradient_checks(capsys):
     tt = RiskConfig(w1=0.5, w2=0.0, lam=0.5)
     for _ in range(50):
         unl, pairs, theta = _random_instance(rng)
-        fun, grad_fn, _ = linked_risk(SQUARED, sigmoid_link, tt, unl, pairs, False)
+        fun, grad_fn, _ = linked_risk(SQUARED, sigmoid_link, tt, unl, pairs)
         grad = grad_fn(theta)
         fd = _fd(fun, theta)
         scale = max(1.0, float(np.max(np.abs(fd))))

@@ -44,9 +44,8 @@ class TestLeastSquares:
 
     def test_constant_target_with_intercept(self):
         rng = np.random.default_rng(2)
-        X = rng.standard_normal((50, 3))
-        model = lr_fit(labeled(X, np.full(50, 7.25)), include_intercept=True)
-        assert model.includes_intercept
+        X = np.hstack([rng.standard_normal((50, 3)), np.ones((50, 1))])
+        model = lr_fit(labeled(X, np.full(50, 7.25)))
         np.testing.assert_allclose(model.theta[:3], 0.0, atol=1e-8)
         assert model.theta[3] == pytest.approx(7.25, abs=1e-8)
 

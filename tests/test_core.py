@@ -141,10 +141,6 @@ class TestPredict:
     def test_hand_dot_product(self):
         assert predict(LinearModel(np.array([2.0, -1.0])), np.array([3.0, 4.0])) == 2.0
 
-    def test_intercept_appends_constant_one(self):
-        model = LinearModel(np.array([2.0, -1.0]), includes_intercept=True)
-        assert predict(model, np.array([3.0])) == 5.0
-
     def test_batch_matches_rows(self):
         rng = np.random.default_rng(1)
         model = LinearModel(rng.standard_normal(4))

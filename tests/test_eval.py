@@ -248,6 +248,15 @@ class TestRunBenchmark:
         table = run_benchmark(toy_benchmark(), self.SPEC, empirical_cdf=True)
         assert len(table.rows) == 4
 
+    def test_lr_fits_an_intercept(self):
+        # a noise-free affine target: only a fitted intercept reaches zero
+        # error, where lr on the raw features reads about 2.5e3
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((300, 3))
+        data = Dataset(features=X, targets=50.0 + X @ np.array([1.0, -0.5, 0.25]))
+        spec = ExperimentSpec(n_u=1, n_r_values=(60,), repeats=2, seed=9, methods=("lr",))
+        assert run_benchmark(data, spec).row("lr", 60).mean_mse < 1e-20
+
 
 class TestSweepFailures:
     """A failing fit or shared set-up marks its cells, never aborts the sweep.

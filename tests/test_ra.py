@@ -32,7 +32,6 @@ from uncoupled import (
     tune_weights_empirical,
     uniform_distribution,
 )
-from uncoupled.core import augment_intercept
 from uncoupled.distributions import TargetDistribution
 from uncoupled.optimize import minimize_gd
 from uncoupled.risk_approx import identity_link, linked_risk
@@ -55,6 +54,16 @@ def uniform_coupling(n_u, n_r, seed, shift=0.0):
     unlabeled = Dataset(features=xu[:, None])
     pairs = pairwise_from_arrays(x1[:, None], x1 + shift, x2[:, None], x2 + shift)
     return unlabeled, pairs
+
+
+def with_ones(unlabeled, pairs):
+    """unlabeled and pairs with a trailing constant-1 feature, the column an
+    intercept reads."""
+    X, W, L = (
+        np.hstack([M, np.ones((M.shape[0], 1))])
+        for M in (unlabeled.features, pairs.winners, pairs.losers)
+    )
+    return Dataset(features=X), PairwiseSet(W, L)
 
 
 class TestErrObjective:
@@ -311,7 +320,7 @@ class TestEmpiricalRisk:
 
         def risk(lam):
             cfg = RiskConfig(0.3, -0.2, lam)
-            fun, _, _ = linked_risk(gen, LINKS[link], cfg, unlabeled, pairs, False)
+            fun, _, _ = linked_risk(gen, LINKS[link], cfg, unlabeled, pairs)
             return fun(theta)
 
         assert risk(0.7) - risk(0.0) == pytest.approx(0.7 * slope, abs=1e-12)
@@ -375,7 +384,7 @@ class TestRiskGradient:
                 pairs = PairwiseSet(rng.uniform(0.1, 0.3, (10, 3)), rng.uniform(0.1, 0.3, (10, 3)))
                 theta = rng.uniform(0.5, 1.0, 3)
             cfg = RiskConfig(*rng.uniform(-0.8, 0.8, 2), rng.uniform(-0.5, 0.5))
-            _, grad_fn, _ = linked_risk(gen, identity_link, cfg, unlabeled, pairs, False)
+            _, grad_fn, _ = linked_risk(gen, identity_link, cfg, unlabeled, pairs)
             grad = grad_fn(theta)
             fd = finite_difference_gradient(
                 lambda t: ra_empirical_risk(LinearModel(t), gen, unlabeled, pairs, cfg),
@@ -393,9 +402,9 @@ class TestRaFit:
         assert model.theta[0] == pytest.approx(1.0, abs=0.05)
 
     def test_intercept_recovers_affine_shift(self):
-        unlabeled, pairs = uniform_coupling(100_000, 5000, seed=1, shift=2.0)
+        unlabeled, pairs = with_ones(*uniform_coupling(100_000, 5000, seed=1, shift=2.0))
         cfg = tune_weights(uniform_distribution(2.0, 3.0))
-        model = ra_fit(SQUARED, unlabeled, pairs, cfg, include_intercept=True)
+        model = ra_fit(SQUARED, unlabeled, pairs, cfg)
         assert model.theta[0] == pytest.approx(1.0, abs=0.05)
         assert model.theta[1] == pytest.approx(2.0, abs=0.05)
 
@@ -403,7 +412,7 @@ class TestRaFit:
         unlabeled, pairs = uniform_coupling(2000, 400, seed=2)
         cfg = RiskConfig(0.5, 0.0, 0.25)
         closed = ra_fit(SQUARED, unlabeled, pairs, cfg)
-        fun, grad, hess = linked_risk(SQUARED, identity_link, cfg, unlabeled, pairs, False)
+        fun, grad, hess = linked_risk(SQUARED, identity_link, cfg, unlabeled, pairs)
         newton = minimize_gd(fun, grad, np.zeros(1), hess=hess)
         assert newton.converged
         assert np.max(np.abs(closed.theta - newton.theta)) < 1e-10
@@ -417,7 +426,7 @@ class TestRaFit:
         cfg = tune_weights(uniform_distribution(0.0, 0.5))
         start = np.array([0.5])
         model = ra_fit(BERNOULLI_KL, unlabeled, pairs, cfg, init=start)
-        fun, grad, _ = linked_risk(BERNOULLI_KL, identity_link, cfg, unlabeled, pairs, False)
+        fun, grad, _ = linked_risk(BERNOULLI_KL, identity_link, cfg, unlabeled, pairs)
         gd = gradient_descent(fun, grad, start)
         assert gd.converged
         np.testing.assert_allclose(model.theta, gd.theta, rtol=0.0, atol=1e-6)
@@ -472,9 +481,10 @@ class TestTuningConfig:
 
 def three_block_risk(gen, link, cfg, unlabeled, pairs, include_intercept):
     """Reference (fun, grad, hess): the linked risk with the unlabeled rows,
-    winners and losers as three separate designs and three link calls."""
+    winners and losers as three separate designs and three link calls, each
+    with a trailing constant-1 column when include_intercept is set."""
     X, W, L = (
-        augment_intercept(M, include_intercept)
+        np.hstack([M, np.ones((M.shape[0], int(include_intercept)))])
         for M in (unlabeled.features, pairs.winners, pairs.losers)
     )
     n_u, n_r, lam = X.shape[0], W.shape[0], cfg.lam
@@ -543,8 +553,10 @@ class TestLeanRisk:
         unlabeled = Dataset(features=rng.standard_normal((n_u, 3)))
         pairs = PairwiseSet(rng.standard_normal((n_r, 3)), rng.standard_normal((n_r, 3)))
         cfg = RiskConfig(*rng.uniform(-0.8, 0.8, 2), rng.uniform(-0.5, 0.5))
-        args = (gen, LEAN_LINKS[link], cfg, unlabeled, pairs, include_intercept)
-        lean, ref = linked_risk(*args), three_block_risk(*args)
+        ref = three_block_risk(gen, LEAN_LINKS[link], cfg, unlabeled, pairs, include_intercept)
+        if include_intercept:
+            unlabeled, pairs = with_ones(unlabeled, pairs)
+        lean = linked_risk(gen, LEAN_LINKS[link], cfg, unlabeled, pairs)
         for theta in 0.5 * rng.standard_normal((3, 3 + include_intercept)):
             for got, want in zip(lean, ref):
                 np.testing.assert_allclose(got(theta), want(theta), rtol=1e-12, atol=0.0)
@@ -554,16 +566,14 @@ class TestLeanRisk:
         unlabeled = Dataset(features=rng.uniform(0.1, 0.3, (30, 2)))
         pairs = PairwiseSet(rng.uniform(0.1, 0.3, (10, 2)), rng.uniform(0.1, 0.3, (10, 2)))
         cfg = RiskConfig(0.4, 0.1, 0.2)
-        fun, grad, hess = linked_risk(BERNOULLI_KL, identity_link, cfg, unlabeled, pairs, False)
+        fun, grad, hess = linked_risk(BERNOULLI_KL, identity_link, cfg, unlabeled, pairs)
         assert np.isfinite(fun(np.array([1.0, 1.0])))
         # one loser score lands on 0 exactly, every other score inside (0, 1)
         W, L = pairs.winners.copy(), pairs.losers.copy()
         L[4] = 0.0
         edge = PairwiseSet(W, L)
         for pair_set, theta in ((pairs, np.array([3.0, 3.0])), (edge, np.array([1.0, 1.0]))):
-            fun, grad, hess = linked_risk(
-                BERNOULLI_KL, identity_link, cfg, unlabeled, pair_set, False
-            )
+            fun, grad, hess = linked_risk(BERNOULLI_KL, identity_link, cfg, unlabeled, pair_set)
             assert fun(theta) == np.inf
             for closure in (grad, hess):
                 with pytest.raises(DomainError):

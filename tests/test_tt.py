@@ -81,7 +81,7 @@ class TestSigmoidLink:
 
 def tt_closures(gen, link, unlabeled, pairs, lam=0.5):
     """fun and grad of the tt risk: linked_risk at (w1, w2) = (1/2, 0)."""
-    fun, grad, _ = linked_risk(gen, link, RiskConfig(0.5, 0.0, lam), unlabeled, pairs, False)
+    fun, grad, _ = linked_risk(gen, link, RiskConfig(0.5, 0.0, lam), unlabeled, pairs)
     return fun, grad
 
 
@@ -244,6 +244,8 @@ class TestSurrogateHessian:
     @pytest.mark.parametrize("n_pairs", [0, 8], ids=["no_pairs", "pairs"])
     def test_matches_finite_differences(self, gen, link, intercept, n_pairs):
         rng = np.random.default_rng(11)
+        # an intercept is a trailing constant-1 feature
+        icpt = lambda M: np.hstack([M, np.ones((M.shape[0], int(intercept)))])
         for _ in range(5):
             raw_kl = gen is BERNOULLI_KL and link == "identity"
             # raw KL scores must lie in (0, 1); CDF-linked scores stay in the
@@ -253,8 +255,8 @@ class TestSurrogateHessian:
                 draw = lambda n: rng.uniform(0.05, 0.15, (n, 3))
             else:
                 draw = lambda n: rng.standard_normal((n, 3))
-            unlabeled = Dataset(features=draw(20))
-            pairs = PairwiseSet(draw(n_pairs), draw(n_pairs))
+            unlabeled = Dataset(features=icpt(draw(20)))
+            pairs = PairwiseSet(icpt(draw(n_pairs)), icpt(draw(n_pairs)))
             if raw_kl:
                 theta = np.concatenate(
                     [rng.uniform(0.5, 1.0, 3), rng.uniform(0.0, 0.3, int(intercept))]
@@ -263,7 +265,7 @@ class TestSurrogateHessian:
                 scale = 0.3 if link.endswith("cdf") else 1.0
                 theta = rng.standard_normal(3 + intercept) * scale
             cfg = RiskConfig(0.6, -0.1, 0.35)
-            _, grad, hess_fn = linked_risk(gen, LINKS[link], cfg, unlabeled, pairs, intercept)
+            _, grad, hess_fn = linked_risk(gen, LINKS[link], cfg, unlabeled, pairs)
             hess = hess_fn(theta)
             fd = np.array(
                 [finite_difference_gradient(lambda t: grad(t)[i], theta) for i in range(theta.size)]
@@ -310,7 +312,7 @@ class TestFit:
         spec = SyntheticSpec(dim=3, noise_std=1.0, theta_true=theta, seed=13)
         unlabeled = generate_synthetic(spec, 1000).without_targets()
         pairs = sample_pairwise_from_spec(spec, 300)
-        fun, grad, hess = linked_risk(gen, sigmoid_link, SURROGATE, unlabeled, pairs, False)
+        fun, grad, hess = linked_risk(gen, sigmoid_link, SURROGATE, unlabeled, pairs)
         for x0 in (np.zeros(3), np.full(3, 0.1)):
             gd = gradient_descent(fun, grad, x0)
             newton = minimize_gd(fun, grad, x0, hess=hess)
@@ -329,7 +331,7 @@ class TestFit:
         unlabeled = generate_synthetic(spec, 5000).without_targets()
         pairs = sample_pairwise_from_spec(spec, n_r)
         dist = gaussian_distribution(0.0, np.sqrt(1.01))
-        fun, grad, hess = linked_risk(SQUARED, cdf_link(dist), SURROGATE, unlabeled, pairs, False)
+        fun, grad, hess = linked_risk(SQUARED, cdf_link(dist), SURROGATE, unlabeled, pairs)
         gd = gradient_descent(fun, grad, np.zeros(5))
         newton = minimize_gd(fun, grad, np.zeros(5), hess=hess)
         assert gd.converged and newton.converged
@@ -344,7 +346,7 @@ class TestFit:
         unlabeled = generate_synthetic(spec, 400).without_targets()
         pairs = sample_pairwise_from_spec(spec, 200)
         fitted = tt_fit(SQUARED, unlabeled, pairs)
-        _, grad, _ = linked_risk(SQUARED, sigmoid_link, SURROGATE, unlabeled, pairs, False)
+        _, grad, _ = linked_risk(SQUARED, sigmoid_link, SURROGATE, unlabeled, pairs)
         assert np.linalg.norm(grad(fitted.theta)) <= 1e-8
 
     def test_rejects_fewer_unlabeled_rows_than_parameters(self):
