@@ -66,8 +66,12 @@ def _hinge_risk(D: np.ndarray):
         return -2.0 * (Dt @ viol(theta)) / n + 2.0 * _RANK_REG * theta
 
     def hess(theta) -> np.ndarray:
-        active = Dt[:, viol(theta) > 0.0]
-        return 2.0 * (active @ active.T) / n + 2.0 * _RANK_REG * np.eye(theta.size)
+        active = np.compress(viol(theta) > 0.0, Dt, axis=1)
+        out = active @ active.T
+        out *= 2.0
+        out /= n
+        out.flat[:: theta.size + 1] += 2.0 * _RANK_REG
+        return out
 
     return fun, grad, hess
 

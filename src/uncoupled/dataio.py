@@ -93,9 +93,9 @@ def load_csv(path, schema: CsvSchema):
         i for i in range(ncols) if i != target_idx and i not in cat_idxs
     ]
 
-    kept_numeric: list[list[float]] = []
-    kept_cats: list[list[str]] = []
-    kept_targets: list[float] = []
+    parsed_numeric: list[list[float]] = []
+    parsed_cats: list[list[str]] = []
+    parsed_targets: list[float] = []
     dropped = 0
     for row in body:
         if len(row) != ncols:
@@ -111,14 +111,21 @@ def load_csv(path, schema: CsvSchema):
         except ValueError:
             dropped += 1
             continue
-        if not (np.isfinite(target) and all(np.isfinite(v) for v in numerics)):
-            dropped += 1
-            continue
-        kept_numeric.append(numerics)
-        kept_cats.append([cells[i] for i in cat_idxs])
-        kept_targets.append(target)
-    if not kept_targets:
+        parsed_numeric.append(numerics)
+        parsed_cats.append([cells[i] for i in cat_idxs])
+        parsed_targets.append(target)
+    # one finite-row mask over the parsed cells: a row with an inf or nan
+    # ("inf", "nan", "1e999", ...) is dropped
+    targets = np.asarray(parsed_targets, dtype=float)
+    numeric_matrix = np.asarray(parsed_numeric, dtype=float).reshape(
+        targets.size, len(numeric_idxs)
+    )
+    finite = np.isfinite(targets) & np.isfinite(numeric_matrix).all(axis=1)
+    dropped += targets.size - int(np.count_nonzero(finite))
+    if not finite.any():
         raise EmptyDataError(f"{path}: no rows survive missing-value filtering")
+    targets, numeric_matrix = targets[finite], numeric_matrix[finite]
+    kept_cats = [cats for cats, keep in zip(parsed_cats, finite) if keep]
 
     categories: dict[int, list[str]] = {i: [] for i in cat_idxs}
     for row_cats in kept_cats:
@@ -130,12 +137,11 @@ def load_csv(path, schema: CsvSchema):
     def _name(i: int) -> str:
         return header[i] if header is not None else f"col{i}"
 
-    n = len(kept_targets)
+    n = targets.size
     columns: list[np.ndarray] = []
     names: list[str] = []
     numeric_pos = {i: p for p, i in enumerate(numeric_idxs)}
     cat_pos = {i: p for p, i in enumerate(cat_idxs)}
-    numeric_matrix = np.asarray(kept_numeric, dtype=float).reshape(n, len(numeric_idxs))
     for i in range(ncols):
         if i == target_idx:
             continue
@@ -154,7 +160,7 @@ def load_csv(path, schema: CsvSchema):
     features = np.column_stack(columns)
     dataset = Dataset(
         features=features,
-        targets=np.asarray(kept_targets, dtype=float),
+        targets=targets,
         feature_names=tuple(names),
     )
     return dataset, dropped

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -427,6 +426,10 @@ def _sweep(build, spec: ExperimentSpec, jobs: int, lambda_mode: str) -> ResultTa
     if jobs <= 1:
         outcomes = [_repeat(t) for t in tasks]
     else:
+        # imported here: multiprocessing costs every fresh interpreter
+        # milliseconds of CPU, and the default is one job
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_repeat, tasks))
     return _aggregate(spec, outcomes)

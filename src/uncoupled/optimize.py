@@ -13,6 +13,7 @@ are no knobs: the stopping rule and line search are module constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,7 @@ def minimize_gd(fun, grad, x0, *, hess) -> GdResult:
     for it in range(1, MAX_ITER + 1):
         if not np.all(np.isfinite(g)):
             raise DivergenceError("gradient became non-finite")
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(g @ g)
         if gnorm <= GRAD_TOL:
             return GdResult(x, f, gnorm, it - 1, True)
         direction = _newton_direction(hess(x), g)
@@ -96,5 +97,5 @@ def minimize_gd(fun, grad, x0, *, hess) -> GdResult:
         x = trial
         f = f_trial
         g = np.asarray(grad(x), dtype=float)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = math.sqrt(g @ g)
     return GdResult(x, f, gnorm, MAX_ITER, gnorm <= GRAD_TOL)

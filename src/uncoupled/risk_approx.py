@@ -23,7 +23,10 @@ Weight tuning minimizes
 which is zero for uniform targets on [a, b] exactly at (b/2, a/2).  With
 c = 2 w2 and s = 2 (w1 - w2), Err is the weighted absolute deviation of y
 from c + s F_Y(y): a least-absolute-deviations fit, i.e. median regression
-(Koenker & Bassett 1978, "Regression quantiles"), which is solved exactly.
+(Koenker & Bassett 1978, "Regression quantiles").  Its optimum is a line
+through two of the (y, F) nodes, reached exactly by Wesolowsky's (1981)
+vertex descent: each step is one weighted median of the slopes through a
+pivot node, and a handful of steps suffice.
 """
 
 from __future__ import annotations
@@ -112,64 +115,93 @@ def err_objective_empirical(targets, w1: float, w2: float) -> float:
     return _err(*_empirical_err_grid(targets), w1, w2)
 
 
-# Golden-section search on the slope stops once its bracket is this narrow
-# relative to max(1, |s|).  Err is Lipschitz in s with a constant of at most
-# the total weight, so the search leaves less than that width of Err unused.
-_SLOPE_RTOL = 1e-13
-_GOLDEN = (5.0**0.5 - 1.0) / 2.0
+# A row lies on the current line when its residual is within this many
+# ulps of the line's scale; the vertex rows themselves are off by rounding.
+_ON_LINE = 64.0 * np.finfo(float).eps
 
 
-def _weighted_median(r: np.ndarray, weight: np.ndarray) -> float:
-    """Smallest r (ties kept in index order) whose cumulative weight reaches
-    half the total."""
+def _median_row(r: np.ndarray, weight: np.ndarray) -> int:
+    """Index of the smallest r (ties kept in index order) whose cumulative
+    weight reaches half the total: a weighted median of r."""
     order = np.argsort(r, kind="stable")
     cum = np.cumsum(weight[order])
-    return float(r[order[np.searchsorted(cum, 0.5 * cum[-1])]])
+    return int(order[np.searchsorted(cum, 0.5 * cum[-1])])
+
+
+def _descent_row(y, F, weight, c: float, s: float, vertex, tried) -> int | None:
+    """A row whose edge out of the vertex (c, s) lowers sum weight *
+    |y - c - s F|, or None when no edge does, which makes (c, s) optimal.
+
+    Each row i on the line y = c + s F (within _ON_LINE, or listed in
+    vertex) gives the edges (dc, ds) = +-(-F_i, 1), which keep row i on the
+    line.  Along them Err changes at the rate spread_i -+ (b - a F_i), where
+    spread_i = sum weight_j |F_j - F_i| over the rows on the line, and
+    a = sum weight sign(r), b = sum weight sign(r) F over the rows off it.
+    Err is linear between neighbouring edges, so it rises in every
+    direction when it rises along every edge.  Rows sharing an F with a row
+    in tried, whose edges were already followed, are skipped.
+    """
+    r = y - s * F - c
+    on = np.abs(r) <= _ON_LINE * (np.max(np.abs(y)) + abs(c) + abs(s) * np.max(np.abs(F)))
+    on[vertex] = True
+    signed = np.where(on, 0.0, np.copysign(weight, r))
+    a, b = signed.sum(), signed @ F
+    rows = np.flatnonzero(on)
+    rows = rows[np.argsort(F[rows], kind="stable")]
+    Fz, wz = F[rows], weight[rows]
+    cw, cm = np.cumsum(wz), np.cumsum(wz * Fz)
+    spread = Fz * (2.0 * cw - cw[-1]) - (2.0 * cm - cm[-1])
+    slack = np.abs(b - a * Fz) - spread
+    slack[np.isin(Fz, F[tried])] = -np.inf
+    i = int(np.argmax(slack))
+    return int(rows[i]) if slack[i] > 0.0 else None
 
 
 def _lad_weights(y, F, weight) -> RiskConfig:
-    """Exact minimizer of sum weight * |y - c - s F|, returned as
+    """Exact minimizer of Err = sum weight * |y - c - s F|, returned as
     w1 = (c + s) / 2, w2 = c / 2 and lam = (w1 + w2) / 2.
 
-    For a fixed slope s the best intercept c is the weighted median of
-    y - s F; the Err left over is convex and piecewise linear in s, and a
-    golden-section search minimizes it inside a bracket that must hold the
-    optimum.
+    Err is convex and piecewise linear in (c, s), so an optimum is a line
+    through two rows (y_i, F_i): a vertex.  The descent (Wesolowsky 1981,
+    "A new descent algorithm for the least absolute value regression
+    problem") starts from the best flat line, c = the weighted median of y,
+    through its median row k.  Each step keeps the line through a pivot row
+    k and sets the slope to the weighted median of (y_i - y_k) / (F_i - F_k)
+    with weights weight_i |F_i - F_k| over the rows with F_i != F_k: the
+    best line through k, which meets a second row j.  The next pivot is the
+    row on the new line whose edge descends most (_descent_row): j, unless
+    three or more rows share the line.  The loop stops when no edge
+    descends or a step does not strictly lower Err.  Err falls from vertex
+    to vertex, and each vertex follows each of its edges at most once, so
+    the loop ends, after a handful of weighted medians.  When every F is
+    equal the result is s = 0 and c = the weighted median of y.
     """
-    evals = []
-
-    def profile(s: float) -> float:
-        r = y - s * F
-        c = _weighted_median(r, weight)
-        evals.append((float(np.abs(r - c) @ weight), s, c))
-        return evals[-1][0]
-
-    err0 = profile(0.0)
-    spread = float(np.abs(F - _weighted_median(F, weight)) @ weight)
-    # Err(s) >= |s| * spread - Err(0), so no |s| above hi beats s = 0; with
-    # spread = 0 all the weight sits at one F and every slope is optimal
-    hi = 2.0 * err0 / spread if spread > 0.0 else 0.0
-    lo = -hi
-    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    f1, f2 = profile(x1), profile(x2)
-    while hi - lo > _SLOPE_RTOL * max(1.0, abs(lo), abs(hi)):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = profile(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = profile(x2)
-    _, s, c = min(evals)
+    k = _median_row(y, weight)
+    c, s = float(y[k]), 0.0
+    best = float(np.abs(y - c) @ weight)
+    vertex, tried = [k], []
+    while k is not None:
+        tried.append(k)
+        dF = F - F[k]
+        move = np.flatnonzero(dF)
+        if move.size:
+            slopes = (y[move] - y[k]) / dF[move]
+            m = _median_row(slopes, weight[move] * np.abs(dF[move]))
+            s_new = float(slopes[m])
+            c_new = float(y[k] - s_new * F[k])
+            e = float(np.abs(y - s_new * F - c_new) @ weight)
+            if e < best:
+                best, c, s = e, c_new, s_new
+                vertex, tried = [k, int(move[m])], [k]
+        k = _descent_row(y, F, weight, c, s, vertex, tried)
     w1, w2 = (c + s) / 2.0, c / 2.0
     return RiskConfig(w1=w1, w2=w2, lam=(w1 + w2) / 2.0)
 
 
 def tune_weights(dist: TargetDistribution) -> RiskConfig:
     """Exact minimizer of the Err grid objective (nodes y, weights pdf * dy):
-    the weighted LAD fit of y on (1, F_Y(y)) described in the module
-    docstring, with lam = (w1 + w2) / 2.  Deterministic."""
+    the weighted LAD fit of y on (1, F_Y(y)) by the vertex descent of
+    _lad_weights, with lam = (w1 + w2) / 2.  Deterministic."""
     return _lad_weights(*_err_grid(dist))
 
 
@@ -249,8 +281,9 @@ def linked_risk(
     of one contiguous d x (n_U + 2 n_R) design, each column with its weight
     1/n_U, -a/n_R or -b/n_R.  So each theta costs one product theta @
     design, one link call and one domain check, shared by all three
-    closures; grad is one matrix-vector product, and hess is summed over
-    column blocks of _HESS_BLOCK.  fun is +inf where a linked score leaves
+    closures, and one phi'' pass, shared by grad and hess; grad is one
+    matrix-vector product, and hess is summed over column blocks of
+    _HESS_BLOCK.  fun is +inf where a linked score leaves
     the generator's open domain, so a line search backs off there; grad and
     hess raise DomainError.  An intercept is a constant-1 feature column.
     """
@@ -267,43 +300,56 @@ def linked_risk(
     last = {}
 
     def linked(theta):
+        """The link outputs at theta and whether g lies inside the domain,
+        computed once per theta."""
         key = theta.tobytes()
         if key not in last:
             last.clear()
             h = theta @ Mt
-            g, d1, d2 = (np.broadcast_to(v, h.shape) for v in link(h))
-            last[key] = (g, d1, d2), gen.contains(g)
+            g, d1, d2 = (
+                v if np.shape(v) == h.shape else np.broadcast_to(v, h.shape)
+                for v in link(h)
+            )
+            last[key] = {"g": g, "d1": d1, "d2": d2, "ok": gen.contains(g)}
         return last[key]
 
     def inside(theta):
-        parts, ok = linked(theta)
-        if not ok:
+        """linked(theta) with phi''(g) added once, or DomainError."""
+        at = linked(theta)
+        if not at["ok"]:
             lo, hi = gen.valid_domain
             raise DomainError(
                 f"linked score outside the open domain ({lo}, {hi}) of generator "
                 f"'{gen.name}'"
             )
-        return parts
+        if "second" not in at:
+            at["second"] = gen.phi_second(at["g"])
+        return at
 
     def fun(theta) -> float:
-        (g, _, _), ok = linked(theta)
-        if not ok:
+        at = linked(theta)
+        if not at["ok"]:
             return np.inf
-        gu = g[:n_u]
+        gu = at["g"][:n_u]
         risk = -float(weight[:n_u] @ (gen.phi(gu) - (gu - lam) * gen.phi_prime(gu)))
-        return risk + float(weight[n_u:] @ gen.phi_prime(g[n_u:]))
+        return risk + float(weight[n_u:] @ gen.phi_prime(at["g"][n_u:]))
 
     def grad(theta) -> np.ndarray:
-        g, d1, _ = inside(theta)
-        c = weight * gen.phi_second(g) * d1
-        c[:n_u] *= g[:n_u] - lam
+        at = inside(theta)
+        c = weight * at["second"]
+        c *= at["d1"]
+        c[:n_u] *= at["g"][:n_u] - lam
         return Mt @ c
 
     def hess(theta) -> np.ndarray:
-        g, d1, d2 = inside(theta)
-        second = gen.phi_second(g)
-        c = gen.phi_third(g) * d1 * d1 + second * d2
-        c[:n_u] = second[:n_u] * d1[:n_u] * d1[:n_u] + (g[:n_u] - lam) * c[:n_u]
+        at = inside(theta)
+        g, d1, d2, second = at["g"], at["d1"], at["d2"], at["second"]
+        c = gen.phi_third(g) * d1
+        c *= d1
+        c += second * d2
+        cu = c[:n_u]
+        cu *= g[:n_u] - lam
+        cu += second[:n_u] * d1[:n_u] * d1[:n_u]
         c *= weight
         out = np.zeros((d, d))
         for s in range(0, Mt.shape[1], _HESS_BLOCK):

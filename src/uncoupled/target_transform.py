@@ -32,11 +32,21 @@ _TT_RISK = RiskConfig(w1=0.5, w2=0.0, lam=0.5)
 def sigmoid_link(h: np.ndarray):
     """Clamped sigmoid s = 1 / (1 + exp(-h)) with s' = s(1 - s) and
     s'' = s'(1 - 2s); the derivatives treat the clamp as inactive.  exp
-    overflows to inf below h = -709, which gives s = 0 before the clamp."""
+    overflows to inf below h = -709, which gives s = 0 before the clamp.
+    Each of s, s' and s'' is built in its own new buffer, so h is never
+    written, and a 0-d h gives 0-d arrays."""
+    s = np.negative(h, out=np.empty(np.shape(h)))
     with np.errstate(over="ignore"):
-        s = np.clip(1.0 / (1.0 + np.exp(-h)), _QUANTILE_CLAMP, 1.0 - _QUANTILE_CLAMP)
-    s1 = s * (1.0 - s)
-    return s, s1, s1 * (1.0 - 2.0 * s)
+        np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    np.clip(s, _QUANTILE_CLAMP, 1.0 - _QUANTILE_CLAMP, out=s)
+    s1 = np.subtract(1.0, s, out=np.empty_like(s))
+    s1 *= s
+    s2 = np.multiply(2.0, s, out=np.empty_like(s))
+    np.subtract(1.0, s2, out=s2)
+    s2 *= s1
+    return s, s1, s2
 
 
 def cdf_link(dist: TargetDistribution):

@@ -203,10 +203,14 @@ class TestDataclasses:
 
 def test_package_import_leaves_scipy_stats_out():
     """The package and its CLI load scipy.special, not scipy.stats, whose
-    import alone costs more CPU time than numpy and scipy.special together."""
+    import alone costs more CPU time than numpy and scipy.special together;
+    nor multiprocessing, which only a sweep with jobs > 1 needs."""
     src = Path(uncoupled.__file__).resolve().parent.parent
-    code = "import sys, uncoupled, uncoupled.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, uncoupled, uncoupled.cli; "
+        "print('scipy.stats' in sys.modules, 'multiprocessing' in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": str(src)}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    assert run.stdout.strip() == "False False"

@@ -48,6 +48,24 @@ class TestLoadCsv:
         data, dropped = load_csv(path, CsvSchema(target_column="y"))
         assert (data.n, dropped) == (1, 1)
 
+    def test_overflowing_infinite_and_lowercase_nan_cells_drop(self, tmp_path):
+        # 1e999 parses to inf; "nan" is not a missing token but parses to nan
+        text = "a,b,y\n1,2,3\n1e999,2,3\n4,-inf,5\n6,7,nan\n8,9,-1e999\n10,11,12\n"
+        data, dropped = load_csv(write(tmp_path, text), CsvSchema(target_column="y"))
+        assert dropped == 4
+        np.testing.assert_array_equal(data.features, [[1.0, 2.0], [10.0, 11.0]])
+        np.testing.assert_array_equal(data.targets, [3.0, 12.0])
+
+    def test_category_order_comes_from_kept_rows(self, tmp_path):
+        # "Z" first appears in a row that the inf cell drops, so the kept
+        # rows see "M" first
+        text = "sex,len,y\nZ,inf,1\nM,1,2\nZ,2,3\nM,nan,4\n"
+        schema = CsvSchema(target_column="y", categorical_columns=("sex",))
+        data, dropped = load_csv(write(tmp_path, text), schema)
+        assert dropped == 2
+        assert data.feature_names == ("sex=M", "sex=Z", "len")
+        np.testing.assert_array_equal(data.features, [[1.0, 0.0, 1.0], [0.0, 1.0, 2.0]])
+
     def test_one_hot_encoding(self, tmp_path):
         path = write(tmp_path, "sex,len,y\nM,1,10\nF,2,11\nI,3,12\nF,4,13\n")
         schema = CsvSchema(target_column="y", categorical_columns=("sex",))

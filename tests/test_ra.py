@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import optimize, sparse
 
 from uncoupled import (
@@ -34,7 +36,8 @@ from uncoupled import (
 )
 from uncoupled.distributions import TargetDistribution
 from uncoupled.optimize import minimize_gd
-from uncoupled.risk_approx import identity_link, linked_risk
+from uncoupled import risk_approx
+from uncoupled.risk_approx import _err, _lad_weights, identity_link, linked_risk
 from uncoupled.target_transform import cdf_link, sigmoid_link
 
 LINKS = {
@@ -234,6 +237,55 @@ class TestExactTuning:
         lp = err(*lp_weights(*grid))
         assert abs(new - lp) <= 1e-10 * max(lp, err(0.0, 0.0))
         assert new <= err(*nested_grid_weights(*grid, y_lo, y_hi))
+
+
+@st.composite
+def lad_problems(draw):
+    """A weighted LAD problem with ties: F on a few levels, y mixing small
+    integers (many rows on one line) with arbitrary floats."""
+    n = draw(st.integers(3, 40))
+    levels = draw(st.integers(2, n))
+    F = np.array(draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n)))
+    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-100.0, 100.0))
+    y = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    weight = np.array(draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)))
+    return y, F / (levels - 1), weight
+
+
+class TestVertexDescent:
+    """_lad_weights, the exact weighted LAD fit behind both tuners."""
+
+    @given(lad_problems())
+    def test_never_worse_than_the_lp(self, problem):
+        # the LP's point is only feasible-optimal to HiGHS's tolerance, so
+        # the descent must match or beat its Err
+        y, F, weight = problem
+        cfg = _lad_weights(y, F, weight)
+        lp = _err(y, F, weight, *lp_weights(y, F, weight))
+        scale = max(lp, _err(y, F, weight, 0.0, 0.0))
+        assert _err(y, F, weight, cfg.w1, cfg.w2) <= lp + 1e-10 * scale
+
+    @pytest.mark.parametrize("weight,median", [((1.0, 1.0, 1.0, 1.0), 2.0),
+                                               ((1.0, 1.0, 1.0, 4.0), 5.0)])
+    def test_equal_F_gives_flat_weighted_median(self, weight, median):
+        y = np.array([3.0, 1.0, 2.0, 5.0])
+        cfg = _lad_weights(y, np.full(4, 0.25), np.array(weight))
+        assert (cfg.w1, cfg.w2, cfg.lam) == (median / 2.0, median / 2.0, median / 2.0)
+
+    @pytest.mark.parametrize("case", list(GATE_CASES))
+    def test_takes_a_handful_of_weighted_medians(self, case, monkeypatch):
+        # the golden-section search it replaced took about 70
+        calls = []
+        median_row = risk_approx._median_row
+        monkeypatch.setattr(
+            risk_approx, "_median_row", lambda r, w: calls.append(1) or median_row(r, w)
+        )
+        make = GATE_CASES[case]
+        if make is None:
+            tune_weights_empirical(LOGNORMAL_TARGETS)
+        else:
+            tune_weights(make())
+        assert 2 <= len(calls) <= 12
 
 
 class TestOptimalLambda:

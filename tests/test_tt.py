@@ -78,6 +78,21 @@ class TestSigmoidLink:
             s[far], np.where(h[far] > 0, 1.0 - self.CLAMP, self.CLAMP)
         )
 
+    def test_leaves_input_unchanged(self):
+        h = self.grid()
+        before = h.copy()
+        outputs = sigmoid_link(h)
+        np.testing.assert_array_equal(h, before)
+        assert all(not np.shares_memory(v, h) for v in outputs)
+
+    @pytest.mark.parametrize("h", [0.3, np.float64(-2.0), np.array(40.0)],
+                             ids=["float", "float64", "0-d array"])
+    def test_zero_dim_input_gives_zero_dim_output(self, h):
+        s, s1, s2 = sigmoid_link(h)
+        assert (np.ndim(s), np.ndim(s1), np.ndim(s2)) == (0, 0, 0)
+        want = sigmoid_link(np.array([h], dtype=float))
+        assert (float(s), float(s1), float(s2)) == tuple(float(v[0]) for v in want)
+
 
 def tt_closures(gen, link, unlabeled, pairs, lam=0.5):
     """fun and grad of the tt risk: linked_risk at (w1, w2) = (1/2, 0)."""
