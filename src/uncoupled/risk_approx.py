@@ -128,23 +128,24 @@ def _median_row(r: np.ndarray, weight: np.ndarray) -> int:
     return int(order[np.searchsorted(cum, 0.5 * cum[-1])])
 
 
-def _descent_row(y, F, weight, c: float, s: float, vertex, tried) -> int | None:
-    """A row whose edge out of the vertex (c, s) lowers sum weight *
-    |y - c - s F|, or None when no edge does, which makes (c, s) optimal.
+def _descent_row(r, F, weight, tol: float, vertex, tried) -> int | None:
+    """A row whose edge out of a vertex lowers sum weight * |r|, with r the
+    residuals y - c - s F of the vertex's line, or None when no edge does,
+    which makes the vertex optimal.
 
-    Each row i on the line y = c + s F (within _ON_LINE, or listed in
-    vertex) gives the edges (dc, ds) = +-(-F_i, 1), which keep row i on the
-    line.  Along them Err changes at the rate spread_i -+ (b - a F_i), where
-    spread_i = sum weight_j |F_j - F_i| over the rows on the line, and
-    a = sum weight sign(r), b = sum weight sign(r) F over the rows off it.
-    Err is linear between neighbouring edges, so it rises in every
-    direction when it rises along every edge.  Rows sharing an F with a row
-    in tried, whose edges were already followed, are skipped.
+    Each row i on the line (|r_i| <= tol, or listed in vertex) gives the
+    edges (dc, ds) = +-(-F_i, 1), which keep row i on the line.  Along them
+    Err changes at the rate spread_i -+ (b - a F_i), where spread_i =
+    sum weight_j |F_j - F_i| over the rows on the line, and a = sum weight
+    sign(r), b = sum weight sign(r) F over the rows off it.  Err is linear
+    between neighbouring edges, so it rises in every direction when it
+    rises along every edge.  Rows sharing an F with a row in tried, whose
+    edges were already followed, are skipped.
     """
-    r = y - s * F - c
-    on = np.abs(r) <= _ON_LINE * (np.max(np.abs(y)) + abs(c) + abs(s) * np.max(np.abs(F)))
+    on = np.abs(r) <= tol
     on[vertex] = True
-    signed = np.where(on, 0.0, np.copysign(weight, r))
+    signed = np.copysign(weight, r)
+    signed[on] = 0.0
     a, b = signed.sum(), signed @ F
     rows = np.flatnonzero(on)
     rows = rows[np.argsort(F[rows], kind="stable")]
@@ -152,7 +153,7 @@ def _descent_row(y, F, weight, c: float, s: float, vertex, tried) -> int | None:
     cw, cm = np.cumsum(wz), np.cumsum(wz * Fz)
     spread = Fz * (2.0 * cw - cw[-1]) - (2.0 * cm - cm[-1])
     slack = np.abs(b - a * Fz) - spread
-    slack[np.isin(Fz, F[tried])] = -np.inf
+    slack[(Fz[:, None] == F[tried]).any(axis=1)] = -np.inf
     i = int(np.argmax(slack))
     return int(rows[i]) if slack[i] > 0.0 else None
 
@@ -176,9 +177,11 @@ def _lad_weights(y, F, weight) -> RiskConfig:
     the loop ends, after a handful of weighted medians.  When every F is
     equal the result is s = 0 and c = the weighted median of y.
     """
+    y_max, F_max = float(np.abs(y).max()), float(np.abs(F).max())
     k = _median_row(y, weight)
     c, s = float(y[k]), 0.0
-    best = float(np.abs(y - c) @ weight)
+    r = y - c
+    best = float(np.abs(r) @ weight)
     vertex, tried = [k], []
     while k is not None:
         tried.append(k)
@@ -189,11 +192,13 @@ def _lad_weights(y, F, weight) -> RiskConfig:
             m = _median_row(slopes, weight[move] * np.abs(dF[move]))
             s_new = float(slopes[m])
             c_new = float(y[k] - s_new * F[k])
-            e = float(np.abs(y - s_new * F - c_new) @ weight)
+            r_new = y - s_new * F - c_new
+            e = float(np.abs(r_new) @ weight)
             if e < best:
-                best, c, s = e, c_new, s_new
+                best, c, s, r = e, c_new, s_new, r_new
                 vertex, tried = [k, int(move[m])], [k]
-        k = _descent_row(y, F, weight, c, s, vertex, tried)
+        tol = _ON_LINE * (y_max + abs(c) + abs(s) * F_max)
+        k = _descent_row(r, F, weight, tol, vertex, tried)
     w1, w2 = (c + s) / 2.0, c / 2.0
     return RiskConfig(w1=w1, w2=w2, lam=(w1 + w2) / 2.0)
 

@@ -34,9 +34,9 @@ from uncoupled import (
     tune_weights_empirical,
     uniform_distribution,
 )
+from uncoupled import risk_approx
 from uncoupled.distributions import TargetDistribution
 from uncoupled.optimize import minimize_gd
-from uncoupled import risk_approx
 from uncoupled.risk_approx import _err, _lad_weights, identity_link, linked_risk
 from uncoupled.target_transform import cdf_link, sigmoid_link
 
@@ -257,8 +257,8 @@ class TestVertexDescent:
 
     @given(lad_problems())
     def test_never_worse_than_the_lp(self, problem):
-        # the LP's point is only feasible-optimal to HiGHS's tolerance, so
-        # the descent must match or beat its Err
+        # the LP's point is optimal only to HiGHS's tolerances, so the
+        # descent must match or beat its Err
         y, F, weight = problem
         cfg = _lad_weights(y, F, weight)
         lp = _err(y, F, weight, *lp_weights(y, F, weight))
