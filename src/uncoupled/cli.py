@@ -63,6 +63,13 @@ def _seed(text: str) -> int:
     return value
 
 
+def _noise_std(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {text!r}")
+    return value
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
@@ -131,12 +138,11 @@ def cmd_synth(args) -> int:
     spec = dataclasses.replace(
         base, seed=args.seed, **{k: v for k, v in given.items() if v is not None}
     )
-    table = run_synthetic(spec, jobs=args.jobs, lambda_mode=args.lambda_mode)
+    table = run_synthetic(spec, jobs=args.jobs)
     config = (
         f"n_u={spec.n_u} n_r={','.join(map(str, spec.n_r_values))} "
         f"repeats={spec.repeats} dim={spec.dim} noise_std={spec.noise_std!r} "
-        f"test_size={spec.test_size} methods={','.join(spec.methods)} "
-        f"lambda_mode={args.lambda_mode}"
+        f"test_size={spec.test_size} methods={','.join(spec.methods)}"
     )
     _emit(table, "synth", spec.seed, config, args)
     return 0
@@ -159,18 +165,12 @@ def cmd_bench(args) -> int:
         repeats=args.repeats,
         seed=args.seed,
     )
-    table = run_benchmark(
-        data,
-        spec,
-        jobs=args.jobs,
-        lambda_mode=args.lambda_mode,
-        empirical_cdf=args.empirical_cdf,
-    )
+    table = run_benchmark(data, spec, jobs=args.jobs, empirical_cdf=args.empirical_cdf)
     config = (
         f"data={args.data} rows={data.n} dropped={dropped} "
         f"n_r={','.join(map(str, spec.n_r_values))} repeats={spec.repeats} "
         f"methods={','.join(spec.methods)} standardize={args.standardize} "
-        f"empirical_cdf={args.empirical_cdf} lambda_mode={args.lambda_mode}"
+        f"empirical_cdf={args.empirical_cdf}"
     )
     _emit(table, "bench", spec.seed, config, args)
     return 0
@@ -236,15 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs", type=_positive_int, default=1, help="worker processes (default 1)"
         )
         p.add_argument(
-            "--lambda-mode",
-            choices=("default", "variance"),
-            default="default",
-            help=(
-                "free-parameter rule: 'default' fixes lambda=(w1+w2)/2; "
-                "'variance' refits with the variance-minimizing lambda"
-            ),
-        )
-        p.add_argument(
             "--methods",
             type=_method_list,
             default=None,
@@ -269,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_synth.add_argument("--repeats", type=_positive_int, default=None)
     p_synth.add_argument("--dim", type=_positive_int, default=None)
-    p_synth.add_argument("--noise-std", type=float, default=None)
+    p_synth.add_argument("--noise-std", type=_noise_std, default=None)
     p_synth.add_argument("--test-size", type=_positive_int, default=None)
     add_common(p_synth)
     p_synth.set_defaults(func=cmd_synth)

@@ -10,7 +10,10 @@ Both sweeps run one repeat loop.  A per-runner builder makes the repeat's
 labeled train set, test set and uncoupled setup (target marginal, RA
 weights, comparison pool): run_synthetic draws them from the synthetic
 model, run_benchmark splits the dataset 80/20 and estimates the marginal.
-LR is fitted once per repeat; the pool is prefix-sliced across the n_r grid.
+The RA weights are the tuned (w1, w2) with lam = w1 + w2, so RA, like RANK
+and TT, predicts y + c when every target moves by c and the features carry
+a constant column.  LR is fitted once per repeat; the pool is prefix-sliced
+across the n_r grid.
 A failed fit becomes a `error: repeat=R method=M n_r=N Type: message` line
 (no n_r for `lr` and for the shared set-up `method=shared`), and a cell with
 no successful fit gets repeats=0 and nan statistics.
@@ -67,8 +70,6 @@ from .target_transform import tt_fit, tt_predict
 DEFAULT_SEED = 1729
 
 METHOD_ORDER = ("lr", "rank", "ra", "tt")
-
-_LAMBDA_MODES = ("default", "variance")
 
 
 def _full_scale_n_r() -> tuple[int, ...]:
@@ -197,7 +198,7 @@ class ResultTable:
         metadata: list[str] = []
         rows: list[ResultRow] = []
         header_seen = False
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.rstrip("\r")
             if not line.strip():
                 continue
@@ -214,15 +215,13 @@ class ResultTable:
             parts = line.split(",")
             if len(parts) != 5:
                 raise SchemaError(f"expected 5 fields, got {len(parts)}: {line!r}")
-            rows.append(
-                ResultRow(
-                    method=parts[0],
-                    n_r=int(parts[1]),
-                    mean_mse=float(parts[2]),
-                    std_mse=float(parts[3]),
-                    repeats=int(parts[4]),
+            try:
+                n_r, mean_mse, std_mse, repeats = (
+                    int(parts[1]), float(parts[2]), float(parts[3]), int(parts[4])
                 )
-            )
+            except ValueError as exc:
+                raise SchemaError(f"line {lineno}: bad field in {line!r}: {exc}") from None
+            rows.append(ResultRow(parts[0], n_r, mean_mse, std_mse, repeats))
         if not header_seen:
             raise SchemaError("missing header line")
         return cls(rows=tuple(rows), metadata=tuple(metadata))
@@ -324,7 +323,7 @@ def _benchmark_data(
     )
 
 
-def _fit_predict(method, rep, unl, pairs, dist, cfg, lambda_mode):
+def _fit_predict(method, rep, unl, pairs, dist, cfg):
     """Fit one uncoupled method on features and comparisons; predict the
     repeat's test features."""
     x_test = rep.test.features
@@ -332,15 +331,12 @@ def _fit_predict(method, rep, unl, pairs, dist, cfg, lambda_mode):
         return rank_predict(ranker_fit(pairs), unl, dist, x_test)
     if method == "tt":
         return tt_predict(tt_fit(SQUARED, unl, pairs), dist, x_test)
-    if lambda_mode == "variance":
-        v = estimate_variances(ra_fit(SQUARED, unl, pairs, cfg), SQUARED, pairs)
-        cfg = RiskConfig(w1=cfg.w1, w2=cfg.w2, lam=optimal_lambda(cfg.w1, cfg.w2, v))
     return predict(ra_fit(SQUARED, unl, pairs, cfg), x_test)
 
 
 def _repeat(args):
     """One repeat of a sweep: (cell -> test MSE, error lines)."""
-    build, spec, repeat, lambda_mode = args
+    build, spec, repeat = args
     rep = build(spec, _repeat_seed(spec.seed, repeat))
     y_test = rep.test.targets
     if rep.constant is not None:
@@ -373,7 +369,7 @@ def _repeat(args):
         pairs = PairwiseSet(winners=pool.winners[:n_r], losers=pool.losers[:n_r])
         for method in methods:
             try:
-                preds = _fit_predict(method, rep, unl, pairs, dist, cfg, lambda_mode)
+                preds = _fit_predict(method, rep, unl, pairs, dist, cfg)
                 values[(method, n_r)] = mse(preds, y_test)
             except Exception as exc:  # noqa: BLE001
                 fail(f"method={method} n_r={n_r}", exc)
@@ -417,12 +413,10 @@ def _aggregate(spec: ExperimentSpec, outcomes) -> ResultTable:
     return ResultTable(rows=tuple(rows), metadata=tuple(errors))
 
 
-def _sweep(build, spec: ExperimentSpec, jobs: int, lambda_mode: str) -> ResultTable:
+def _sweep(build, spec: ExperimentSpec, jobs: int) -> ResultTable:
     """Runs `_repeat` with the given data builder over the repeats of spec,
     in `jobs` worker processes when jobs > 1."""
-    if lambda_mode not in _LAMBDA_MODES:
-        raise ParameterError(f"lambda_mode must be one of {_LAMBDA_MODES}")
-    tasks = [(build, spec, r, lambda_mode) for r in range(spec.repeats)]
+    tasks = [(build, spec, r) for r in range(spec.repeats)]
     if jobs <= 1:
         outcomes = [_repeat(t) for t in tasks]
     else:
@@ -435,26 +429,25 @@ def _sweep(build, spec: ExperimentSpec, jobs: int, lambda_mode: str) -> ResultTa
     return _aggregate(spec, outcomes)
 
 
-def run_synthetic(
-    spec: ExperimentSpec, jobs: int = 1, lambda_mode: str = "default"
-) -> ResultTable:
+def run_synthetic(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     """Repeated synthetic sweep.
 
     Each repeat draws a fresh unit-norm true direction, a fresh unlabeled
     set, a fresh comparison pool (prefix-sliced across the n_r grid so
     larger cells extend smaller ones), and a fresh test set.  LR trains on
     the true labels; RANK/RA/TT see only features, comparisons, and the
-    analytic target marginal N(0, sqrt(1 + noise_std^2)).
+    analytic target marginal N(0, sqrt(1 + noise_std^2)), with the RA
+    weights tuned to it once (lam = w1 + w2, which is 0 on a centered
+    Gaussian).
     """
     dist = gaussian_distribution(0.0, math.sqrt(1.0 + spec.noise_std**2))
-    return _sweep(partial(_synthetic_data, tune_weights(dist)), spec, jobs, lambda_mode)
+    return _sweep(partial(_synthetic_data, tune_weights(dist)), spec, jobs)
 
 
 def run_benchmark(
     data: Dataset,
     spec: ExperimentSpec,
     jobs: int = 1,
-    lambda_mode: str = "default",
     empirical_cdf: bool = False,
 ) -> ResultTable:
     """Repeated 80/20 benchmark sweep on a labeled dataset.
@@ -465,14 +458,17 @@ def run_benchmark(
     rows by their true targets; supervised LR uses the labels directly.
     Uncoupled methods never see the (feature, target) pairing.  Every
     method fits an intercept: a constant-1 column is appended to the
-    features once, before the split.  The data set fixes the sizes, so
-    spec.n_u, spec.dim, spec.noise_std and spec.test_size are ignored.
+    features once, before the split.  RA's weights are tuned to the
+    estimated marginal with lam = w1 + w2, so a shift of every target by c
+    moves each method's predictions by c and its MSE only by rounding.  The
+    data set fixes the sizes, so spec.n_u, spec.dim, spec.noise_std and
+    spec.test_size are ignored.
     """
     if data.targets is None:
         raise ParameterError("run_benchmark needs a dataset with targets")
     ones = np.ones((data.n, 1))
     data = Dataset(features=np.hstack([data.features, ones]), targets=data.targets)
-    return _sweep(partial(_benchmark_data, data, empirical_cdf), spec, jobs, lambda_mode)
+    return _sweep(partial(_benchmark_data, data, empirical_cdf), spec, jobs)
 
 
 # ---------------------------------------------------------------------------

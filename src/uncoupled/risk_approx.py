@@ -5,7 +5,13 @@ feature marginal plus a cross term E[Y phi'(h(X))].  The cross term is
 approximated from pairwise comparison data by weighting the winner and loser
 score means with tuned scalars (w1, w2); a further offset lam shifts
 variance between the unlabeled and pairwise parts without changing the
-expectation.  The empirical risk drops the model-free constant E[phi(Y)].
+expectation.  The tuned weights fix lam = w1 + w2, the variance-optimal
+2 (w1 s+ + w2 s-) / (s+ + s-) of Theorem 1 when the winner and loser score
+variances s+ and s- are equal.  Then the pair weights are a = -b =
+(w1 - w2) / 2, so the pairs enter only through winner-minus-loser
+differences, and a shift c of the target moves only the unlabeled term's
+lam * mean_U(x), which a constant-1 feature column absorbs exactly.  The
+empirical risk drops the model-free constant E[phi(Y)].
 
 The risk is written once, with its gradient and Hessian, for a score h
 pushed through a link g (`linked_risk`), on one contiguous design that holds
@@ -160,7 +166,7 @@ def _descent_row(r, F, weight, tol: float, vertex, tried) -> int | None:
 
 def _lad_weights(y, F, weight) -> RiskConfig:
     """Exact minimizer of Err = sum weight * |y - c - s F|, returned as
-    w1 = (c + s) / 2, w2 = c / 2 and lam = (w1 + w2) / 2.
+    w1 = (c + s) / 2, w2 = c / 2 and lam = w1 + w2 = c + s / 2.
 
     Err is convex and piecewise linear in (c, s), so an optimum is a line
     through two rows (y_i, F_i): a vertex.  The descent (Wesolowsky 1981,
@@ -200,13 +206,13 @@ def _lad_weights(y, F, weight) -> RiskConfig:
         tol = _ON_LINE * (y_max + abs(c) + abs(s) * F_max)
         k = _descent_row(r, F, weight, tol, vertex, tried)
     w1, w2 = (c + s) / 2.0, c / 2.0
-    return RiskConfig(w1=w1, w2=w2, lam=(w1 + w2) / 2.0)
+    return RiskConfig(w1=w1, w2=w2, lam=w1 + w2)
 
 
 def tune_weights(dist: TargetDistribution) -> RiskConfig:
     """Exact minimizer of the Err grid objective (nodes y, weights pdf * dy):
     the weighted LAD fit of y on (1, F_Y(y)) by the vertex descent of
-    _lad_weights, with lam = (w1 + w2) / 2.  Deterministic."""
+    _lad_weights, with lam = w1 + w2.  Deterministic."""
     return _lad_weights(*_err_grid(dist))
 
 

@@ -4,7 +4,8 @@ Instead of regressing on the raw target, push scores through a link g onto
 the target CDF's scale.  The transformed target F_Y(Y) is uniform on
 [0, 1], and for a target uniform on [a, b] the ra weights (w1, w2) =
 (b/2, a/2) are exact (Err = 0).  So the tt risk is the ra risk with
-RiskConfig(w1=1/2, w2=0, lam=1/2) on the linked score g(h(x)), and
+RiskConfig(w1=1/2, w2=0, lam=1/2) on the linked score g(h(x)), where
+lam = w1 + w2 is the rule the tuned ra weights follow too, and
 `risk_approx.linked_risk` gives its value, gradient and Hessian, with one
 link call per theta over all unlabeled and pair rows.  The fit learns
 g(h(x)) ~ F_Y(y); the read-out is F_Y^{-1}(g(h(x))).

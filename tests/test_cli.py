@@ -169,8 +169,8 @@ class TestTune:
         w1, w2, lam = map(float, values.split(","))
         assert w1 == pytest.approx(0.5, abs=0.02)
         assert w2 == pytest.approx(0.0, abs=0.02)
-        assert lam == pytest.approx(0.25, abs=0.02)
-        assert lam == pytest.approx((w1 + w2) / 2.0, abs=1e-12)
+        assert lam == pytest.approx(0.5, abs=0.02)
+        assert lam == pytest.approx(w1 + w2, abs=1e-12)
         assert printed_w1 == pytest.approx(w1, abs=1e-6)
 
     def test_uniform_weights_print_exactly(self, capsys):
@@ -245,6 +245,19 @@ class TestParser:
             main(["synth", "--methods", "lr,foo"])
         assert exc.value.code == 2
         assert "unknown method 'foo'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_noise_std_is_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--noise-std", value])
+        assert exc.value.code == 2
+        assert "--noise-std: expected a finite value >= 0" in capsys.readouterr().err
+
+    def test_removed_lambda_flag_is_usage_error(self, capsys):
+        # ra's lam is fixed at w1 + w2; there is no rule to choose
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--lambda-mode", "variance"])
+        assert exc.value.code == 2
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

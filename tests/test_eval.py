@@ -134,6 +134,12 @@ class TestResultTable:
         with pytest.raises(SchemaError):
             ResultTable.from_csv("method,n_r,mean_mse,std_mse,repeats\nlr,100,0.1\n")
 
+    @pytest.mark.parametrize("row", ["lr,abc,0.1,0.1,2", "lr,100,x,0.1,2",
+                                     "lr,100,0.1,0.1,2.5"])
+    def test_from_csv_rejects_bad_fields(self, row):
+        with pytest.raises(SchemaError, match="line 3"):
+            ResultTable.from_csv(f"# seed: 7\nmethod,n_r,mean_mse,std_mse,repeats\n{row}\n")
+
     def test_plot_table_layout(self):
         text = self.sample().to_plot_table()
         lines = text.splitlines()
@@ -196,15 +202,6 @@ class TestRunSynthetic:
         spec = ExperimentSpec(methods=("ra", "tt"), **{**SMALL, "repeats": 4})
         assert run_synthetic(spec, jobs=1).to_csv() == run_synthetic(spec, jobs=3).to_csv()
 
-    def test_variance_lambda_mode_runs(self):
-        spec = ExperimentSpec(methods=("ra",), **{k: v for k, v in SMALL.items() if k != "repeats"}, repeats=2)
-        table = run_synthetic(spec, lambda_mode="variance")
-        assert table.row("ra", 50).repeats == 2
-
-    def test_unknown_lambda_mode_rejected(self):
-        with pytest.raises(ParameterError):
-            run_synthetic(ExperimentSpec(**SMALL), lambda_mode="magic")
-
     def test_more_comparisons_never_hurt_ra(self):
         # shared repeat seeds across cells; comparison pools nest by prefix
         spec = ExperimentSpec(
@@ -256,6 +253,25 @@ class TestRunBenchmark:
         data = Dataset(features=X, targets=50.0 + X @ np.array([1.0, -0.5, 0.25]))
         spec = ExperimentSpec(n_u=1, n_r_values=(60,), repeats=2, seed=9, methods=("lr",))
         assert run_benchmark(data, spec).row("lr", 60).mean_mse < 1e-20
+
+    @pytest.mark.parametrize("empirical_cdf", [False, True], ids=["kde", "ecdf"])
+    def test_uncoupled_methods_are_shift_equivariant(self, empirical_cdf):
+        # shifting every target by c must shift every prediction by c, so the
+        # MSEs cannot move; lr is left out, its noise-free MSE is rounding
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((2000, 3))
+        y = X @ np.array([0.5, -1.0, 0.25])
+        spec = ExperimentSpec(
+            n_u=1, n_r_values=(20, 200), repeats=2, seed=5, methods=("rank", "ra", "tt")
+        )
+        base, shifted = (
+            run_benchmark(Dataset(features=X, targets=c + y), spec, empirical_cdf=empirical_cdf)
+            for c in (0.0, 500.0)
+        )
+        for row in base.rows:
+            assert row.repeats == 2
+            moved = shifted.row(row.method, row.n_r).mean_mse
+            assert moved == pytest.approx(row.mean_mse, rel=1e-9), (row.method, row.n_r)
 
 
 class TestSweepFailures:

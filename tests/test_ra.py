@@ -105,7 +105,7 @@ class TestTuneWeights:
         cfg = tune_weights(uniform_distribution(a, b))
         assert cfg.w1 == pytest.approx(b / 2.0, abs=1e-9)
         assert cfg.w2 == pytest.approx(a / 2.0, abs=1e-9)
-        assert cfg.lam == pytest.approx((cfg.w1 + cfg.w2) / 2.0, abs=1e-12)
+        assert cfg.lam == pytest.approx(cfg.w1 + cfg.w2, abs=1e-12)
 
     def test_symmetric_gaussian_weights_are_antisymmetric(self):
         cfg = tune_weights(gaussian_distribution(0.0, 1.0))
@@ -159,7 +159,7 @@ class TestEmpiricalObjective:
         cfg = tune_weights_empirical(rng.random(20_000))
         assert cfg.w1 == pytest.approx(0.5, abs=0.05)
         assert cfg.w2 == pytest.approx(0.0, abs=0.05)
-        assert cfg.lam == pytest.approx(0.25, abs=0.05)
+        assert cfg.lam == pytest.approx(0.5, abs=0.05)
 
 
 def quadrature_grid(dist):
@@ -270,7 +270,7 @@ class TestVertexDescent:
     def test_equal_F_gives_flat_weighted_median(self, weight, median):
         y = np.array([3.0, 1.0, 2.0, 5.0])
         cfg = _lad_weights(y, np.full(4, 0.25), np.array(weight))
-        assert (cfg.w1, cfg.w2, cfg.lam) == (median / 2.0, median / 2.0, median / 2.0)
+        assert (cfg.w1, cfg.w2, cfg.lam) == (median / 2.0, median / 2.0, median)
 
     @pytest.mark.parametrize("case", list(GATE_CASES))
     def test_takes_a_handful_of_weighted_medians(self, case, monkeypatch):
