@@ -70,6 +70,13 @@ def _noise_std(text: str) -> float:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite value, got {text!r}")
+    return value
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
@@ -312,10 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--targets-file",
         help="file of target values (one per line); uses the sample objective",
     )
-    p_tune.add_argument("--a", type=float, default=0.0, help="uniform lower bound")
-    p_tune.add_argument("--b", type=float, default=1.0, help="uniform upper bound")
-    p_tune.add_argument("--mean", type=float, default=0.0, help="gaussian mean")
-    p_tune.add_argument("--std", type=float, default=1.0, help="gaussian std")
+    p_tune.add_argument("--a", type=_finite_float, default=0.0, help="uniform lower bound")
+    p_tune.add_argument("--b", type=_finite_float, default=1.0, help="uniform upper bound")
+    p_tune.add_argument("--mean", type=_finite_float, default=0.0, help="gaussian mean")
+    p_tune.add_argument("--std", type=_finite_float, default=1.0, help="gaussian std")
     p_tune.add_argument("--out", help="write w1,w2,lambda CSV to this path")
     p_tune.set_defaults(func=cmd_tune)
 
@@ -350,7 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "tune":
+        if not args.b > args.a:
+            parser.error(f"need --a < --b, got {args.a!r} and {args.b!r}")
+        if not args.std > 0.0:
+            parser.error(f"need --std > 0, got {args.std!r}")
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary: report, exit 1

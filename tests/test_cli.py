@@ -253,6 +253,25 @@ class TestParser:
         assert exc.value.code == 2
         assert "--noise-std: expected a finite value >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--dist", "gaussian", "--std", "-1"], "need --std > 0"),
+            (["--dist", "gaussian", "--std", "0"], "need --std > 0"),
+            (["--dist", "gaussian", "--std", "nan"], "--std: expected a finite value"),
+            (["--dist", "gaussian", "--mean", "inf"], "--mean: expected a finite value"),
+            (["--dist", "uniform", "--a", "1", "--b", "0"], "need --a < --b"),
+            (["--dist", "uniform", "--a", "1", "--b", "1"], "need --a < --b"),
+            (["--dist", "uniform", "--b=-inf"], "--b: expected a finite value"),
+        ],
+        ids=["std-negative", "std-zero", "std-nan", "mean-inf", "b-below-a", "b-equals-a", "b-inf"],
+    )
+    def test_bad_distribution_flag_is_usage_error(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_removed_lambda_flag_is_usage_error(self, capsys):
         # ra's lam is fixed at w1 + w2; there is no rule to choose
         with pytest.raises(SystemExit) as exc:

@@ -117,7 +117,8 @@ class TestGenerators:
         ],
     )
     def test_contains_is_the_open_domain(self, gen, x, inside):
-        # nan and +-inf lie outside every domain, an empty array inside
+        """nan and +-inf lie outside every domain, the domain edges too, and
+        an empty array inside; 0-d input counts like a scalar."""
         assert gen.contains(x) is inside
 
     @pytest.mark.parametrize("gen", [SQUARED, BERNOULLI_KL], ids=["squared", "kl"])

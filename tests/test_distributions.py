@@ -17,7 +17,15 @@ from uncoupled import (
     uniform_distribution,
 )
 import uncoupled.distributions
-from uncoupled.distributions import _cv_scores, silverman_bandwidth
+from uncoupled.distributions import (
+    _EXP_FLOOR,
+    _KERNEL_BUDGET,
+    _UNDERFLOW_EXPONENT,
+    _chunked,
+    _cv_scores,
+    _shifted_log_sums,
+    silverman_bandwidth,
+)
 
 INV_SQRT_2PI = 0.3989422804014327
 
@@ -192,6 +200,46 @@ def reference_cv_scores(v, grid):
     return scores
 
 
+def floor_every_cell_cv_scores(v, grid):
+    """`_cv_scores` with the exponent floor applied in every (block,
+    bandwidth) cell, reachable or not: the loop before the reach test."""
+    n = v.size
+    a = 0.5 / grid**2
+    sums = np.zeros((grid.size, n))
+    d_min = np.full(n, np.inf)
+    for f in range(5):
+        for g in range(f + 1, 5):
+            rows, cols = v[f::5], v[g::5]
+            row_min, row_sums = d_min[f::5], sums[:, f::5]
+            for lo, hi in _chunked(rows.size, max(1, _KERNEL_BUDGET // cols.size)):
+                d = rows[lo:hi, None] - cols[None, :]
+                d *= d
+                np.minimum(row_min[lo:hi], d.min(axis=1), out=row_min[lo:hi])
+                np.minimum(d_min[g::5], d.min(axis=0), out=d_min[g::5])
+                buf = np.empty_like(d)
+                row_ones, col_ones = np.ones(hi - lo), np.ones(cols.size)
+                for k in range(grid.size):
+                    np.multiply(d, -a[k], out=buf)
+                    np.maximum(buf, _EXP_FLOOR, out=buf)
+                    np.exp(buf, out=buf)
+                    row_sums[k, lo:hi] += buf @ col_ones
+                    sums[k, g::5] += row_ones @ buf
+    with np.errstate(divide="ignore"):
+        log_sums = np.log(sums)
+    under = a[:, None] * d_min[None, :] > _UNDERFLOW_EXPONENT
+    scores = np.zeros(grid.size)
+    for f in range(5):
+        fold_cells, fold_under = log_sums[:, f::5], under[:, f::5]
+        redo = np.flatnonzero(fold_under.any(axis=0))
+        if redo.size:
+            train = np.delete(v, np.arange(f, n, 5))
+            shifted = _shifted_log_sums(v[f::5][redo], train, a)
+            fold_cells[:, redo] = np.where(fold_under[:, redo], shifted, fold_cells[:, redo])
+        n_val = fold_cells.shape[1]
+        scores += fold_cells.sum(axis=1) - n_val * np.log((n - n_val) * grid * np.sqrt(2.0 * np.pi))
+    return scores
+
+
 def reference_cdf(model, y):
     """Full-sum kernel cdf, one query at a time."""
     pts, h = model.sample_points, model.bandwidth
@@ -242,6 +290,12 @@ def _past_the_max(values, gap):
 
 
 class TestKdeExactness:
+    """The exact-KDE gates.  CV scores must match a per-pair logsumexp,
+    including the floored exponents and the rows rescored above
+    a d_min = 600, and must equal bit for bit the loop that floors every
+    cell.  The inverse cdf must match bisection, and the cdf the full sum.
+    Repeated quantiles and the query block size must move no float."""
+
     @pytest.mark.parametrize(
         "name,values,grid", _bandwidth_gate_cases(), ids=lambda p: p if isinstance(p, str) else ""
     )
@@ -283,6 +337,24 @@ class TestKdeExactness:
         scalar = dist.inv_cdf(0.25)
         assert isinstance(scalar, float)
         assert scalar == dist.inv_cdf(np.array([0.25]))[0]
+
+    @pytest.mark.parametrize("name", ["lognormal", "isolated_point", "near_floor"])
+    def test_skipped_floor_passes_change_no_float(self, name):
+        (_, values, grid), = [c for c in _bandwidth_gate_cases() if c[0] == name]
+        v = np.sort(values)
+        if grid is None:
+            h0 = silverman_bandwidth(v)
+            grid = np.geomspace(h0 / 10.0, h0 * 10.0, 20)
+        # these samples fit each fold pair in one block: its largest squared
+        # distance decides, per bandwidth, whether the floor can be reached
+        reach = []
+        for f in range(5):
+            for g in range(f + 1, 5):
+                assert v[f::5].size * v[g::5].size <= _KERNEL_BUDGET
+                d_max = np.max((v[f::5][:, None] - v[g::5][None, :]) ** 2)
+                reach.extend(d_max * -(0.5 / grid**2) < _EXP_FLOOR)
+        assert any(reach) and not all(reach)
+        np.testing.assert_array_equal(_cv_scores(v, grid), floor_every_cell_cv_scores(v, grid))
 
     def test_isolated_point_needs_the_shifted_sum(self):
         (_, values, grid), = [c for c in _bandwidth_gate_cases() if c[0] == "isolated_point"]
@@ -357,7 +429,50 @@ class TestKdeExactness:
         assert sum(rows) / 999 <= 2.0
 
 
+    def test_repeated_quantiles_give_the_scalar_floats(self, monkeypatch):
+        dist = kde_distribution(_lognormal_tail_model())
+        n_u = 1000
+        # the rank read-out's levels k/n_U, each asked for several times, and
+        # table nodes' own levels, unsorted
+        levels = np.arange(1, n_u) / n_u
+        rng = np.random.default_rng(9)
+        u = rng.permutation(np.concatenate((rng.choice(levels, 600), levels[::50], [0.5] * 5)))
+        assert np.unique(u).size < u.size
+        got = dist.inv_cdf(u)
+        np.testing.assert_array_equal(got, [dist.inv_cdf(float(q)) for q in u])
+        np.testing.assert_array_equal(dist.inv_cdf(u.reshape(-1, 5)), got.reshape(-1, 5))
+
+        rows = []
+
+        def counting_ndtr(z):
+            rows.append(z.shape[0])
+            return ndtr(z)
+
+        monkeypatch.setattr(uncoupled.distributions, "ndtr", counting_ndtr)
+        dist.inv_cdf(np.unique(u))
+        distinct_rows = sum(rows)
+        rows.clear()
+        dist.inv_cdf(u)
+        assert sum(rows) == distinct_rows > 0
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_query_block_moves_no_float(self, monkeypatch, block):
+        model = _lognormal_tail_model()
+        lo, hi = kde_window(model)
+        y = np.random.default_rng(12).uniform(lo, hi, 333)
+        u = np.random.default_rng(13).uniform(0.0, 1.0, 333)
+        default = kde_distribution(model)
+        monkeypatch.setattr(uncoupled.distributions, "_QUERY_BLOCK", block)
+        other = kde_distribution(model)
+        for name in ("cdf", "pdf", "pdf_prime", "inv_cdf"):
+            arg = u if name == "inv_cdf" else y
+            np.testing.assert_array_equal(getattr(other, name)(arg), getattr(default, name)(arg))
+
+
 class TestKdeOnePass:
+    """One ndtr pass serves cdf, pdf and pdf', whose cached values are
+    read-only."""
+
     def test_one_pass_serves_cdf_pdf_and_pdf_prime(self, monkeypatch):
         model = _lognormal_tail_model()
         pts, h = model.sample_points, model.bandwidth
@@ -464,7 +579,10 @@ class TestDistributionContract:
 
 
 class TestNonFiniteQueries:
-    # the 200-point KDE pads its cdf's last 64-point chunk with +inf
+    """Every marginal gives its limits at +-inf and nan at nan, with no
+    warning.  The 200-point KDE pads its cdf's last 64-point chunk with
+    +inf."""
+
     @pytest.mark.parametrize("name,dist", all_distributions(), ids=lambda p: p if isinstance(p, str) else "")
     def test_limits_at_infinity_and_nan_stays_nan(self, name, dist):
         lo, hi = WINDOWS[name]

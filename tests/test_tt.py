@@ -52,6 +52,10 @@ SIGMOID_1 = 0.7310585786300049  # 1 / (1 + e^-1)
 
 
 class TestSigmoidLink:
+    """The numpy sigmoid link: within 2 ulp of scipy's expit with no
+    warning, clamped to [1e-9, 1 - 1e-9], its input array left unwritten,
+    and 0-d output for 0-d input."""
+
     CLAMP = 1e-9
 
     def grid(self):
