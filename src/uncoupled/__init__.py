@@ -3,15 +3,14 @@
 Learns a linear regression function from three ingredients that never carry a
 feature/target correspondence: unlabeled feature vectors, the marginal target
 distribution, and pairwise comparisons (which of two points has the larger
-target).  Two estimators are provided, one built on a Bregman risk rewrite
-("ra") and one built on transforming scores through the target CDF ("tt"),
-next to ordinary least squares and a pairwise-ranking baseline.
+target).  Two estimators are provided, one built on a rewrite of the
+squared-loss risk ("ra") and one built on transforming scores through the
+target CDF ("tt"), next to ordinary least squares and a pairwise-ranking
+baseline.  The paper states the rewrite for any Bregman divergence; this
+package implements the squared loss only.
 """
 
 from .core import (
-    BERNOULLI_KL,
-    SQUARED,
-    BregmanGenerator,
     Dataset,
     DegenerateVarianceError,
     DivergenceError,
@@ -25,8 +24,6 @@ from .core import (
     SchemaError,
     ShapeError,
     UncoupledError,
-    bregman_divergence,
-    check_generator,
     predict,
 )
 from .distributions import (

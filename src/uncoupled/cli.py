@@ -18,8 +18,12 @@ from . import __version__
 from .dataio import CsvSchema, load_csv, standardize
 from .distributions import gaussian_distribution, uniform_distribution
 from .evaluation import (
+    COUNTEREXAMPLE_MIN_SAMPLES,
     DEFAULT_SEED,
+    LEMMA1_MIN_SAMPLES,
     METHOD_ORDER,
+    THEOREM1_MIN_RESAMPLES,
+    UNBIASEDNESS_MIN_RESAMPLES,
     ExperimentSpec,
     ResultTable,
     check_counterexample,
@@ -33,18 +37,31 @@ from .risk_approx import tune_weights, tune_weights_empirical
 
 _STD_NOTE = "std convention: sample std over repeats (ddof=1); 0.0 when repeats=1"
 
+# suite -> (its budget flag, the least budget it accepts, its run)
 _CHECK_SUITES = {
-    "lemma1": lambda args: check_lemma1(
-        n_samples=args.samples or 1_000_000, seed=args.seed
+    "lemma1": (
+        "samples",
+        LEMMA1_MIN_SAMPLES,
+        lambda args: check_lemma1(n_samples=args.samples or 1_000_000, seed=args.seed),
     ),
-    "theorem1": lambda args: check_theorem1_variance(
-        resamples=args.resamples or 2000, seed=args.seed
+    "theorem1": (
+        "resamples",
+        THEOREM1_MIN_RESAMPLES,
+        lambda args: check_theorem1_variance(
+            resamples=args.resamples or 2000, seed=args.seed
+        ),
     ),
-    "counterexample": lambda args: check_counterexample(
-        n_samples=args.samples or 1_000_000, seed=args.seed
+    "counterexample": (
+        "samples",
+        COUNTEREXAMPLE_MIN_SAMPLES,
+        lambda args: check_counterexample(
+            n_samples=args.samples or 1_000_000, seed=args.seed
+        ),
     ),
-    "unbiasedness": lambda args: check_unbiasedness(
-        resamples=args.resamples or 1000, seed=args.seed
+    "unbiasedness": (
+        "resamples",
+        UNBIASEDNESS_MIN_RESAMPLES,
+        lambda args: check_unbiasedness(resamples=args.resamples or 1000, seed=args.seed),
     ),
 }
 
@@ -204,11 +221,14 @@ def cmd_tune(args) -> int:
     return 0
 
 
+def _check_names(args) -> list[str]:
+    return [args.only] if args.only else list(_CHECK_SUITES)
+
+
 def cmd_check(args) -> int:
-    names = [args.only] if args.only else list(_CHECK_SUITES)
     all_passed = True
-    for name in names:
-        report = _CHECK_SUITES[name](args)
+    for name in _check_names(args):
+        report = _CHECK_SUITES[name][2](args)
         print(report)
         all_passed = all_passed and report.passed
     print("all checks passed" if all_passed else "some checks FAILED")
@@ -339,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         help=(
-            "sample count for lemma1/counterexample (default 1000000); their "
-            "fixed tolerances are sized for the default, and at 100000 "
+            "sample count for lemma1/counterexample (default 1000000, least "
+            f"{LEMMA1_MIN_SAMPLES}/{COUNTEREXAMPLE_MIN_SAMPLES}); their fixed "
+            "tolerances are sized for the default, and at 100000 "
             "counterexample fails on Monte-Carlo noise alone"
         ),
     )
@@ -348,7 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--resamples",
         type=_positive_int,
         default=None,
-        help="resample count for theorem1/unbiasedness (default 2000/1000)",
+        help=(
+            "resample count for theorem1/unbiasedness (default 2000/1000, "
+            f"least {THEOREM1_MIN_RESAMPLES}/{UNBIASEDNESS_MIN_RESAMPLES})"
+        ),
     )
     p_check.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p_check.set_defaults(func=cmd_check)
@@ -364,6 +388,12 @@ def main(argv=None) -> int:
             parser.error(f"need --a < --b, got {args.a!r} and {args.b!r}")
         if not args.std > 0.0:
             parser.error(f"need --std > 0, got {args.std!r}")
+    if args.command == "check":
+        for name in _check_names(args):
+            flag, least, _ = _CHECK_SUITES[name]
+            given = getattr(args, flag)
+            if given is not None and given < least:
+                parser.error(f"{name} needs --{flag} >= {least}, got {given}")
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary: report, exit 1

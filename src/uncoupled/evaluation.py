@@ -31,7 +31,6 @@ import numpy as np
 
 from .baselines import lr_fit, rank_predict, ranker_fit
 from .core import (
-    SQUARED,
     Dataset,
     EmptyDataError,
     LinearModel,
@@ -330,8 +329,8 @@ def _fit_predict(method, rep, unl, pairs, dist, cfg):
     if method == "rank":
         return rank_predict(ranker_fit(pairs), unl, dist, x_test)
     if method == "tt":
-        return tt_predict(tt_fit(SQUARED, unl, pairs), dist, x_test)
-    return predict(ra_fit(SQUARED, unl, pairs, cfg), x_test)
+        return tt_predict(tt_fit(unl, pairs), dist, x_test)
+    return predict(ra_fit(unl, pairs, cfg), x_test)
 
 
 def _repeat(args):
@@ -474,6 +473,13 @@ def run_benchmark(
 # ---------------------------------------------------------------------------
 # Monte-Carlo check suites
 
+# The smallest budgets the suites accept.  The CLI rejects a smaller
+# --samples or --resamples as a usage error before any suite runs.
+LEMMA1_MIN_SAMPLES = 10_000
+COUNTEREXAMPLE_MIN_SAMPLES = 100_000
+THEOREM1_MIN_RESAMPLES = 500
+UNBIASEDNESS_MIN_RESAMPLES = 2
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -498,13 +504,13 @@ def _lemma1_errors(n_samples: int, seed: int, dim: int = 5, noise_std: float = 0
     coupled = generate_synthetic(sspec, n_samples, stream=STREAM_UNLABELED)
     pairs = sample_pairwise_from_spec(sspec, n_samples)
     dist = gaussian_distribution(0.0, math.sqrt(1.0 + noise_std**2))
-    gen = SQUARED
     model = LinearModel(theta)
 
-    score_u = gen.phi_prime(predict(model, coupled.features))
+    # phi'(h) = 2h
+    score_u = 2.0 * predict(model, coupled.features)
     F = np.asarray(dist.cdf(coupled.targets), dtype=float)
-    lhs_plus = float(np.mean(gen.phi_prime(predict(model, pairs.winners))))
-    lhs_minus = float(np.mean(gen.phi_prime(predict(model, pairs.losers))))
+    lhs_plus = float(np.mean(2.0 * predict(model, pairs.winners)))
+    lhs_minus = float(np.mean(2.0 * predict(model, pairs.losers)))
     rhs_plus = float(2.0 * np.mean(F * score_u))
     rhs_minus = float(2.0 * np.mean((1.0 - F) * score_u))
     rel_plus = abs(lhs_plus - rhs_plus) / (abs(lhs_plus) + 1e-9)
@@ -517,10 +523,10 @@ def check_lemma1(
     n_samples: int = 1_000_000, seed: int = DEFAULT_SEED, tol: float = 0.02
 ) -> CheckReport:
     """Monte-Carlo verification of the winner/loser mean identities: the
-    winner (loser) mean of phi'(h) equals twice the F_Y-weighted
+    winner (loser) mean of phi'(h) = 2h equals twice the F_Y-weighted
     (complement-weighted) mean over the marginal."""
-    if n_samples < 10_000:
-        raise ParameterError("need n_samples >= 10000")
+    if n_samples < LEMMA1_MIN_SAMPLES:
+        raise ParameterError(f"need n_samples >= {LEMMA1_MIN_SAMPLES}")
     rel_plus, rel_minus, mix_abs = _lemma1_errors(n_samples, seed)
     ok_p, ok_m, ok_mix = rel_plus < tol, rel_minus < tol, mix_abs < tol
     lines = (
@@ -548,8 +554,8 @@ def check_theorem1_variance(
     lambda, the center variance is within `slack` of every other grid
     point's, and strictly below the variance at the grid extremes.
     """
-    if resamples < 500:
-        raise ParameterError("need resamples >= 500")
+    if resamples < THEOREM1_MIN_RESAMPLES:
+        raise ParameterError(f"need resamples >= {THEOREM1_MIN_RESAMPLES}")
     if n_r < 1:
         raise ParameterError("n_r must be >= 1")
     offsets = np.sort(np.asarray(lambda_offsets, dtype=float))
@@ -563,7 +569,7 @@ def check_theorem1_variance(
     model = LinearModel(theta)
     calib_spec = SyntheticSpec(dim=dim, noise_std=noise_std, theta_true=theta, seed=seed)
     calib = sample_pairwise_from_spec(calib_spec, 2000)
-    lam_star = optimal_lambda(cfg.w1, cfg.w2, estimate_variances(model, SQUARED, calib))
+    lam_star = optimal_lambda(cfg.w1, cfg.w2, estimate_variances(model, calib))
     grid = lam_star + offsets
     center = int(np.argmin(np.abs(offsets)))
 
@@ -580,7 +586,7 @@ def check_theorem1_variance(
         pairs = sample_pairwise_from_spec(sub, n_r)
         for j, lam in enumerate(grid):
             risks[k, j] = ra_empirical_risk(
-                model, SQUARED, unl, pairs, RiskConfig(w1=cfg.w1, w2=cfg.w2, lam=lam)
+                model, unl, pairs, RiskConfig(w1=cfg.w1, w2=cfg.w2, lam=lam)
             )
     variances = np.var(risks, axis=0, ddof=1)
 
@@ -627,8 +633,8 @@ def check_counterexample(
     """Verifies the two joint distributions that share feature/target
     marginals and the comparison distribution while their regression
     functions differ."""
-    if n_samples < 100_000:
-        raise ParameterError("need n_samples >= 100000")
+    if n_samples < COUNTEREXAMPLE_MIN_SAMPLES:
+        raise ParameterError(f"need n_samples >= {COUNTEREXAMPLE_MIN_SAMPLES}")
     base = counterexample_sampler(CounterexampleVariant.BASE, n_samples, seed)
     tilde = counterexample_sampler(CounterexampleVariant.TILDE, n_samples, seed)
     xb, yb = base.features[:, 0], base.targets
@@ -704,11 +710,10 @@ def check_unbiasedness(
     lam = 0.  The mean of the pairwise risk estimate plus the model-free
     constant 1/3 should match the analytic risk (theta-1)^2/3 within three
     standard errors."""
-    if resamples < 2:
-        raise ParameterError("need resamples >= 2")
+    if resamples < UNBIASEDNESS_MIN_RESAMPLES:
+        raise ParameterError(f"need resamples >= {UNBIASEDNESS_MIN_RESAMPLES}")
     if n < 2:
         raise ParameterError("need n >= 2")
-    gen = SQUARED
     cfg = RiskConfig(w1=0.5, w2=0.0, lam=0.0)
     model = LinearModel(np.array([float(theta)]))
     values = np.empty(resamples)
@@ -718,7 +723,7 @@ def check_unbiasedness(
         x1 = rng.random(n)
         x2 = rng.random(n)
         pairs = pairwise_from_arrays(x1[:, None], x1, x2[:, None], x2)
-        values[k] = ra_empirical_risk(model, gen, Dataset(features=xu[:, None]), pairs, cfg)
+        values[k] = ra_empirical_risk(model, Dataset(features=xu[:, None]), pairs, cfg)
     constant = 1.0 / 3.0  # E[Y^2] for Y ~ U[0,1]
     analytic = (float(theta) - 1.0) ** 2 / 3.0
     mean_risk = float(np.mean(values)) + constant

@@ -13,14 +13,22 @@ differences, and a shift c of the target moves only the unlabeled term's
 lam * mean_U(x), which a constant-1 feature column absorbs exactly.  The
 empirical risk drops the model-free constant E[phi(Y)].
 
+The paper derives this rewrite for any Bregman divergence d_phi(y, h) =
+phi(y) - phi(h) - (y - h) phi'(h) with a convex generator phi: the risk is
+E[phi(Y)] - E[phi(h) - h phi'(h)] - E[Y phi'(h)], and the pairs estimate
+the cross term through their winner and loser means of phi'(h)
+("Uncoupled Regression from Pairwise Comparison Data", arXiv:1905.13659).
+This package implements only the squared case phi(z) = z^2, phi'(z) = 2z,
+the loss that every sweep, check and CLI path uses.
+
 The risk is written once, with its gradient and Hessian, for a score h
 pushed through a link g (`linked_risk`), on one contiguous design that holds
 the unlabeled, winner and loser rows as weighted columns: each theta costs
-one product, one link pass and one domain check, and the Hessian is summed
-over cache-sized column blocks.  ra is the identity link; the
-target-transform estimator is the same risk at (w1, w2) = (1/2, 0) on the
-clamped sigmoid or the target CDF.  Every iterative fit takes damped Newton
-steps on these closures; the squared generator's ra fit is a closed form.
+one product, one link pass and one finiteness test, and the Hessian is summed
+over cache-sized column blocks.  ra is the identity link, and its fit is a
+closed form; the target-transform estimator is the same risk at (w1, w2) =
+(1/2, 0) on the clamped sigmoid or the target CDF, fitted by damped Newton
+steps on these closures.
 
 Weight tuning minimizes
 
@@ -42,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BregmanGenerator,
     Dataset,
     DegenerateVarianceError,
     DomainError,
@@ -55,12 +62,16 @@ from .core import (
     predict,
 )
 from .distributions import TargetDistribution
-from .optimize import minimize_gd
+
+# ra_fit is a closed form and calls no solver.  The name stays bound here
+# because perfbench's tracer wraps risk_approx.minimize_gd and its tests
+# delete that attribute.
+from .optimize import minimize_gd  # noqa: F401
 
 
 @dataclass(frozen=True)
 class RaVariances:
-    """Sample variances of phi'(h) over winner and loser points."""
+    """Sample variances of phi'(h) = 2h over winner and loser points."""
 
     sigma2_plus: float
     sigma2_minus: float
@@ -236,19 +247,13 @@ def optimal_lambda(w1: float, w2: float, variances: RaVariances) -> float:
     return 2.0 * (w1 * variances.sigma2_plus + w2 * variances.sigma2_minus) / s
 
 
-def estimate_variances(
-    model: LinearModel, gen: BregmanGenerator, pairs: PairwiseSet
-) -> RaVariances:
-    """Sample variances (ddof=1) of phi'(h) on winners and losers."""
+def estimate_variances(model: LinearModel, pairs: PairwiseSet) -> RaVariances:
+    """Sample variances (ddof=1) of phi'(h) = 2h on winners and losers."""
     if pairs.n_pairs < 2:
         raise ParameterError("need >= 2 comparisons to estimate variances")
-    hp = predict(model, pairs.winners)
-    hm = predict(model, pairs.losers)
-    gen.require_domain(hp, "winner score")
-    gen.require_domain(hm, "loser score")
     return RaVariances(
-        sigma2_plus=float(np.var(gen.phi_prime(hp), ddof=1)),
-        sigma2_minus=float(np.var(gen.phi_prime(hm), ddof=1)),
+        sigma2_plus=float(np.var(2.0 * predict(model, pairs.winners), ddof=1)),
+        sigma2_minus=float(np.var(2.0 * predict(model, pairs.losers), ddof=1)),
     )
 
 
@@ -266,37 +271,31 @@ def identity_link(h):
 _HESS_BLOCK = 8192
 
 
-def linked_risk(
-    gen: BregmanGenerator,
-    link,
-    cfg: RiskConfig,
-    unlabeled: Dataset,
-    pairs: PairwiseSet,
-):
-    """Closures (fun, grad, hess) of theta for the pairwise-data Bregman risk
+def linked_risk(link, cfg: RiskConfig, unlabeled: Dataset, pairs: PairwiseSet):
+    """Closures (fun, grad, hess) of theta for the pairwise-data squared risk
     of a linked score g = link(h), h = theta . x, excluding the model-free
-    constant E[phi(Y)]:
+    constant E[Y^2]:
 
-      - mean_U[ phi(g) - (g - lam) phi'(g) ]
-      - mean_R[ a phi'(g(x+)) + b phi'(g(x-)) ],  a = w1 - lam/2, b = w2 - lam/2
+      mean_U[ g^2 - 2 lam g ] - 2 mean_R[ a g(x+) + b g(x-) ]
 
-    link maps an array of scores to (g, g', g'').  By the chain rule, with
-    e = phi'''(g) g'^2 + phi''(g) g'' the score derivative of phi''(g) g',
+    with a = w1 - lam/2 and b = w2 - lam/2.  fun sums it in the Bregman
+    form's terms, -(g^2 - (g - lam) 2g) per unlabeled row and 2g per pair
+    row, whose rounding differs from g^2 - 2 lam g; the line search's
+    accepted steps, and so the fitted theta, follow that rounding.  link
+    maps an array of scores to (g, g', g'').  By the chain rule,
 
-      grad = mean_U[ (g - lam) phi''(g) g' x ]
-             - mean_R[ a phi''(g+) g+' x+ + b phi''(g-) g-' x- ]
-      hess = mean_U[ (phi''(g) g'^2 + (g - lam) e) x x^T ]
-             - mean_R[ a e+ x+ x+^T + b e- x- x-^T ]
+      grad = 2 mean_U[ (g - lam) g' x ] - 2 mean_R[ a g+' x+ + b g-' x- ]
+      hess = 2 mean_U[ (g'^2 + (g - lam) g'') x x^T ]
+             - 2 mean_R[ a g+'' x+ x+^T + b g-'' x- x-^T ]
 
     The unlabeled rows, winners and losers are written once as the columns
     of one contiguous d x (n_U + 2 n_R) design, each column with its weight
     1/n_U, -a/n_R or -b/n_R.  So each theta costs one product theta @
-    design, one link call and one domain check, shared by all three
-    closures, and one phi'' pass, shared by grad and hess; grad is one
-    matrix-vector product, and hess is summed over column blocks of
-    _HESS_BLOCK.  fun is +inf where a linked score leaves
-    the generator's open domain, so a line search backs off there; grad and
-    hess raise DomainError.  An intercept is a constant-1 feature column.
+    design, one link call and one finiteness test, shared by all three
+    closures; grad is one matrix-vector product, and hess is summed over
+    column blocks of _HESS_BLOCK.  fun is +inf where a linked score is not
+    finite, so a line search backs off there; grad and hess raise
+    DomainError.  An intercept is a constant-1 feature column.
     """
     n_u, n_r, d = unlabeled.n, pairs.n_pairs, unlabeled.dim
     lam = cfg.lam
@@ -311,8 +310,8 @@ def linked_risk(
     last = {}
 
     def linked(theta):
-        """The link outputs at theta and whether g lies inside the domain,
-        computed once per theta."""
+        """(g, g', g'', whether every g is finite) at theta, computed once
+        per theta."""
         key = theta.tobytes()
         if key not in last:
             last.clear()
@@ -321,46 +320,36 @@ def linked_risk(
                 v if np.shape(v) == h.shape else np.broadcast_to(v, h.shape)
                 for v in link(h)
             )
-            last[key] = {"g": g, "d1": d1, "d2": d2, "ok": gen.contains(g)}
+            last[key] = (g, d1, d2, bool(np.isfinite(g.min()) and np.isfinite(g.max())))
         return last[key]
 
-    def inside(theta):
-        """linked(theta) with phi''(g) added once, or DomainError."""
-        at = linked(theta)
-        if not at["ok"]:
-            lo, hi = gen.valid_domain
-            raise DomainError(
-                f"linked score outside the open domain ({lo}, {hi}) of generator "
-                f"'{gen.name}'"
-            )
-        if "second" not in at:
-            at["second"] = gen.phi_second(at["g"])
-        return at
+    def finite(theta):
+        g, d1, d2, ok = linked(theta)
+        if not ok:
+            raise DomainError("linked score is not finite")
+        return g, d1, d2
 
     def fun(theta) -> float:
-        at = linked(theta)
-        if not at["ok"]:
+        g, _, _, ok = linked(theta)
+        if not ok:
             return np.inf
-        gu = at["g"][:n_u]
-        risk = -float(weight[:n_u] @ (gen.phi(gu) - (gu - lam) * gen.phi_prime(gu)))
-        return risk + float(weight[n_u:] @ gen.phi_prime(at["g"][n_u:]))
+        gu = g[:n_u]
+        risk = -float(weight[:n_u] @ (gu * gu - (gu - lam) * (2.0 * gu)))
+        return risk + float(weight[n_u:] @ (2.0 * g[n_u:]))
 
     def grad(theta) -> np.ndarray:
-        at = inside(theta)
-        c = weight * at["second"]
-        c *= at["d1"]
-        c[:n_u] *= at["g"][:n_u] - lam
+        g, d1, _ = finite(theta)
+        c = weight * 2.0
+        c *= d1
+        c[:n_u] *= g[:n_u] - lam
         return Mt @ c
 
     def hess(theta) -> np.ndarray:
-        at = inside(theta)
-        g, d1, d2, second = at["g"], at["d1"], at["d2"], at["second"]
-        c = gen.phi_third(g) * d1
-        c *= d1
-        c += second * d2
+        g, d1, d2 = finite(theta)
+        c = 2.0 * d2
         cu = c[:n_u]
         cu *= g[:n_u] - lam
-        cu += second[:n_u] * d1[:n_u] * d1[:n_u]
+        cu += 2.0 * d1[:n_u] * d1[:n_u]
         c *= weight
         out = np.zeros((d, d))
         for s in range(0, Mt.shape[1], _HESS_BLOCK):
@@ -388,22 +377,17 @@ def fit_columns(unlabeled: Dataset, pairs: PairwiseSet) -> int:
 
 
 def ra_empirical_risk(
-    model: LinearModel,
-    gen: BregmanGenerator,
-    unlabeled: Dataset,
-    pairs: PairwiseSet,
-    cfg: RiskConfig,
+    model: LinearModel, unlabeled: Dataset, pairs: PairwiseSet, cfg: RiskConfig
 ) -> float:
-    """Pairwise-data estimate of the Bregman regression risk, excluding the
-    model-free constant E[phi(Y)]:
+    """Pairwise-data estimate of the squared regression risk, excluding the
+    model-free constant E[Y^2]:
 
-      - mean_U[ phi(h) - (h - lam) phi'(h) ]
-      - mean_R[ (w1 - lam/2) phi'(h(x+)) + (w2 - lam/2) phi'(h(x-)) ]
+      mean_U[ h^2 - 2 lam h ] - 2 mean_R[ (w1 - lam/2) h(x+) + (w2 - lam/2) h(x-) ]
 
-    that is, linked_risk on the identity link; +inf when a score leaves the
-    generator's domain.
+    that is, linked_risk on the identity link; +inf when a score is not
+    finite.
     """
-    fun, _, _ = linked_risk(gen, identity_link, cfg, unlabeled, pairs)
+    fun, _, _ = linked_risk(identity_link, cfg, unlabeled, pairs)
     return fun(model.theta)
 
 
@@ -432,40 +416,20 @@ def solve_normal_equations(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return theta
 
 
-def ra_fit(
-    gen: BregmanGenerator,
-    unlabeled: Dataset,
-    pairs: PairwiseSet,
-    cfg: RiskConfig,
-    *,
-    init: np.ndarray | None = None,
-) -> LinearModel:
-    """Minimize ra_empirical_risk over linear models.
-
-    The squared generator admits a closed form: with G the unlabeled Gram
-    matrix (1/n_U) sum x x^T,
+def ra_fit(unlabeled: Dataset, pairs: PairwiseSet, cfg: RiskConfig) -> LinearModel:
+    """Minimize ra_empirical_risk over linear models in closed form: with G
+    the unlabeled Gram matrix (1/n_U) sum x x^T,
 
         G theta = lam * mean_U(x) + (w1 - lam/2) mean_+(x) + (w2 - lam/2) mean_-(x),
 
-    solved directly (ridge 1e-8 on singular G).  Any other generator takes
-    damped Newton steps on the identity-link closures of linked_risk from
-    theta = init, or 0 when init is None; a generator whose domain excludes
-    0, such as Bernoulli KL, needs an init inside it.  Both need n_U >= the
-    feature count.
+    solved directly (ridge 1e-8 on singular G).  Needs n_U >= the feature
+    count.
     """
-    ncols = fit_columns(unlabeled, pairs)
-    if gen.name == "squared":
-        X = unlabeled.features
-        G = X.T @ X / unlabeled.n
-        rhs = cfg.lam * X.mean(axis=0)
-        if pairs.n_pairs > 0:
-            rhs = rhs + (cfg.w1 - cfg.lam / 2.0) * pairs.winners.mean(axis=0)
-            rhs = rhs + (cfg.w2 - cfg.lam / 2.0) * pairs.losers.mean(axis=0)
-        return LinearModel(theta=solve_normal_equations(G, rhs))
-
-    fun, grad, hess = linked_risk(gen, identity_link, cfg, unlabeled, pairs)
-    x0 = np.zeros(ncols) if init is None else np.asarray(init, dtype=float)
-    if x0.shape != (ncols,):
-        raise ShapeError(f"init must have shape ({ncols},), got {x0.shape}")
-    result = minimize_gd(fun, grad, x0, hess=hess)
-    return LinearModel(theta=result.theta)
+    fit_columns(unlabeled, pairs)
+    X = unlabeled.features
+    G = X.T @ X / unlabeled.n
+    rhs = cfg.lam * X.mean(axis=0)
+    if pairs.n_pairs > 0:
+        rhs = rhs + (cfg.w1 - cfg.lam / 2.0) * pairs.winners.mean(axis=0)
+        rhs = rhs + (cfg.w2 - cfg.lam / 2.0) * pairs.losers.mean(axis=0)
+    return LinearModel(theta=solve_normal_equations(G, rhs))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BregmanGenerator, Dataset, LinearModel, PairwiseSet, RiskConfig, predict
+from .core import Dataset, LinearModel, PairwiseSet, RiskConfig, predict
 from .distributions import _QUANTILE_CLAMP, TargetDistribution
 from .optimize import minimize_gd
 from .risk_approx import fit_columns, linked_risk
@@ -63,19 +63,14 @@ def cdf_link(dist: TargetDistribution):
     return link
 
 
-def tt_fit(
-    gen: BregmanGenerator,
-    unlabeled: Dataset,
-    pairs: PairwiseSet,
-    link=sigmoid_link,
-) -> LinearModel:
+def tt_fit(unlabeled: Dataset, pairs: PairwiseSet, link=sigmoid_link) -> LinearModel:
     """Fit of the transformed-target risk on g(h(x)) for the link g: one
     damped Newton solve on the closures of linked_risk, from zero.  An
     unconverged solve is returned as it is.  Needs n_U >= the feature
     count.
     """
     ncols = fit_columns(unlabeled, pairs)
-    fun, grad, hess = linked_risk(gen, link, _TT_RISK, unlabeled, pairs)
+    fun, grad, hess = linked_risk(link, _TT_RISK, unlabeled, pairs)
     result = minimize_gd(fun, grad, np.zeros(ncols), hess=hess)
     return LinearModel(theta=result.theta)
 

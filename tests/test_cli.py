@@ -216,12 +216,33 @@ class TestCheck:
         assert "[PASS] unbiasedness" in stdout
         assert "all checks passed" in stdout
 
-    def test_invalid_sample_budget_exits_one(self, capsys):
-        code, _, stderr = run(
-            capsys, "check", "--only", "lemma1", "--samples", "100"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--only", "lemma1", "--samples", "10"),
+            ("--samples", "50000"),
+            ("--only", "theorem1", "--resamples", "10"),
+            ("--only", "unbiasedness", "--resamples", "1"),
+        ],
+        ids=["lemma1-samples-10", "all-samples-50000", "theorem1-resamples-10",
+             "unbiasedness-resamples-1"],
+    )
+    def test_under_minimum_budget_is_usage_error(self, capsys, argv):
+        # rejected before any suite runs: with 50000 samples lemma1 would
+        # pass, and only counterexample needs 100000
+        with pytest.raises(SystemExit) as exc:
+            main(["check", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "needs --" in captured.err
+
+    def test_lemma1_alone_accepts_what_counterexample_would_not(self, capsys):
+        code, stdout, _ = run(
+            capsys, "check", "--only", "lemma1", "--samples", "50000"
         )
-        assert code == 1
-        assert "error: ParameterError" in stderr
+        assert code == 0
+        assert "[PASS] lemma1" in stdout
 
 
 class TestParser:

@@ -28,7 +28,6 @@ from uncoupled import (
     run_synthetic,
     tt_fit,
     tune_weights,
-    SQUARED,
 )
 from uncoupled import evaluation
 from uncoupled.evaluation import _lemma1_errors
@@ -388,11 +387,11 @@ class TestUncouplingGuarantee:
             np.testing.assert_array_equal(dist_a.cdf(grid), dist_b.cdf(grid))
             cfg_a, cfg_b = tune_weights(dist_a), tune_weights(dist_b)
             assert (cfg_a.w1, cfg_a.w2, cfg_a.lam) == (cfg_b.w1, cfg_b.w2, cfg_b.lam)
-            ra_a = ra_fit(SQUARED, unl, pairs, cfg_a)
-            ra_b = ra_fit(SQUARED, unl, pairs, cfg_b)
+            ra_a = ra_fit(unl, pairs, cfg_a)
+            ra_b = ra_fit(unl, pairs, cfg_b)
             np.testing.assert_array_equal(ra_a.theta, ra_b.theta)
-            tt_a = tt_fit(SQUARED, unl, pairs)
-            tt_b = tt_fit(SQUARED, unl, pairs)
+            tt_a = tt_fit(unl, pairs)
+            tt_b = tt_fit(unl, pairs)
             np.testing.assert_array_equal(tt_a.theta, tt_b.theta)
 
 

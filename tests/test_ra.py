@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 from scipy import optimize, sparse
 
 from uncoupled import (
-    BERNOULLI_KL,
-    SQUARED,
     Dataset,
     DegenerateVarianceError,
     DomainError,
@@ -306,7 +304,7 @@ class TestOptimalLambda:
             [0.0, 0.0, 0.0],
         )
         model = LinearModel(np.array([1.0]))
-        v = estimate_variances(model, SQUARED, pairs)
+        v = estimate_variances(model, pairs)
         # phi' values are (2, 4, 8) and (0, 2, 6); both sample variances = 28/3
         assert v.sigma2_plus == pytest.approx(28.0 / 3.0, rel=1e-12)
         assert v.sigma2_minus == pytest.approx(28.0 / 3.0, rel=1e-12)
@@ -314,7 +312,7 @@ class TestOptimalLambda:
     def test_estimate_variances_needs_two_pairs(self):
         pairs = pairwise_from_arrays([[1.0]], [1.0], [[0.0]], [0.0])
         with pytest.raises(ParameterError):
-            estimate_variances(LinearModel(np.array([1.0])), SQUARED, pairs)
+            estimate_variances(LinearModel(np.array([1.0])), pairs)
 
 
 class TestEmpiricalRisk:
@@ -327,7 +325,7 @@ class TestEmpiricalRisk:
         pairs = pairwise_from_arrays([[2.0]], [1.0], [[-1.0]], [0.0])
         model = LinearModel(np.array([1.0]))
         cfg = RiskConfig(w1=0.25, w2=0.75, lam=0.5)
-        assert ra_empirical_risk(model, SQUARED, unlabeled, pairs, cfg) == 4.0
+        assert ra_empirical_risk(model, unlabeled, pairs, cfg) == 4.0
 
     def test_zero_model_zero_risk(self):
         rng = np.random.default_rng(1)
@@ -335,44 +333,31 @@ class TestEmpiricalRisk:
         pairs = PairwiseSet(rng.standard_normal((9, 3)), rng.standard_normal((9, 3)))
         model = LinearModel(np.zeros(3))
         cfg = RiskConfig(0.4, -0.1, 0.6)
-        # squared generator: phi(0) = phi'(0) = 0 annihilates every term
-        assert ra_empirical_risk(model, SQUARED, unlabeled, pairs, cfg) == 0.0
+        # h = 0 annihilates every term of the squared risk
+        assert ra_empirical_risk(model, unlabeled, pairs, cfg) == 0.0
 
     def test_empty_pairs_keep_unlabeled_term(self):
         unlabeled = Dataset(features=np.array([[1.0], [3.0]]))
         pairs = PairwiseSet(np.empty((0, 1)), np.empty((0, 1)))
         model = LinearModel(np.array([1.0]))
         cfg = RiskConfig(0.25, 0.75, 0.5)
-        assert ra_empirical_risk(model, SQUARED, unlabeled, pairs, cfg) == 3.0
+        assert ra_empirical_risk(model, unlabeled, pairs, cfg) == 3.0
 
-    @pytest.mark.parametrize(
-        "gen,link",
-        [
-            pytest.param(gen, link, id=gid if link == "identity" else f"{gid}-{link}")
-            for link in LINKS
-            for gen, gid in ((SQUARED, "squared"), (BERNOULLI_KL, "kl"))
-        ],
-    )
-    def test_risk_is_affine_in_lambda(self, gen, link):
+    @pytest.mark.parametrize("link", list(LINKS))
+    def test_risk_is_affine_in_lambda(self, link):
         rng = np.random.default_rng(7)
-        if gen is SQUARED:
-            unlabeled = Dataset(features=rng.standard_normal((30, 2)))
-            pairs = PairwiseSet(rng.standard_normal((12, 2)), rng.standard_normal((12, 2)))
-            theta = rng.standard_normal(2)
-        else:
-            unlabeled = Dataset(features=rng.uniform(0.1, 0.45, (30, 2)))
-            pairs = PairwiseSet(rng.uniform(0.1, 0.45, (12, 2)), rng.uniform(0.1, 0.45, (12, 2)))
-            theta = np.array([1.0, 1.0])
+        unlabeled = Dataset(features=rng.standard_normal((30, 2)))
+        pairs = PairwiseSet(rng.standard_normal((12, 2)), rng.standard_normal((12, 2)))
+        theta = rng.standard_normal(2)
         g_u, g_w, g_l = (
             LINKS[link](M @ theta)[0] for M in (unlabeled.features, pairs.winners, pairs.losers)
         )
-        slope = np.mean(gen.phi_prime(g_w) + gen.phi_prime(g_l)) / 2.0 - np.mean(
-            gen.phi_prime(g_u)
-        )
+        # phi'(g) = 2g
+        slope = np.mean(2.0 * g_w + 2.0 * g_l) / 2.0 - np.mean(2.0 * g_u)
 
         def risk(lam):
             cfg = RiskConfig(0.3, -0.2, lam)
-            fun, _, _ = linked_risk(gen, LINKS[link], cfg, unlabeled, pairs)
+            fun, _, _ = linked_risk(LINKS[link], cfg, unlabeled, pairs)
             return fun(theta)
 
         assert risk(0.7) - risk(0.0) == pytest.approx(0.7 * slope, abs=1e-12)
@@ -388,8 +373,8 @@ class TestEmpiricalRisk:
             s = SyntheticSpec(dim=2, noise_std=0.1, theta_true=theta, seed=1000 + k)
             unlabeled = generate_synthetic(s, 400).without_targets()
             pairs = sample_pairwise_from_spec(s, 400)
-            lo = ra_empirical_risk(model, SQUARED, unlabeled, pairs, RiskConfig(0.7, -0.7, -0.5))
-            hi = ra_empirical_risk(model, SQUARED, unlabeled, pairs, RiskConfig(0.7, -0.7, 0.5))
+            lo = ra_empirical_risk(model, unlabeled, pairs, RiskConfig(0.7, -0.7, -0.5))
+            hi = ra_empirical_risk(model, unlabeled, pairs, RiskConfig(0.7, -0.7, 0.5))
             diffs.append(hi - lo)
         diffs = np.asarray(diffs)
         se = diffs.std(ddof=1) / np.sqrt(diffs.size)
@@ -402,7 +387,7 @@ class TestEmpiricalRisk:
         cfg = RiskConfig(0.6, -0.3, 0.2)
 
         def risk(theta):
-            return ra_empirical_risk(LinearModel(theta), SQUARED, unlabeled, pairs, cfg)
+            return ra_empirical_risk(LinearModel(theta), unlabeled, pairs, cfg)
 
         for _ in range(100):
             a = rng.standard_normal(3)
@@ -422,24 +407,17 @@ def finite_difference_gradient(f, theta, step=1e-6):
 
 
 class TestRiskGradient:
-    @pytest.mark.parametrize("gen", [SQUARED, BERNOULLI_KL], ids=["squared", "kl"])
-    def test_matches_finite_differences(self, gen):
+    def test_matches_finite_differences(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
-            if gen is SQUARED:
-                unlabeled = Dataset(features=rng.standard_normal((25, 3)))
-                pairs = PairwiseSet(rng.standard_normal((10, 3)), rng.standard_normal((10, 3)))
-                theta = rng.standard_normal(3)
-            else:
-                # keep every score in the open unit interval required by KL
-                unlabeled = Dataset(features=rng.uniform(0.1, 0.3, (25, 3)))
-                pairs = PairwiseSet(rng.uniform(0.1, 0.3, (10, 3)), rng.uniform(0.1, 0.3, (10, 3)))
-                theta = rng.uniform(0.5, 1.0, 3)
+            unlabeled = Dataset(features=rng.standard_normal((25, 3)))
+            pairs = PairwiseSet(rng.standard_normal((10, 3)), rng.standard_normal((10, 3)))
+            theta = rng.standard_normal(3)
             cfg = RiskConfig(*rng.uniform(-0.8, 0.8, 2), rng.uniform(-0.5, 0.5))
-            _, grad_fn, _ = linked_risk(gen, identity_link, cfg, unlabeled, pairs)
+            _, grad_fn, _ = linked_risk(identity_link, cfg, unlabeled, pairs)
             grad = grad_fn(theta)
             fd = finite_difference_gradient(
-                lambda t: ra_empirical_risk(LinearModel(t), gen, unlabeled, pairs, cfg),
+                lambda t: ra_empirical_risk(LinearModel(t), unlabeled, pairs, cfg),
                 theta,
             )
             scale = max(1.0, float(np.max(np.abs(fd))))
@@ -450,63 +428,41 @@ class TestRaFit:
     def test_uniform_coupling_recovers_theta(self):
         unlabeled, pairs = uniform_coupling(100_000, 5000, seed=0)
         cfg = tune_weights(uniform_distribution(0.0, 1.0))
-        model = ra_fit(SQUARED, unlabeled, pairs, cfg)
+        model = ra_fit(unlabeled, pairs, cfg)
         assert model.theta[0] == pytest.approx(1.0, abs=0.05)
 
     def test_intercept_recovers_affine_shift(self):
         unlabeled, pairs = with_ones(*uniform_coupling(100_000, 5000, seed=1, shift=2.0))
         cfg = tune_weights(uniform_distribution(2.0, 3.0))
-        model = ra_fit(SQUARED, unlabeled, pairs, cfg)
+        model = ra_fit(unlabeled, pairs, cfg)
         assert model.theta[0] == pytest.approx(1.0, abs=0.05)
         assert model.theta[1] == pytest.approx(2.0, abs=0.05)
 
     def test_closed_form_matches_newton(self):
         unlabeled, pairs = uniform_coupling(2000, 400, seed=2)
         cfg = RiskConfig(0.5, 0.0, 0.25)
-        closed = ra_fit(SQUARED, unlabeled, pairs, cfg)
-        fun, grad, hess = linked_risk(SQUARED, identity_link, cfg, unlabeled, pairs)
+        closed = ra_fit(unlabeled, pairs, cfg)
+        fun, grad, hess = linked_risk(identity_link, cfg, unlabeled, pairs)
         newton = minimize_gd(fun, grad, np.zeros(1), hess=hess)
         assert newton.converged
         assert np.max(np.abs(closed.theta - newton.theta)) < 1e-10
 
-    def test_non_squared_generator_newton_agrees_with_gradient_descent(self, gradient_descent):
-        # X ~ U(0, 1/2), Y = X: KL scores h = theta x stay inside (0, 1)
-        unlabeled, pairs = uniform_coupling(2000, 400, seed=5)
-        half = lambda X: 0.5 * X
-        unlabeled = Dataset(features=half(unlabeled.features))
-        pairs = PairwiseSet(half(pairs.winners), half(pairs.losers))
-        cfg = tune_weights(uniform_distribution(0.0, 0.5))
-        start = np.array([0.5])
-        model = ra_fit(BERNOULLI_KL, unlabeled, pairs, cfg, init=start)
-        fun, grad, _ = linked_risk(BERNOULLI_KL, identity_link, cfg, unlabeled, pairs)
-        gd = gradient_descent(fun, grad, start)
-        assert gd.converged
-        np.testing.assert_allclose(model.theta, gd.theta, rtol=0.0, atol=1e-6)
-        assert np.linalg.norm(grad(model.theta)) <= 1e-8
-        assert model.theta[0] == pytest.approx(1.0, abs=0.1)
-
-    def test_init_of_the_wrong_length_rejected(self):
-        unlabeled, pairs = uniform_coupling(50, 20, seed=6)
-        cfg = RiskConfig(0.25, 0.0, 0.125)
-        with pytest.raises(ShapeError):
-            ra_fit(BERNOULLI_KL, unlabeled, pairs, cfg, init=np.array([0.5, 0.5]))
-
     def test_zero_weights_give_zero_model(self):
         unlabeled, pairs = uniform_coupling(500, 50, seed=3)
-        model = ra_fit(SQUARED, unlabeled, pairs, RiskConfig(0.0, 0.0, 0.0))
+        model = ra_fit(unlabeled, pairs, RiskConfig(0.0, 0.0, 0.0))
         np.testing.assert_allclose(model.theta, 0.0, atol=1e-9)
 
     def test_dim_mismatch_rejected(self):
         unlabeled = Dataset(features=np.ones((5, 2)))
         pairs = PairwiseSet(np.ones((3, 1)), np.zeros((3, 1)))
         with pytest.raises(ShapeError):
-            ra_fit(SQUARED, unlabeled, pairs, RiskConfig(0.5, 0.0, 0.25))
+            ra_fit(unlabeled, pairs, RiskConfig(0.5, 0.0, 0.25))
 
     def test_fit_deterministic(self):
         unlabeled, pairs = uniform_coupling(3000, 300, seed=4)
         cfg = RiskConfig(0.5, 0.0, 0.25)
-        a = ra_fit(SQUARED, unlabeled, pairs, cfg)
-        b = ra_fit(SQUARED, unlabeled, pairs, cfg)
+        a = ra_fit(unlabeled, pairs, cfg)
+        b = ra_fit(unlabeled, pairs, cfg)
         np.testing.assert_array_equal(a.theta, b.theta)
 
 
@@ -531,8 +487,9 @@ class TestTuningConfig:
             RaVariances(-1.0, 2.0)
 
 
-def three_block_risk(gen, link, cfg, unlabeled, pairs, include_intercept):
-    """Reference (fun, grad, hess): the linked risk with the unlabeled rows,
+def three_block_risk(link, cfg, unlabeled, pairs, include_intercept):
+    """Reference (fun, grad, hess): the squared linked risk
+    mean_U[g^2 - 2 lam g] - 2 mean_R[a g+ + b g-] with the unlabeled rows,
     winners and losers as three separate designs and three link calls, each
     with a trailing constant-1 column when include_intercept is set."""
     X, W, L = (
@@ -543,41 +500,34 @@ def three_block_risk(gen, link, cfg, unlabeled, pairs, include_intercept):
     a, b = cfg.w1 - lam / 2.0, cfg.w2 - lam / 2.0
 
     def parts(theta):
-        out = [link(M @ theta) for M in (X, W, L)]
-        if not all(gen.contains(g) for g, _, _ in out):
+        out = [np.broadcast_arrays(*link(M @ theta)) for M in (X, W, L)]
+        if not all(np.all(np.isfinite(g)) for g, _, _ in out):
             return None
         return out
-
-    def bend(g, d1, d2):
-        return gen.phi_third(g) * d1 * d1 + gen.phi_second(g) * d2
 
     def fun(theta):
         p = parts(theta)
         if p is None:
             return np.inf
         (gu, _, _), (gp, _, _), (gm, _, _) = p
-        risk = -float(np.mean(gen.phi(gu) - (gu - lam) * gen.phi_prime(gu)))
+        risk = float(np.mean(gu**2 - 2.0 * lam * gu))
         if n_r:
-            risk -= float(np.mean(a * gen.phi_prime(gp) + b * gen.phi_prime(gm)))
+            risk -= 2.0 * float(np.mean(a * gp + b * gm))
         return risk
 
     def grad(theta):
         (gu, du, _), (gp, dp, _), (gm, dm, _) = parts(theta)
-        out = X.T @ ((gu - lam) * gen.phi_second(gu) * du) / n_u
+        out = X.T @ (2.0 * (gu - lam) * du) / n_u
         if n_r:
-            out = out - (
-                W.T @ (a * gen.phi_second(gp) * dp) + L.T @ (b * gen.phi_second(gm) * dm)
-            ) / n_r
+            out = out - 2.0 * (W.T @ (a * dp) + L.T @ (b * dm)) / n_r
         return out
 
     def hess(theta):
-        (gu, du, ddu), (gp, dp, ddp), (gm, dm, ddm) = parts(theta)
-        cu = gen.phi_second(gu) * du * du + (gu - lam) * bend(gu, du, ddu)
+        (gu, du, ddu), (gp, _, ddp), (gm, _, ddm) = parts(theta)
+        cu = 2.0 * (du * du + (gu - lam) * ddu)
         out = (X.T * cu) @ X / n_u
         if n_r:
-            out = out - (
-                (W.T * (a * bend(gp, dp, ddp))) @ W + (L.T * (b * bend(gm, dm, ddm))) @ L
-            ) / n_r
+            out = out - 2.0 * ((W.T * (a * ddp)) @ W + (L.T * (b * ddm)) @ L) / n_r
         return out
 
     return fun, grad, hess
@@ -597,39 +547,42 @@ class TestLeanRisk:
 
     @pytest.mark.parametrize("n_u,n_r", [(500, 300), (500, 0), (20_000, 300)])
     @pytest.mark.parametrize("include_intercept", [False, True], ids=["no-icpt", "icpt"])
-    @pytest.mark.parametrize(
-        "gen,link",
-        [(SQUARED, name) for name in LEAN_LINKS]
-        + [(BERNOULLI_KL, name) for name in ("sigmoid", "cdf", "kde")],
-        ids=lambda v: getattr(v, "name", v),
-    )
-    def test_matches_three_block_formulas(self, gen, link, include_intercept, n_u, n_r):
+    @pytest.mark.parametrize("link", list(LEAN_LINKS))
+    def test_matches_three_block_formulas(self, link, include_intercept, n_u, n_r):
         rng = np.random.default_rng(n_u + n_r + include_intercept)
         unlabeled = Dataset(features=rng.standard_normal((n_u, 3)))
         pairs = PairwiseSet(rng.standard_normal((n_r, 3)), rng.standard_normal((n_r, 3)))
         cfg = RiskConfig(*rng.uniform(-0.8, 0.8, 2), rng.uniform(-0.5, 0.5))
-        ref = three_block_risk(gen, LEAN_LINKS[link], cfg, unlabeled, pairs, include_intercept)
+        ref = three_block_risk(LEAN_LINKS[link], cfg, unlabeled, pairs, include_intercept)
         if include_intercept:
             unlabeled, pairs = with_ones(unlabeled, pairs)
-        lean = linked_risk(gen, LEAN_LINKS[link], cfg, unlabeled, pairs)
+        lean = linked_risk(LEAN_LINKS[link], cfg, unlabeled, pairs)
         for theta in 0.5 * rng.standard_normal((3, 3 + include_intercept)):
             for got, want in zip(lean, ref):
                 np.testing.assert_allclose(got(theta), want(theta), rtol=1e-12, atol=0.0)
 
-    def test_kl_outside_its_domain(self):
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("row", ["unlabeled", "winner", "loser"])
+    def test_non_finite_linked_score(self, bad, row):
+        """One row whose link output is not finite makes fun +inf, so a line
+        search backs off, and makes grad and hess raise DomainError."""
         rng = np.random.default_rng(8)
-        unlabeled = Dataset(features=rng.uniform(0.1, 0.3, (30, 2)))
-        pairs = PairwiseSet(rng.uniform(0.1, 0.3, (10, 2)), rng.uniform(0.1, 0.3, (10, 2)))
+        X, W, L = (rng.uniform(-1.0, 1.0, (n, 2)) for n in (30, 10, 10))
+        # the marked row alone scores h = 14 at theta = (1, 1)
+        {"unlabeled": X, "winner": W, "loser": L}[row][4] = 7.0
+        unlabeled, pairs = Dataset(features=X), PairwiseSet(W, L)
+
+        def link(h):
+            g, d1, d2 = identity_link(h)
+            return np.where(h == 14.0, bad, g), d1, d2
+
         cfg = RiskConfig(0.4, 0.1, 0.2)
-        fun, grad, hess = linked_risk(BERNOULLI_KL, identity_link, cfg, unlabeled, pairs)
-        assert np.isfinite(fun(np.array([1.0, 1.0])))
-        # one loser score lands on 0 exactly, every other score inside (0, 1)
-        W, L = pairs.winners.copy(), pairs.losers.copy()
-        L[4] = 0.0
-        edge = PairwiseSet(W, L)
-        for pair_set, theta in ((pairs, np.array([3.0, 3.0])), (edge, np.array([1.0, 1.0]))):
-            fun, grad, hess = linked_risk(BERNOULLI_KL, identity_link, cfg, unlabeled, pair_set)
-            assert fun(theta) == np.inf
-            for closure in (grad, hess):
-                with pytest.raises(DomainError):
-                    closure(theta)
+        fun, grad, hess = linked_risk(link, cfg, unlabeled, pairs)
+        inside = np.array([0.5, 0.5])
+        assert np.isfinite(fun(inside))
+        assert np.all(np.isfinite(grad(inside))) and np.all(np.isfinite(hess(inside)))
+        outside = np.array([1.0, 1.0])
+        assert fun(outside) == np.inf
+        for closure in (grad, hess):
+            with pytest.raises(DomainError):
+                closure(outside)

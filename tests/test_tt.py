@@ -6,8 +6,6 @@ from scipy.special import expit
 from scipy.stats import kendalltau
 
 from uncoupled import (
-    BERNOULLI_KL,
-    SQUARED,
     Dataset,
     ExperimentSpec,
     LinearModel,
@@ -41,13 +39,6 @@ LINKS = {
     "gaussian_cdf": cdf_link(gaussian_distribution(0.0, 1.0)),
     "kde_cdf": cdf_link(kde_distribution(fit_kde(np.random.default_rng(19).standard_normal(200)))),
 }
-# generator x link cases; the sigmoid link (the tt surrogate) carries the
-# bare generator id
-LINK_CASES = [
-    pytest.param(gen, link, id=gid if link == "sigmoid" else f"{gid}-{link}")
-    for link in LINKS
-    for gen, gid in ((SQUARED, "squared"), (BERNOULLI_KL, "kl"))
-]
 SIGMOID_1 = 0.7310585786300049  # 1 / (1 + e^-1)
 
 
@@ -98,9 +89,9 @@ class TestSigmoidLink:
         assert (float(s), float(s1), float(s2)) == tuple(float(v[0]) for v in want)
 
 
-def tt_closures(gen, link, unlabeled, pairs, lam=0.5):
+def tt_closures(link, unlabeled, pairs, lam=0.5):
     """fun and grad of the tt risk: linked_risk at (w1, w2) = (1/2, 0)."""
-    fun, grad, _ = linked_risk(gen, link, RiskConfig(0.5, 0.0, lam), unlabeled, pairs)
+    fun, grad, _ = linked_risk(link, RiskConfig(0.5, 0.0, lam), unlabeled, pairs)
     return fun, grad
 
 
@@ -114,17 +105,17 @@ def pair_1d(winner, loser):
 
 class TestCdfRisk:
     def test_zero_model_on_uniform_support_boundary(self):
-        # F(0) = 0 makes every phi'(0)/phi(0) term vanish for the squared gen
+        # F(0) = 0 makes every g^2 and 2g term vanish
         unlabeled = single_feature(0.3, -0.8)
         pairs = pair_1d(0.5, -0.5)
-        fun, _ = tt_closures(SQUARED, cdf_link(UNIFORM), unlabeled, pairs)
+        fun, _ = tt_closures(cdf_link(UNIFORM), unlabeled, pairs)
         assert fun(np.zeros(1)) == 0.0
 
     def test_hand_instance(self):
         # -[(1/2 - 1/4)(1/2) + 1/16] - [(1/4)(3/2) - (1/4)(1/2)] = -0.4375
         unlabeled = single_feature(0.25)
         pairs = pair_1d(0.75, 0.25)
-        fun, _ = tt_closures(SQUARED, cdf_link(UNIFORM), unlabeled, pairs)
+        fun, _ = tt_closures(cdf_link(UNIFORM), unlabeled, pairs)
         assert fun(np.array([1.0])) == pytest.approx(-0.4375, abs=1e-12)
 
     def test_lambda_terms_cancel_in_expectation(self):
@@ -137,8 +128,8 @@ class TestCdfRisk:
             unlabeled = Dataset(features=rng.random((200, 1)))
             x1, x2 = rng.random((2, 200))
             pairs = pairwise_from_arrays(x1[:, None], x1, x2[:, None], x2)
-            lo = tt_closures(SQUARED, cdf_link(UNIFORM), unlabeled, pairs, lam=0.1)[0](theta)
-            hi = tt_closures(SQUARED, cdf_link(UNIFORM), unlabeled, pairs, lam=0.9)[0](theta)
+            lo = tt_closures(cdf_link(UNIFORM), unlabeled, pairs, lam=0.1)[0](theta)
+            hi = tt_closures(cdf_link(UNIFORM), unlabeled, pairs, lam=0.9)[0](theta)
             diffs.append(hi - lo)
         diffs = np.asarray(diffs)
         se = diffs.std(ddof=1) / np.sqrt(diffs.size)
@@ -150,14 +141,14 @@ class TestSurrogateRisk:
         rng = np.random.default_rng(2)
         unlabeled = Dataset(features=rng.standard_normal((17, 3)))
         pairs = PairwiseSet(rng.standard_normal((6, 3)), rng.standard_normal((6, 3)))
-        fun, _ = tt_closures(SQUARED, sigmoid_link, unlabeled, pairs)
+        fun, _ = tt_closures(sigmoid_link, unlabeled, pairs)
         assert fun(np.zeros(3)) == pytest.approx(-0.25, abs=1e-12)
 
     def test_single_point_hand_value(self):
         # s = sigmoid(1): -( (1/2 - s) 2s + s^2 ) with an empty pair set
         unlabeled = single_feature(1.0)
         pairs = PairwiseSet(np.empty((0, 1)), np.empty((0, 1)))
-        risk = tt_closures(SQUARED, sigmoid_link, unlabeled, pairs)[0](np.array([1.0]))
+        risk = tt_closures(sigmoid_link, unlabeled, pairs)[0](np.array([1.0]))
         expected = -((0.5 - SIGMOID_1) * 2 * SIGMOID_1 + SIGMOID_1**2)
         assert risk == pytest.approx(expected, abs=1e-12)
         assert risk == pytest.approx(-0.19661193324148185, abs=1e-12)
@@ -168,7 +159,7 @@ class TestSurrogateRisk:
         pairs = PairwiseSet(winners, -winners)
         unlabeled = Dataset(features=rng.standard_normal((10, 2)))
         theta = rng.standard_normal(2)
-        risk = tt_closures(SQUARED, sigmoid_link, unlabeled, pairs)[0](theta)
+        risk = tt_closures(sigmoid_link, unlabeled, pairs)[0](theta)
         # sigma(t) + sigma(-t) = 1 collapses the pair sum
         su = 1.0 / (1.0 + np.exp(-unlabeled.features @ theta))
         sp = 1.0 / (1.0 + np.exp(-winners @ theta))
@@ -178,8 +169,8 @@ class TestSurrogateRisk:
     def test_decreases_when_winner_scores_increase(self):
         unlabeled = single_feature(0.1, -0.4)
         theta = np.array([1.0])
-        low = tt_closures(SQUARED, sigmoid_link, unlabeled, pair_1d(0.2, -0.3))[0](theta)
-        high = tt_closures(SQUARED, sigmoid_link, unlabeled, pair_1d(1.5, -0.3))[0](theta)
+        low = tt_closures(sigmoid_link, unlabeled, pair_1d(0.2, -0.3))[0](theta)
+        high = tt_closures(sigmoid_link, unlabeled, pair_1d(1.5, -0.3))[0](theta)
         assert high < low
 
     def test_permutation_invariance(self):
@@ -187,11 +178,10 @@ class TestSurrogateRisk:
         unlabeled = Dataset(features=rng.standard_normal((30, 2)))
         W, L = rng.standard_normal((2, 12, 2))
         theta = rng.standard_normal(2)
-        base = tt_closures(SQUARED, sigmoid_link, unlabeled, PairwiseSet(W, L))[0](theta)
+        base = tt_closures(sigmoid_link, unlabeled, PairwiseSet(W, L))[0](theta)
         pu = rng.permutation(30)
         pr = rng.permutation(12)
         shuffled, _ = tt_closures(
-            SQUARED,
             sigmoid_link,
             Dataset(features=unlabeled.features[pu]),
             PairwiseSet(W[pr], L[pr]),
@@ -210,14 +200,13 @@ def finite_difference_gradient(f, theta, step=1e-6):
 
 
 class TestSurrogateGradient:
-    @pytest.mark.parametrize("gen", [SQUARED, BERNOULLI_KL], ids=["squared", "kl"])
-    def test_matches_finite_differences(self, gen):
+    def test_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             unlabeled = Dataset(features=rng.standard_normal((20, 3)))
             pairs = PairwiseSet(rng.standard_normal((8, 3)), rng.standard_normal((8, 3)))
             theta = rng.standard_normal(3)
-            fun, grad_fn = tt_closures(gen, sigmoid_link, unlabeled, pairs)
+            fun, grad_fn = tt_closures(sigmoid_link, unlabeled, pairs)
             grad = grad_fn(theta)
             fd = finite_difference_gradient(fun, theta)
             scale = max(1.0, float(np.max(np.abs(fd))))
@@ -230,7 +219,7 @@ class TestSurrogateGradient:
             unlabeled = Dataset(features=rng.standard_normal((15, 2)))
             pairs = PairwiseSet(rng.standard_normal((7, 2)), rng.standard_normal((7, 2)))
             theta = rng.standard_normal(2) * 0.5
-            fun, grad_fn = tt_closures(SQUARED, cdf_link(dist), unlabeled, pairs, lam=0.4)
+            fun, grad_fn = tt_closures(cdf_link(dist), unlabeled, pairs, lam=0.4)
             grad = grad_fn(theta)
             fd = finite_difference_gradient(fun, theta)
             scale = max(1.0, float(np.max(np.abs(fd))))
@@ -242,7 +231,7 @@ class TestSurrogateGradient:
         unlabeled = Dataset(features=np.vstack([half, -half]))
         W = rng.standard_normal((9, 3))
         pairs = PairwiseSet(np.vstack([W, -W]), np.vstack([-W, W]))
-        grad = tt_closures(SQUARED, sigmoid_link, unlabeled, pairs)[1](np.zeros(3))
+        grad = tt_closures(sigmoid_link, unlabeled, pairs)[1](np.zeros(3))
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_single_point_hand_gradient(self):
@@ -253,38 +242,27 @@ class TestSurrogateGradient:
         h = float(x @ theta)
         s = 1.0 / (1.0 + np.exp(-h))
         expected = -(s * (1.0 - s)) * (1.0 - 2.0 * s) * x
-        grad = tt_closures(SQUARED, sigmoid_link, unlabeled, pairs)[1](theta)
+        grad = tt_closures(sigmoid_link, unlabeled, pairs)[1](theta)
         np.testing.assert_allclose(grad, expected, atol=1e-12)
 
 
 class TestSurrogateHessian:
-    @pytest.mark.parametrize("gen,link", LINK_CASES)
+    @pytest.mark.parametrize("link", list(LINKS))
     @pytest.mark.parametrize("intercept", [False, True], ids=["no_icpt", "icpt"])
     @pytest.mark.parametrize("n_pairs", [0, 8], ids=["no_pairs", "pairs"])
-    def test_matches_finite_differences(self, gen, link, intercept, n_pairs):
+    def test_matches_finite_differences(self, link, intercept, n_pairs):
         rng = np.random.default_rng(11)
         # an intercept is a trailing constant-1 feature
         icpt = lambda M: np.hstack([M, np.ones((M.shape[0], int(intercept)))])
         for _ in range(5):
-            raw_kl = gen is BERNOULLI_KL and link == "identity"
-            # raw KL scores must lie in (0, 1); CDF-linked scores stay in the
-            # marginal's bulk, where KL's curvature of F(h) is within reach
-            # of a finite difference
-            if raw_kl:
-                draw = lambda n: rng.uniform(0.05, 0.15, (n, 3))
-            else:
-                draw = lambda n: rng.standard_normal((n, 3))
+            draw = lambda n: rng.standard_normal((n, 3))
             unlabeled = Dataset(features=icpt(draw(20)))
             pairs = PairwiseSet(icpt(draw(n_pairs)), icpt(draw(n_pairs)))
-            if raw_kl:
-                theta = np.concatenate(
-                    [rng.uniform(0.5, 1.0, 3), rng.uniform(0.0, 0.3, int(intercept))]
-                )
-            else:
-                scale = 0.3 if link.endswith("cdf") else 1.0
-                theta = rng.standard_normal(3 + intercept) * scale
+            # CDF-linked scores stay in the marginal's bulk
+            scale = 0.3 if link.endswith("cdf") else 1.0
+            theta = rng.standard_normal(3 + intercept) * scale
             cfg = RiskConfig(0.6, -0.1, 0.35)
-            _, grad, hess_fn = linked_risk(gen, LINKS[link], cfg, unlabeled, pairs)
+            _, grad, hess_fn = linked_risk(LINKS[link], cfg, unlabeled, pairs)
             hess = hess_fn(theta)
             fd = np.array(
                 [finite_difference_gradient(lambda t: grad(t)[i], theta) for i in range(theta.size)]
@@ -300,7 +278,7 @@ class TestFit:
         spec = SyntheticSpec(dim=2, noise_std=0.0, theta_true=theta, seed=21)
         unlabeled = generate_synthetic(spec, 2000).without_targets()
         pairs = sample_pairwise_from_spec(spec, 10_000)
-        model = tt_fit(SQUARED, unlabeled, pairs)
+        model = tt_fit(unlabeled, pairs)
         test = generate_synthetic(spec, 500, stream=2)
         tau = kendalltau(predict(model, test.features), test.features @ theta).statistic
         assert tau >= 0.95
@@ -310,8 +288,8 @@ class TestFit:
         spec = SyntheticSpec(dim=2, noise_std=0.1, theta_true=theta, seed=3)
         unlabeled = generate_synthetic(spec, 500).without_targets()
         pairs = sample_pairwise_from_spec(spec, 300)
-        a = tt_fit(SQUARED, unlabeled, pairs)
-        b = tt_fit(SQUARED, unlabeled, pairs)
+        a = tt_fit(unlabeled, pairs)
+        b = tt_fit(unlabeled, pairs)
         np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_final_risk_beats_every_start(self):
@@ -319,19 +297,18 @@ class TestFit:
         spec = SyntheticSpec(dim=2, noise_std=0.1, theta_true=theta, seed=4)
         unlabeled = generate_synthetic(spec, 400).without_targets()
         pairs = sample_pairwise_from_spec(spec, 200)
-        model = tt_fit(SQUARED, unlabeled, pairs)
-        fun, _ = tt_closures(SQUARED, sigmoid_link, unlabeled, pairs)
+        model = tt_fit(unlabeled, pairs)
+        fun, _ = tt_closures(sigmoid_link, unlabeled, pairs)
         final = fun(model.theta)
         for start in (np.zeros(2), np.full(2, 0.1), np.full(2, -0.1)):
             assert final <= fun(start) + 1e-12
 
-    @pytest.mark.parametrize("gen", [SQUARED, BERNOULLI_KL], ids=["squared", "kl"])
-    def test_newton_agrees_with_gradient_descent(self, gen, gradient_descent):
+    def test_newton_agrees_with_gradient_descent(self, gradient_descent):
         theta = np.array([0.6, -0.8, 0.0])
         spec = SyntheticSpec(dim=3, noise_std=1.0, theta_true=theta, seed=13)
         unlabeled = generate_synthetic(spec, 1000).without_targets()
         pairs = sample_pairwise_from_spec(spec, 300)
-        fun, grad, hess = linked_risk(gen, sigmoid_link, SURROGATE, unlabeled, pairs)
+        fun, grad, hess = linked_risk(sigmoid_link, SURROGATE, unlabeled, pairs)
         for x0 in (np.zeros(3), np.full(3, 0.1)):
             gd = gradient_descent(fun, grad, x0)
             newton = minimize_gd(fun, grad, x0, hess=hess)
@@ -339,7 +316,7 @@ class TestFit:
             assert newton.iterations < gd.iterations
             np.testing.assert_allclose(newton.theta, gd.theta, rtol=0.0, atol=1e-6)
         from_zero = minimize_gd(fun, grad, np.zeros(3), hess=hess)
-        np.testing.assert_array_equal(tt_fit(gen, unlabeled, pairs).theta, from_zero.theta)
+        np.testing.assert_array_equal(tt_fit(unlabeled, pairs).theta, from_zero.theta)
 
     @pytest.mark.parametrize("n_r", [100, 1000, 5000])
     @pytest.mark.parametrize("seed", [1, 3])
@@ -350,13 +327,13 @@ class TestFit:
         unlabeled = generate_synthetic(spec, 5000).without_targets()
         pairs = sample_pairwise_from_spec(spec, n_r)
         dist = gaussian_distribution(0.0, np.sqrt(1.01))
-        fun, grad, hess = linked_risk(SQUARED, cdf_link(dist), SURROGATE, unlabeled, pairs)
+        fun, grad, hess = linked_risk(cdf_link(dist), SURROGATE, unlabeled, pairs)
         gd = gradient_descent(fun, grad, np.zeros(5))
         newton = minimize_gd(fun, grad, np.zeros(5), hess=hess)
         assert gd.converged and newton.converged
         assert newton.iterations <= 10
         np.testing.assert_allclose(newton.theta, gd.theta, rtol=0.0, atol=1e-6)
-        fitted = tt_fit(SQUARED, unlabeled, pairs, cdf_link(dist))
+        fitted = tt_fit(unlabeled, pairs, cdf_link(dist))
         np.testing.assert_array_equal(fitted.theta, newton.theta)
 
     def test_surrogate_honours_lambda(self):
@@ -364,15 +341,15 @@ class TestFit:
         spec = SyntheticSpec(dim=2, noise_std=0.1, theta_true=theta, seed=6)
         unlabeled = generate_synthetic(spec, 400).without_targets()
         pairs = sample_pairwise_from_spec(spec, 200)
-        fitted = tt_fit(SQUARED, unlabeled, pairs)
-        _, grad, _ = linked_risk(SQUARED, sigmoid_link, SURROGATE, unlabeled, pairs)
+        fitted = tt_fit(unlabeled, pairs)
+        _, grad, _ = linked_risk(sigmoid_link, SURROGATE, unlabeled, pairs)
         assert np.linalg.norm(grad(fitted.theta)) <= 1e-8
 
     def test_rejects_fewer_unlabeled_rows_than_parameters(self):
         unlabeled = Dataset(features=np.array([[0.3, -0.2]]))
         pairs = PairwiseSet(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
         with pytest.raises(ParameterError):
-            tt_fit(SQUARED, unlabeled, pairs)
+            tt_fit(unlabeled, pairs)
 
     def test_exact_mode_fits_too(self):
         theta = np.array([1.0])
@@ -380,8 +357,8 @@ class TestFit:
         unlabeled = generate_synthetic(spec, 300).without_targets()
         pairs = sample_pairwise_from_spec(spec, 150)
         dist = gaussian_distribution(0.0, np.sqrt(1.01))
-        model = tt_fit(SQUARED, unlabeled, pairs, cdf_link(dist))
-        fun, _ = tt_closures(SQUARED, cdf_link(dist), unlabeled, pairs, lam=0.5)
+        model = tt_fit(unlabeled, pairs, cdf_link(dist))
+        fun, _ = tt_closures(cdf_link(dist), unlabeled, pairs, lam=0.5)
         start_risk = fun(np.zeros(1))
         final_risk = fun(model.theta)
         assert final_risk <= start_risk + 1e-12
@@ -438,7 +415,7 @@ class TestExactReadOut:
         rep, dist, pool = cell
         pairs = PairwiseSet(pool.winners[:n_r], pool.losers[:n_r])
         link = cdf_link(dist)
-        return tt_fit(SQUARED, rep.train.without_targets(), pairs, link), link
+        return tt_fit(rep.train.without_targets(), pairs, link), link
 
     def test_blown_up_cell_reads_out_bounded(self, cell):
         rep, dist, _ = cell
