@@ -6,11 +6,16 @@ distribution, and pairwise comparisons (which of two points has the larger
 target).  Two estimators are provided, one built on a rewrite of the
 squared-loss risk ("ra") and one built on transforming scores through the
 target CDF ("tt"), next to ordinary least squares and a pairwise-ranking
-baseline.  The paper states the rewrite for any Bregman divergence; this
-package implements the squared loss only.
+baseline.  The paper states the rewrite for any Bregman divergence; the
+fits implement the squared loss only.  The Bregman generators (``SQUARED``,
+``BERNOULLI_KL``) and ``bregman_divergence`` remain as standalone utilities
+that no fit reads.
 """
 
 from .core import (
+    BERNOULLI_KL,
+    SQUARED,
+    BregmanGenerator,
     Dataset,
     DegenerateVarianceError,
     DivergenceError,
@@ -24,6 +29,8 @@ from .core import (
     SchemaError,
     ShapeError,
     UncoupledError,
+    bregman_divergence,
+    check_generator,
     predict,
 )
 from .distributions import (

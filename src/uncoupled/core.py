@@ -1,5 +1,5 @@
-"""Shared domain types: datasets, pairwise comparison sets, linear models
-and risk weights.
+"""Shared domain types: datasets, pairwise comparison sets, linear models,
+and Bregman-divergence generators.
 
 Everything downstream treats these as immutable value objects; the numpy
 arrays they hold are made read-only at construction time.
@@ -7,7 +7,8 @@ arrays they hold are made read-only at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +22,8 @@ class UncoupledError(Exception):
 
 
 class DomainError(UncoupledError, ValueError):
-    """A value lies outside the valid domain of a CDF or of a risk."""
+    """A value lies outside the valid domain of a Bregman generator, a CDF or
+    a risk."""
 
 
 class ShapeError(UncoupledError, ValueError):
@@ -199,7 +201,100 @@ def predict(model: LinearModel, x) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# risk weights
+# Bregman generators
+
+
+@dataclass(frozen=True)
+class BregmanGenerator:
+    """A convex generator phi with its first three derivatives and an open
+    validity interval.  phi and its derivatives accept numpy arrays."""
+
+    name: str
+    phi: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    phi_prime: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    phi_second: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    phi_third: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    valid_domain: tuple[float, float] = (-np.inf, np.inf)
+
+    def contains(self, x) -> bool:
+        """Whether every entry lies strictly inside valid_domain; nan and
+        +-inf never do, and an empty array does.  A nan makes min and max
+        nan, which fails both comparisons."""
+        arr = np.asarray(x, dtype=float)
+        lo, hi = self.valid_domain
+        return arr.size == 0 or bool(arr.min() > lo and arr.max() < hi)
+
+    def require_domain(self, x, what: str = "value"):
+        if not self.contains(x):
+            lo, hi = self.valid_domain
+            raise DomainError(
+                f"{what} outside the open domain ({lo}, {hi}) of generator "
+                f"'{self.name}'"
+            )
+
+
+SQUARED = BregmanGenerator(
+    name="squared",
+    phi=lambda x: np.square(x),
+    phi_prime=lambda x: 2.0 * np.asarray(x, dtype=float),
+    phi_second=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
+    phi_third=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+    valid_domain=(-np.inf, np.inf),
+)
+
+# Convex Bernoulli likelihood generator on (0, 1):
+#   phi(x) = x log x + (1 - x) log(1 - x)
+# so that the induced divergence is the binary KL divergence.
+BERNOULLI_KL = BregmanGenerator(
+    name="bernoulli_kl",
+    phi=lambda x: x * np.log(x) + (1.0 - x) * np.log1p(-x),
+    phi_prime=lambda x: np.log(x) - np.log1p(-x),
+    phi_second=lambda x: 1.0 / (x * (1.0 - x)),
+    phi_third=lambda x: (2.0 * x - 1.0) / (x * (1.0 - x)) ** 2,
+    valid_domain=(0.0, 1.0),
+)
+
+
+def bregman_divergence(gen: BregmanGenerator, t: float, z: float) -> float:
+    """d_phi(t, z) = phi(t) - phi(z) - (t - z) phi'(z); zero iff t == z."""
+    gen.require_domain(t, "first argument")
+    gen.require_domain(z, "second argument")
+    tf = float(t)
+    zf = float(z)
+    val = float(gen.phi(tf) - gen.phi(zf) - (tf - zf) * gen.phi_prime(zf))
+    if -1e-9 < val < 0.0:
+        # divergences are nonnegative; absorb rounding noise near t == z
+        return 0.0
+    return val
+
+
+def check_generator(gen: BregmanGenerator, n_points: int = 100) -> None:
+    """Spot-check on an interior grid that phi_prime matches a central finite
+    difference of phi, and phi_third one of phi_second (relative error 1e-6
+    each), and that phi_second >= 0.  Raises NumericError on violation."""
+    lo, hi = gen.valid_domain
+    glo = lo if np.isfinite(lo) else -10.0
+    ghi = hi if np.isfinite(hi) else 10.0
+    margin = 1e-3 * (ghi - glo)
+    grid = np.linspace(glo + margin, ghi - margin, n_points)
+    step = np.minimum(1e-6 * np.maximum(1.0, np.abs(grid)), margin / 4.0)
+    # phi_second bends faster than phi near a finite domain edge, so its
+    # difference takes a tenth of the step to stay as accurate
+    for fn, deriv, name, h in (
+        (gen.phi, gen.phi_prime, "phi_prime", step),
+        (gen.phi_second, gen.phi_third, "phi_third", step / 10.0),
+    ):
+        fd = (fn(grid + h) - fn(grid - h)) / (2.0 * h)
+        analytic = deriv(grid)
+        scale = np.maximum(np.abs(analytic), 1.0)
+        rel = np.max(np.abs(fd - analytic) / scale)
+        if not rel < 1e-6:
+            raise NumericError(
+                f"generator '{gen.name}': {name} deviates from finite difference "
+                f"(max relative error {rel:.3e})"
+            )
+    if np.any(gen.phi_second(grid) < 0.0):
+        raise NumericError(f"generator '{gen.name}': phi_second is negative on the grid")
 
 
 @dataclass(frozen=True)

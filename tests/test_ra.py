@@ -43,6 +43,12 @@ LINKS = {
     "sigmoid": sigmoid_link,
     "cdf": cdf_link(gaussian_distribution(0.0, 1.0)),
 }
+# case ids name the loss, then the link; the identity link (the ra risk)
+# carries the bare loss id
+LINK_CASES = [
+    pytest.param(link, id="squared" if link == "identity" else f"squared-{link}")
+    for link in LINKS
+]
 
 UNIFORM_CASES = [(0.0, 1.0), (0.0, 2.0), (-1.0, 3.0)]
 
@@ -343,7 +349,7 @@ class TestEmpiricalRisk:
         cfg = RiskConfig(0.25, 0.75, 0.5)
         assert ra_empirical_risk(model, unlabeled, pairs, cfg) == 3.0
 
-    @pytest.mark.parametrize("link", list(LINKS))
+    @pytest.mark.parametrize("link", LINK_CASES)
     def test_risk_is_affine_in_lambda(self, link):
         rng = np.random.default_rng(7)
         unlabeled = Dataset(features=rng.standard_normal((30, 2)))
@@ -407,14 +413,15 @@ def finite_difference_gradient(f, theta, step=1e-6):
 
 
 class TestRiskGradient:
-    def test_matches_finite_differences(self):
+    @pytest.mark.parametrize("link", LINK_CASES[:1])
+    def test_matches_finite_differences(self, link):
         rng = np.random.default_rng(17)
         for _ in range(10):
             unlabeled = Dataset(features=rng.standard_normal((25, 3)))
             pairs = PairwiseSet(rng.standard_normal((10, 3)), rng.standard_normal((10, 3)))
             theta = rng.standard_normal(3)
             cfg = RiskConfig(*rng.uniform(-0.8, 0.8, 2), rng.uniform(-0.5, 0.5))
-            _, grad_fn, _ = linked_risk(identity_link, cfg, unlabeled, pairs)
+            _, grad_fn, _ = linked_risk(LINKS[link], cfg, unlabeled, pairs)
             grad = grad_fn(theta)
             fd = finite_difference_gradient(
                 lambda t: ra_empirical_risk(LinearModel(t), unlabeled, pairs, cfg),
@@ -547,7 +554,7 @@ class TestLeanRisk:
 
     @pytest.mark.parametrize("n_u,n_r", [(500, 300), (500, 0), (20_000, 300)])
     @pytest.mark.parametrize("include_intercept", [False, True], ids=["no-icpt", "icpt"])
-    @pytest.mark.parametrize("link", list(LEAN_LINKS))
+    @pytest.mark.parametrize("link", list(LEAN_LINKS), ids=lambda name: f"squared-{name}")
     def test_matches_three_block_formulas(self, link, include_intercept, n_u, n_r):
         rng = np.random.default_rng(n_u + n_r + include_intercept)
         unlabeled = Dataset(features=rng.standard_normal((n_u, 3)))

@@ -39,6 +39,13 @@ LINKS = {
     "gaussian_cdf": cdf_link(gaussian_distribution(0.0, 1.0)),
     "kde_cdf": cdf_link(kde_distribution(fit_kde(np.random.default_rng(19).standard_normal(200)))),
 }
+# case ids name the loss, then the link; the sigmoid link (the tt surrogate)
+# carries the bare loss id
+LINK_CASES = [
+    pytest.param(link, id="squared" if link == "sigmoid" else f"squared-{link}")
+    for link in LINKS
+]
+SURROGATE_CASE = [case for case in LINK_CASES if case.id == "squared"]
 SIGMOID_1 = 0.7310585786300049  # 1 / (1 + e^-1)
 
 
@@ -200,13 +207,14 @@ def finite_difference_gradient(f, theta, step=1e-6):
 
 
 class TestSurrogateGradient:
-    def test_matches_finite_differences(self):
+    @pytest.mark.parametrize("link", SURROGATE_CASE)
+    def test_matches_finite_differences(self, link):
         rng = np.random.default_rng(8)
         for _ in range(10):
             unlabeled = Dataset(features=rng.standard_normal((20, 3)))
             pairs = PairwiseSet(rng.standard_normal((8, 3)), rng.standard_normal((8, 3)))
             theta = rng.standard_normal(3)
-            fun, grad_fn = tt_closures(sigmoid_link, unlabeled, pairs)
+            fun, grad_fn = tt_closures(LINKS[link], unlabeled, pairs)
             grad = grad_fn(theta)
             fd = finite_difference_gradient(fun, theta)
             scale = max(1.0, float(np.max(np.abs(fd))))
@@ -247,7 +255,7 @@ class TestSurrogateGradient:
 
 
 class TestSurrogateHessian:
-    @pytest.mark.parametrize("link", list(LINKS))
+    @pytest.mark.parametrize("link", LINK_CASES)
     @pytest.mark.parametrize("intercept", [False, True], ids=["no_icpt", "icpt"])
     @pytest.mark.parametrize("n_pairs", [0, 8], ids=["no_pairs", "pairs"])
     def test_matches_finite_differences(self, link, intercept, n_pairs):
@@ -303,12 +311,13 @@ class TestFit:
         for start in (np.zeros(2), np.full(2, 0.1), np.full(2, -0.1)):
             assert final <= fun(start) + 1e-12
 
-    def test_newton_agrees_with_gradient_descent(self, gradient_descent):
+    @pytest.mark.parametrize("link", SURROGATE_CASE)
+    def test_newton_agrees_with_gradient_descent(self, link, gradient_descent):
         theta = np.array([0.6, -0.8, 0.0])
         spec = SyntheticSpec(dim=3, noise_std=1.0, theta_true=theta, seed=13)
         unlabeled = generate_synthetic(spec, 1000).without_targets()
         pairs = sample_pairwise_from_spec(spec, 300)
-        fun, grad, hess = linked_risk(sigmoid_link, SURROGATE, unlabeled, pairs)
+        fun, grad, hess = linked_risk(LINKS[link], SURROGATE, unlabeled, pairs)
         for x0 in (np.zeros(3), np.full(3, 0.1)):
             gd = gradient_descent(fun, grad, x0)
             newton = minimize_gd(fun, grad, x0, hess=hess)
