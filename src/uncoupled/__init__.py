@@ -81,6 +81,6 @@ from .evaluation import (
     run_benchmark,
     run_synthetic,
 )
-from .dataio import CsvSchema, load_csv, standardize
+from .dataio import CsvSchema, load_csv
 
 __version__ = "0.1.0"

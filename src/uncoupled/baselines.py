@@ -26,8 +26,8 @@ _RANK_REG = 1e-4
 
 
 def lr_fit(data: Dataset) -> LinearModel:
-    """Ordinary least squares on a labeled dataset (normal equations with a
-    tiny-ridge retry on singular Gram matrices)."""
+    """Ordinary least squares on a labeled dataset, by the normal equations
+    of solve_normal_equations (equilibrated, with a relative-ridge retry)."""
     if data.targets is None:
         raise ParameterError("lr_fit needs a dataset with targets")
     X = data.features
@@ -81,12 +81,19 @@ def ranker_fit(pairs: PairwiseSet) -> LinearModel:
     max(0, 1 - (score(x+) - score(x-)))^2 plus reg * ||theta||^2 with the
     constant reg = 1e-4, minimized from zero by damped Newton steps on its
     generalized Hessian (Chapelle & Keerthi, "Efficient algorithms for
-    ranking with SVMs", 2010)."""
+    ranking with SVMs", 2010), on the differences D = W - L with column j
+    divided by s_j = sqrt(mean(D_j^2) / 2) (1 for an all-zero column; about
+    1 on standard-normal features).  Returns theta / s, so scaling a feature
+    column by c divides its coefficient by c and leaves every score alone."""
     if pairs.n_pairs < 1:
         raise EmptyDataError("ranker_fit needs at least one comparison")
-    fun, grad, hess = _hinge_risk(pairs.winners - pairs.losers)
+    D = pairs.winners - pairs.losers
+    scale = np.sqrt(np.einsum("ij,ij->j", D, D) / (2.0 * pairs.n_pairs))
+    scale[scale == 0.0] = 1.0
+    D /= scale
+    fun, grad, hess = _hinge_risk(D)
     result = minimize_gd(fun, grad, np.zeros(pairs.dim), hess=hess)
-    return LinearModel(theta=result.theta)
+    return LinearModel(theta=result.theta / scale)
 
 
 def rank_predict(

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dataio import CsvSchema, load_csv, standardize
+from .dataio import CsvSchema, load_csv
 from .distributions import gaussian_distribution, uniform_distribution
 from .evaluation import (
     COUNTEREXAMPLE_MIN_SAMPLES,
@@ -181,8 +181,6 @@ def cmd_bench(args) -> int:
     )
     data, dropped = load_csv(args.data, schema)
     print(f"loaded {data.n} rows x {data.dim} features ({dropped} dropped)")
-    if args.standardize:
-        data = standardize(data)
     spec = ExperimentSpec(
         methods=args.methods if args.methods else ExperimentSpec.methods,
         n_r_values=args.n_r,
@@ -193,8 +191,7 @@ def cmd_bench(args) -> int:
     config = (
         f"data={args.data} rows={data.n} dropped={dropped} "
         f"n_r={','.join(map(str, spec.n_r_values))} repeats={spec.repeats} "
-        f"methods={','.join(spec.methods)} standardize={args.standardize} "
-        f"empirical_cdf={args.empirical_cdf}"
+        f"methods={','.join(spec.methods)} empirical_cdf={args.empirical_cdf}"
     )
     _emit(table, "bench", spec.seed, config, args)
     return 0
@@ -313,11 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--delimiter", default=",", help="field delimiter")
     p_bench.add_argument(
-        "--standardize",
-        action="store_true",
-        help="center/scale features before fitting (off by default)",
-    )
-    p_bench.add_argument(
         "--empirical-cdf",
         action="store_true",
         help=(
@@ -344,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--mean", type=_finite_float, default=0.0, help="gaussian mean")
     p_tune.add_argument("--std", type=_finite_float, default=1.0, help="gaussian std")
     p_tune.add_argument("--out", help="write w1,w2,lambda CSV to this path")
-    p_tune.set_defaults(func=cmd_tune)
+    p_tune.set_defaults(func=cmd_tune, parser=p_tune)
 
     p_check = sub.add_parser(
         "check", help="run the Monte-Carlo check suites", description=(
@@ -375,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_check.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p_check.set_defaults(func=cmd_check)
+    p_check.set_defaults(func=cmd_check, parser=p_check)
 
     return parser
 
@@ -385,15 +377,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "tune":
         if not args.b > args.a:
-            parser.error(f"need --a < --b, got {args.a!r} and {args.b!r}")
+            args.parser.error(f"need --a < --b, got {args.a!r} and {args.b!r}")
         if not args.std > 0.0:
-            parser.error(f"need --std > 0, got {args.std!r}")
+            args.parser.error(f"need --std > 0, got {args.std!r}")
     if args.command == "check":
         for name in _check_names(args):
             flag, least, _ = _CHECK_SUITES[name]
             given = getattr(args, flag)
             if given is not None and given < least:
-                parser.error(f"{name} needs --{flag} >= {least}, got {given}")
+                args.parser.error(f"{name} needs --{flag} >= {least}, got {given}")
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary: report, exit 1

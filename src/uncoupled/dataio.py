@@ -1,4 +1,4 @@
-"""CSV ingestion and feature preprocessing for benchmark datasets.
+"""CSV ingestion for benchmark datasets.
 
 Rows containing a missing cell (empty, "?", "NA", "NaN" after whitespace
 stripping), an unparseable or non-finite numeric cell, or the wrong number
@@ -165,17 +165,3 @@ def load_csv(path, schema: CsvSchema):
     )
     return dataset, dropped
 
-
-def standardize(data: Dataset) -> Dataset:
-    """Center and scale features to zero mean, unit std (population std).
-
-    Columns whose std is below 1e-12 are centered but not scaled.
-    """
-    means = data.features.mean(axis=0)
-    stds = data.features.std(axis=0)
-    stds = np.where(stds < 1e-12, 1.0, stds)
-    return Dataset(
-        features=(data.features - means) / stds,
-        targets=data.targets,
-        feature_names=data.feature_names,
-    )

@@ -457,11 +457,12 @@ def run_benchmark(
     rows by their true targets; supervised LR uses the labels directly.
     Uncoupled methods never see the (feature, target) pairing.  Every
     method fits an intercept: a constant-1 column is appended to the
-    features once, before the split.  RA's weights are tuned to the
-    estimated marginal with lam = w1 + w2, so a shift of every target by c
-    moves each method's predictions by c and its MSE only by rounding.  The
-    data set fixes the sizes, so spec.n_u, spec.dim, spec.noise_std and
-    spec.test_size are ignored.
+    features once, before the split, which makes lr, ra, rank (and tt at
+    n_R >= 100) invariant to per-column affine maps of the features.  RA's
+    weights are tuned to the estimated marginal with lam = w1 + w2, so a
+    shift of every target by c moves each method's predictions by c and its
+    MSE only by rounding.  The data set fixes the sizes, so spec.n_u,
+    spec.dim, spec.noise_std and spec.test_size are ignored.
     """
     if data.targets is None:
         raise ParameterError("run_benchmark needs a dataset with targets")

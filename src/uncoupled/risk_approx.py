@@ -396,15 +396,22 @@ _RIDGE = 1e-8
 
 
 def solve_normal_equations(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve G theta = rhs, retrying with a ridge of 1e-8 * I when G is
-    singular or ill-conditioned (collinear columns make the plain solve
-    "succeed" with a huge null-space component whose cancellation error
-    wrecks predictions); raises NumericError when even that fails."""
+    """Solve G theta = rhs on the Jacobi-equilibrated system: with
+    r = 1/sqrt(diag G) (1 where it is 0), solve (r G r) t = r rhs and return
+    r t, so the column scales behind G do not matter.  When r G r is
+    singular or ill-conditioned (exactly collinear columns, such as a one-hot
+    block plus a constant column, make the plain solve "succeed" with a huge
+    null-space component), retry with a ridge of 1e-8 relative to its unit
+    diagonal; raises NumericError when even that fails."""
+    norms = np.sqrt(np.diag(G))
+    r = 1.0 / np.where(norms > 0.0, norms, 1.0)
+    G = r[:, None] * G * r
+    rhs = r * rhs
     try:
         if np.linalg.cond(G) <= _MAX_COND:
             theta = np.linalg.solve(G, rhs)
             if np.all(np.isfinite(theta)):
-                return theta
+                return r * theta
     except np.linalg.LinAlgError:
         pass
     try:
@@ -413,7 +420,7 @@ def solve_normal_equations(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise NumericError("normal equations unsolvable even with ridge") from exc
     if not np.all(np.isfinite(theta)):
         raise NumericError("normal equations produced non-finite coefficients")
-    return theta
+    return r * theta
 
 
 def ra_fit(unlabeled: Dataset, pairs: PairwiseSet, cfg: RiskConfig) -> LinearModel:
@@ -422,8 +429,8 @@ def ra_fit(unlabeled: Dataset, pairs: PairwiseSet, cfg: RiskConfig) -> LinearMod
 
         G theta = lam * mean_U(x) + (w1 - lam/2) mean_+(x) + (w2 - lam/2) mean_-(x),
 
-    solved directly (ridge 1e-8 on singular G).  Needs n_U >= the feature
-    count.
+    solved by solve_normal_equations (equilibrated, with a relative ridge
+    on singular G).  Needs n_U >= the feature count.
     """
     fit_columns(unlabeled, pairs)
     X = unlabeled.features

@@ -61,6 +61,18 @@ class TestLeastSquares:
         with pytest.raises(ParameterError):
             lr_fit(Dataset(features=np.ones((4, 2))))
 
+    def test_exact_recovery_across_column_scales(self):
+        # column scales 1e-3..1e3 plus a constant column: the raw Gram matrix
+        # has condition number above 1e12, so an unequilibrated solve would
+        # take the ridge retry and miss the affine target
+        rng = np.random.default_rng(7)
+        scales = np.array([1e-3, 1e-1, 10.0, 1e3])
+        X = np.hstack([rng.standard_normal((200, 4)) * scales, np.ones((200, 1))])
+        y = 2.0 + X[:, :4] @ (np.array([1.0, 3.0, -0.5, 0.25]) / scales)
+        assert np.linalg.cond(X.T @ X / 200) > 1e12
+        model = lr_fit(labeled(X, y))
+        assert np.mean((predict(model, X) - y) ** 2) < 1e-20
+
 
 def separable_pairs(seed=4, n=80, d=3):
     rng = np.random.default_rng(seed)
@@ -87,6 +99,13 @@ class TestRankerFit:
         fwd = ranker_fit(pairs)
         rev = ranker_fit(PairwiseSet(pairs.losers, pairs.winners))
         np.testing.assert_allclose(rev.theta, -fwd.theta, atol=1e-5)
+
+    def test_column_scale_divides_theta(self):
+        pairs, _ = separable_pairs(seed=9)
+        scales = np.array([1e3, 1e-2, 1.0])
+        base = ranker_fit(pairs).theta
+        scaled = ranker_fit(PairwiseSet(pairs.winners * scales, pairs.losers * scales))
+        np.testing.assert_allclose(scaled.theta, base / scales, rtol=1e-12, atol=0.0)
 
     def test_deterministic(self):
         pairs, _ = separable_pairs(seed=8)

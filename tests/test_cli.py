@@ -235,6 +235,7 @@ class TestCheck:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("usage: uncoupled check")
         assert "needs --" in captured.err
 
     def test_lemma1_alone_accepts_what_counterexample_would_not(self, capsys):
@@ -291,12 +292,21 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["tune", *flags])
         assert exc.value.code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: uncoupled tune")
+        assert message in err
 
     def test_removed_lambda_flag_is_usage_error(self, capsys):
         # ra's lam is fixed at w1 + w2; there is no rule to choose
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--lambda-mode", "variance"])
+        assert exc.value.code == 2
+
+    def test_removed_standardize_flag_is_usage_error(self, capsys, tmp_path):
+        # the fits work out the column scales themselves
+        data = write_benchmark_csv(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--data", str(data), "--standardize"])
         assert exc.value.code == 2
 
     def test_version_flag(self, capsys):

@@ -7,7 +7,6 @@ from uncoupled import (
     ParameterError,
     SchemaError,
     load_csv,
-    standardize,
 )
 
 
@@ -158,33 +157,3 @@ class TestCsvSchema:
         with pytest.raises(ParameterError):
             CsvSchema(target_column=0, categorical_columns=(2.5,))
 
-
-class TestStandardize:
-    def sample(self):
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((100, 3)) * np.array([5.0, 0.5, 2.0]) + 1.0
-        from uncoupled import Dataset
-
-        return Dataset(features=X, targets=rng.standard_normal(100))
-
-    def test_zero_mean_unit_std(self):
-        scaled = standardize(self.sample())
-        np.testing.assert_allclose(scaled.features.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(scaled.features.std(axis=0), 1.0, atol=1e-12)
-
-    def test_already_standardized_unchanged(self):
-        scaled = standardize(self.sample())
-        again = standardize(scaled)
-        np.testing.assert_allclose(again.features, scaled.features, atol=1e-12)
-
-    def test_constant_column_centered_only(self):
-        from uncoupled import Dataset
-
-        # an exactly constant column, and one whose std is nonzero but below 1e-12
-        near = 5.0 + 1e-14 * np.arange(10.0)
-        assert 0.0 < near.std() < 1e-12
-        X = np.column_stack([np.full(10, 3.0), near, np.arange(10.0)])
-        scaled = standardize(Dataset(features=X))
-        np.testing.assert_array_equal(scaled.features[:, 0], np.zeros(10))
-        np.testing.assert_array_equal(scaled.features[:, 1], near - near.mean())
-        np.testing.assert_allclose(scaled.features[:, 2].std(), 1.0, atol=1e-12)

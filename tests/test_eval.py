@@ -275,6 +275,30 @@ class TestRunBenchmark:
             moved = shifted.row(row.method, row.n_r).mean_mse
             assert moved == pytest.approx(row.mean_mse, rel=1e-9), (row.method, row.n_r)
 
+    def test_methods_are_invariant_to_feature_scale(self):
+        """Scale gate: scaling and shifting the feature columns over several
+        decades must leave the lr, ra and rank MSEs equal to 1e-9 relative,
+        and tt's to 1e-6 at n_R >= 100 (damped Newton is affine invariant up
+        to its absolute gradient tolerance; n_R = 20 is a blow-up cell)."""
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((2000, 6))
+        y = np.exp(0.4 * (X @ np.array([0.6, -0.5, 0.4, 0.2, -0.3, 0.1])
+                          + 0.3 * rng.standard_normal(2000)))
+        scales = np.array([1e3, 1e-2, 5.0, 1.0, 300.0, 0.1])
+        shifts = np.array([50.0, -3.0, 0.0, 1e3, 7.0, 0.0])
+        spec = ExperimentSpec(n_u=1, n_r_values=(20, 100, 400), repeats=2, seed=3)
+        base, moved = (
+            run_benchmark(Dataset(features=features, targets=y), spec)
+            for features in (X, X * scales + shifts)
+        )
+        for row in base.rows:
+            assert row.repeats == 2
+            if row.method == "tt" and row.n_r < 100:
+                continue
+            rel = 1e-6 if row.method == "tt" else 1e-9
+            got = moved.row(row.method, row.n_r).mean_mse
+            assert got == pytest.approx(row.mean_mse, rel=rel), (row.method, row.n_r)
+
 
 class TestSweepFailures:
     """A failing fit or shared set-up marks its cells, never aborts the sweep.

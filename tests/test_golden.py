@@ -3,19 +3,17 @@
 `#` metadata lines and the header must match exactly; every value must
 match to 1e-12 relative, so BLAS round-off on another machine does not trip
 the test while any real change of digits does.  After a change that is meant
-to move digits, regenerate the golden files from the repository root with
+to move digits, regenerate every golden file from the RUNS table with
 
-    PYTHONPATH=src python -m uncoupled.cli synth --n-u 2000 --n-r 100,400 --repeats 2 --dim 3 --test-size 200 --seed 11 --out tests/golden/synth.csv
-    PYTHONPATH=src python tests/test_golden.py golden_data.csv
-    PYTHONPATH=src python -m uncoupled.cli bench --data golden_data.csv --n-r 100,400 --repeats 2 --seed 11 --out tests/golden/bench_kde.csv
-    PYTHONPATH=src python -m uncoupled.cli bench --data golden_data.csv --n-r 100,400 --repeats 2 --seed 11 --empirical-cdf --out tests/golden/bench_ecdf.csv
-    rm golden_data.csv
+    PYTHONPATH=src python tests/test_golden.py --regen
 
 and say in the change log which digits moved and why.
 """
 
+import os
 import pathlib
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -69,5 +67,22 @@ def test_result_csv_matches_golden(name, tmp_path, monkeypatch, capsys):
     assert_same_table((tmp_path / "result.csv").read_text(), (GOLDEN / name).read_text())
 
 
+def regenerate() -> None:
+    """Rewrite every golden file from RUNS, run where the data file carries
+    the name that the bench metadata line records."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            write_data(DATA_NAME)
+            for name, argv in RUNS.items():
+                if main([*argv, "--out", str(GOLDEN / name)]) != 0:
+                    sys.exit(f"{name}: run failed")
+        finally:
+            os.chdir(cwd)
+
+
 if __name__ == "__main__":
-    write_data(sys.argv[1])
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit("usage: python tests/test_golden.py --regen")
+    regenerate()
