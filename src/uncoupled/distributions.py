@@ -25,15 +25,22 @@ counted instead of computed.  One pass per block of 32 queries gives the
 cdf, pdf and pdf' (at 1600 points its buffers fit a 2 MB L2 cache), and
 the last query's three values are cached, so asking for all three costs
 one pass.  Its inverse CDF caches a 257-node table of the exact cdf, pdf
-and pdf', starts each query from the Hermite interpolant of the inverse
-inside the table's bracket, and refines it by Newton steps with a bisection
-fallback, to within 1e-8.  A quantile asked for more than once in a call is
-inverted once.
+and pdf', and, from the same pass, the kernel moments of a 10-term Taylor
+expansion of the cdf about each node.  Each query starts from the Hermite
+interpolant of the inverse inside the table's bracket and takes Newton
+steps on the Taylor polynomial about the nearer node, with no kernel pass.
+The result stands when a certificate puts it within 1e-10 of the root: the
+remainder bound from Cramér's inequality, a rounding bound and the
+residual, over a lower bound of the cdf's slope.  The other queries (flat
+gaps, the clamped ends) are refined by kernel-pass Newton steps with a
+bisection fallback, to within 1e-8.  A quantile asked for more than once in
+a call is inverted once.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -313,6 +320,57 @@ _NDTR_ONE = 8.3
 # The values do not depend on the block size.
 _CDF_CHUNK = 64
 _QUERY_BLOCK = 32
+# The inverse's node table stores, at each node t, the kernel moments
+# M_r(t) = (1/n) sum_j He_r(z_j) phi(z_j), r < _TAYLOR_TERMS, of the Taylor
+# expansion F(t + h d) = F(t) + sum_r (-1)^r M_r d^(r+1) / (r+1)!.  By
+# Cramér's inequality |He_r(z) phi(z)| <= _CRAMER sqrt(r!) for every z, so
+# the remainder after K terms is at most _CRAMER sqrt(K!) |d|^(K+1) / (K+1)!
+# for any sample.  A query lies at most half a node spacing from its nearer
+# node: 0.083 bandwidths on the benchmark's 1600-point log-normal sample and
+# 0.18 on a 1000-point log-normal with a long tail.  There K = 10 bounds the
+# remainder by 3e-17 and 1e-13, so a root is certified to 1e-10 wherever the
+# pdf exceeds 1e-3 even at the cell's middle.  K = 8 leaves 4e-11 on the
+# second sample and certifies 70 fewer of its levels k/1000; K = 12 costs
+# 1.4 ms more per 1600-point table and certifies one more (0.999).
+_TAYLOR_TERMS = 10
+_CRAMER = 0.4335
+# |phi'| <= phi(1): a bound on F'' in units of the bandwidth
+_PHI_SLOPE_MAX = 0.242
+# Newton steps on the Taylor polynomial (on the samples tested, more
+# certify no more queries), and the distance from the root within which
+# their result must be certified
+_TAYLOR_NEWTON_STEPS = 5
+_CERTIFIED_RADIUS = 1e-10
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _hermite_sums(z, e, terms, work):
+    """Row sums of He_r(z) e for r < terms, by He_{r+1} = z He_r - r He_{r-1}.
+    Overwrites e; for terms > 2, work holds two more arrays of its shape."""
+    sums = np.empty((e.shape[0], terms))
+    sums[:, 0] = e.sum(axis=1)
+    if terms == 2:
+        e *= z
+        sums[:, 1] = e.sum(axis=1)
+    elif terms > 2:
+        prev, cur, tmp = e, work[0], work[1]
+        np.multiply(z, e, out=cur)
+        sums[:, 1] = cur.sum(axis=1)
+        for r in range(1, terms - 1):
+            np.multiply(z, cur, out=tmp)
+            prev *= r
+            np.subtract(tmp, prev, out=prev)
+            sums[:, r + 1] = prev.sum(axis=1)
+            prev, cur = cur, prev
+    return sums
+
+
+def _poly(coef, x):
+    """sum_r coef[r] x^r by Horner's rule."""
+    out = coef[-1]
+    for r in range(coef.shape[0] - 2, -1, -1):
+        out = out * x + coef[r]
+    return out
 
 
 def kde_distribution(model: KdeModel) -> TargetDistribution:
@@ -334,17 +392,32 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
     read-only arrays, so asking for all three at one query costs one pass.
 
     The inverse CDF tabulates the exact cdf, pdf and pdf' at 257 nodes on
-    the first call and caches the table.  Each query takes its bracket from
-    the table and starts from the quintic Hermite interpolant of the inverse
-    (derivatives 1/pdf and -pdf'/pdf^3), or from linear interpolation where
-    that is not finite or leaves the bracket.  It then takes Newton steps,
-    falling back to bisection whenever a step leaves the bracket.  It stops
-    once the bracket is at most 1e-8 wide or a step is below 1e-9, so the
-    result is within 1e-8 of the smallest y with cdf(y) >= u.  Quantiles
-    below cdf(lo) map to lo and above cdf(hi) to hi.  Each query's Newton
-    run depends on its own value alone, so repeated quantiles (the rank
-    read-out's levels k/n_U repeat) are inverted once each and scattered
-    back, with the same floats.
+    the first call and caches the table.  The same pass stores at each node
+    t the moments M_r = (1/n) sum_j He_r(z_j) phi(z_j), r < K = 10, by the
+    recurrence He_{r+1} = z He_r - r He_{r-1} on its z and exp(-z^2 / 2)
+    buffers.  Then F(t + h d) = F(t) + sum_r (-1)^r M_r d^(r+1) / (r+1)! + R
+    with |R| <= 0.4335 sqrt(K!) |d|^(K+1) / (K+1)! for any sample (Cramér's
+    inequality bounds |He_K phi| by 0.4335 sqrt(K!)).
+
+    Each query takes its bracket from the table and starts from the quintic
+    Hermite interpolant of the inverse (derivatives 1/pdf and -pdf'/pdf^3),
+    or from linear interpolation where that is not finite or leaves the
+    bracket.  It takes 5 Newton steps on the Taylor polynomial about the
+    bracket node nearer the start, all queries at once and with no kernel
+    pass.  Its result is certified when R, a bound on the rounding of the
+    moments and of Horner's rule, and the residual, over a lower bound of
+    F' within 1e-10 of it (the polynomial's slope less its error bounds and
+    a bound on F''), put the root within 1e-10.  The root is that of the
+    exact cdf through the node's cdf float.  A query that is not certified
+    (one in a flat gap, where no cdf in doubles pins its root, or at a
+    clamped end) takes kernel-pass Newton steps from the same start, falling
+    back to bisection whenever a step leaves the bracket.  It stops once the
+    bracket is at most 1e-8 wide or a step is below 1e-9.  So every result
+    is within 1e-8 of the smallest y with cdf(y) >= u.  Quantiles below
+    cdf(lo) map to lo and above cdf(hi) to hi.  Each query's steps depend on
+    its own value alone, so repeated quantiles (the rank read-out's levels
+    k/n_U repeat) are inverted once each and scattered back, with the same
+    floats.
     """
     pts = model.sample_points
     h = model.bandwidth
@@ -370,12 +443,14 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
         sums[:, 0] += m * _CDF_CHUNK
         return np.cumsum(sums, axis=1)[:, -1] / n
 
-    def kernel_pass(y, slope=True):
-        """[cdf, pdf, pdf'] at y, or [cdf, pdf] without slope."""
+    def kernel_pass(y, terms=2):
+        """[cdf, pdf, pdf'] at y, or [cdf, pdf] for terms=1; for terms > 2 also
+        the (y.size, terms) kernel moments M_r of the node table."""
         flat = np.ravel(y)
         order = np.argsort(flat, kind="stable")
         ys = flat[order]
-        outs = [np.empty(flat.size) for _ in range(3 if slope else 2)]
+        outs = [np.empty(flat.size) for _ in range(min(terms, 2) + 1)]
+        moments = np.zeros((flat.size, terms)) if terms > 2 else None
         # -inf sorts first, then the finite queries, then +inf and nan; the
         # non-finite ones take their limits and stay out of the kernel blocks
         start = int(np.searchsorted(ys, -np.inf, side="right"))
@@ -389,6 +464,7 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
         ys, order = ys[start:stop], order[start:stop]
         z_buf = np.empty((min(block, ys.size), padded.size))
         e_buf = np.empty((z_buf.shape[0], n))
+        work = np.empty((2, *e_buf.shape)) if terms > 2 else None
         for a, b in _chunked(ys.size, block):
             z, e, at = z_buf[: b - a], e_buf[: b - a], order[a:b]
             np.subtract(ys[a:b, None], padded[None, :], out=z)
@@ -397,11 +473,14 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
             np.multiply(z[:, :n], -0.5, out=e)
             e *= z[:, :n]
             np.exp(e, out=e)
-            outs[1][at] = e.sum(axis=1) / pdf_norm
-            if slope:
-                e *= z[:, :n]
-                outs[2][at] = -e.sum(axis=1) / (pdf_norm * h)
-        return [out.reshape(np.shape(y)) for out in outs]
+            sums = _hermite_sums(z[:, :n], e, terms, None if work is None else work[:, : b - a])
+            outs[1][at] = sums[:, 0] / pdf_norm
+            if terms > 1:
+                outs[2][at] = -sums[:, 1] / (pdf_norm * h)
+            if terms > 2:
+                moments[at] = sums / (n * _SQRT_2PI)
+        outs = [out.reshape(np.shape(y)) for out in outs]
+        return outs + [moments] if terms > 2 else outs
 
     # one entry: the query's shape and bytes, and its read-only cdf, pdf, pdf'
     last = {}
@@ -431,13 +510,68 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
 
     @functools.cache
     def cdf_table():
+        """The nodes, their cdf, pdf and pdf', and the coefficients (by power
+        of d, then node) of four polynomials per node: S(d) / d, S'(d), and
+        the bounds on S's and S''s errors at |d| (the first over |d|), where
+        S(d) = F(t + h d) - F(t) is the Taylor polynomial about the node t."""
         nodes = np.linspace(lo, hi, _CDF_TABLE_NODES)
-        return (nodes, *kernel_pass(nodes))
+        levels, dens, slope, moments = kernel_pass(nodes, terms=_TAYLOR_TERMS)
+        K = _TAYLOR_TERMS
+        fact = np.array([float(math.factorial(r)) for r in range(K + 2)])
+        signed = moments.T * (-1.0) ** np.arange(K)[:, None]
+        poly = np.zeros((4, K + 1, nodes.size))
+        poly[0, :K] = signed / fact[1 : K + 1, None]
+        poly[1, :K] = signed / fact[:K, None]
+        # Rounding: the coefficients, Horner's rule and the residual cost at
+        # most (2K + 4) u of the terms' magnitudes.  Each moment is off by at
+        # most u _CRAMER sqrt(r!) (2 sqrt(r + 1) + log2(n) + 32): 2 sqrt(r + 1)
+        # for the rounded z, log2(n) + 12 for numpy's pairwise sum, 3 for the
+        # exp and the recurrence (measured against extended precision in the
+        # tests) and 2 for the scaling, rounded up.  The d^K coefficients of
+        # the bounds are the remainders of S and S'.
+        gamma = (2 * K + 4) * _UNIT_ROUNDOFF
+        moment_err = (
+            _UNIT_ROUNDOFF * _CRAMER * np.sqrt(fact[:K])
+            * (2.0 * np.sqrt(np.arange(1, K + 1)) + np.log2(n) + 32.0)
+        )
+        cramer = _CRAMER * math.sqrt(fact[K])
+        poly[2, :K] = gamma * np.abs(poly[0, :K]) + (moment_err / fact[1 : K + 1])[:, None]
+        poly[2, K] = cramer / fact[K + 1]
+        poly[3, :K] = gamma * np.abs(poly[1, :K]) + (moment_err / fact[:K])[:, None]
+        poly[3, K] = cramer / fact[K]
+        return nodes, levels, dens, slope, poly
+
+    def taylor_roots(q, a, b, i, x):
+        """Newton steps from x on the Taylor polynomial about the bracket node
+        nearer x.  Returns the roots, clipped to [a, b], and which of them are
+        certified within _CERTIFIED_RADIUS of the root of the exact cdf
+        through the node's value."""
+        nodes, levels, _, _, poly = cdf_table()
+        j = np.where(x - a <= b - x, i - 1, i)
+        t, gap, c = nodes[j], q - levels[j], poly[:, :, j]
+        d = (x - t) / h
+        d_lo, d_hi = (a - t) / h, (b - t) / h
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(_TAYLOR_NEWTON_STEPS):
+                d = np.clip(d - (d * _poly(c[0], d) - gap) / _poly(c[1], d), d_lo, d_hi)
+            size = np.abs(d)
+            error = (
+                np.abs(d * _poly(c[0], d) - gap)
+                + size * _poly(c[2], size)
+                + (2 * _TAYLOR_TERMS + 4) * _UNIT_ROUNDOFF * np.abs(gap)
+            )
+            x = t + h * d
+            # the certified half-width in units of h, less the rounding of x
+            room = (_CERTIFIED_RADIUS - 2.0 * _UNIT_ROUNDOFF * (np.abs(t) + np.abs(x))) / h
+            slope_lo = _poly(c[1], d) - _poly(c[3], size) - _PHI_SLOPE_MAX * room
+            # F rises by more than `error` within `room` either side of d
+            sure = (room > 0.0) & (error < room * slope_lo)
+        return np.clip(x, a, b), sure
 
     def inv(u):
         # invert each distinct quantile once; `repeat` scatters them back
         q, repeat = np.unique(np.ravel(_clamp_quantiles(u)), return_inverse=True)
-        nodes, levels, dens, slope = cdf_table()
+        nodes, levels, dens, slope, _ = cdf_table()
         k = np.searchsorted(levels, q, side="left")
         out = np.where(k == 0, lo, hi)
         todo = np.flatnonzero((k > 0) & (k < nodes.size))
@@ -460,8 +594,12 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
             x += t**3 * ((1.0 + 3.0 * s + 6.0 * s * s) * b - s * (1.0 + 3.0 * s) * m1
                          + 0.5 * s * s * c1)
         x = np.where(np.isfinite(x) & (x >= a) & (x <= b), x, linear)
+        roots, sure = taylor_roots(qa, a, b, i, x)
+        out[todo[sure]] = roots[sure]
+        rest = ~sure
+        todo, qa, a, b, x = todo[rest], qa[rest], a[rest], b[rest], x[rest]
         for _ in range(max_steps):
-            F, f = kernel_pass(x, slope=False)
+            F, f = kernel_pass(x, terms=1)
             below = F < qa
             a = np.where(below, x, a)
             b = np.where(below, b, x)

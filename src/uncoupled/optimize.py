@@ -3,9 +3,9 @@
 Every risk here is smooth or piecewise quadratic in a handful of parameters,
 and every fit supplies its (generalized) Hessian, so each step is a damped
 Newton step (Nocedal & Wright, Numerical Optimization, ch. 3 and 6): the
-direction solves (H + mu I) d = -g by Cholesky, with mu = 0 when H is
-positive definite and doubled from a small shift until the factorization
-succeeds otherwise, and the line search starts from the full step.  The
+direction solves (H + mu I) d = -g, with mu = 0 when H is positive definite
+and doubled from a small shift until a Cholesky factorization succeeds
+otherwise, and the line search starts from the full step.  The
 fits' closures share one pass over the data per theta, so the gradient at
 an accepted trial and the next Hessian reuse the objective's pass.  There
 are no knobs: the stopping rule and line search are module constants.
@@ -40,25 +40,26 @@ class GdResult:
 
 
 def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Solve (H + mu I) d = -g, with mu = 0 when the Cholesky factorization
-    of H succeeds and otherwise the first of _SHIFT * max(1, max |H_ii|)
-    doubled that makes H + mu I factor.  Returns -g when H is non-finite, no
-    finite shift factors it, or the solve does not give a descent
-    direction."""
+    """Solve (H + mu I) d = -g in one LU solve, with mu = 0 when the Cholesky
+    factorization of H succeeds and otherwise the first of
+    _SHIFT * max(1, max |H_ii|) doubled that makes H + mu I factor.  Returns
+    -g when H is non-finite, no finite shift factors it, or the solve does
+    not give a descent direction."""
     H = np.asarray(H, dtype=float)
     if not np.all(np.isfinite(H)):
         return -g
     mu, shifted = 0.0, H
     while True:
         try:
-            C = np.linalg.cholesky(shifted)
+            # the factorization only tests positive definiteness
+            np.linalg.cholesky(shifted)
             break
         except np.linalg.LinAlgError:
             mu = 2.0 * mu if mu else _SHIFT * max(1.0, float(np.max(np.abs(np.diag(H)))))
             if not np.isfinite(mu):
                 return -g
             shifted = H + mu * np.eye(H.shape[0])
-    d = -np.linalg.solve(C.T, np.linalg.solve(C, g))
+    d = -np.linalg.solve(shifted, g)
     if not float(g @ d) < 0.0:
         return -g
     return d

@@ -1,8 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp, ndtr
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import logsumexp, ndtr, ndtri
 from scipy.stats import norm
 
 from uncoupled import (
@@ -18,11 +21,15 @@ from uncoupled import (
 )
 import uncoupled.distributions
 from uncoupled.distributions import (
+    _CRAMER,
     _EXP_FLOOR,
     _KERNEL_BUDGET,
+    _TAYLOR_TERMS,
     _UNDERFLOW_EXPONENT,
+    _UNIT_ROUNDOFF,
     _chunked,
     _cv_scores,
+    _hermite_sums,
     _shifted_log_sums,
     silverman_bandwidth,
 )
@@ -467,6 +474,102 @@ class TestKdeExactness:
         for name in ("cdf", "pdf", "pdf_prime", "inv_cdf"):
             arg = u if name == "inv_cdf" else y
             np.testing.assert_array_equal(getattr(other, name)(arg), getattr(default, name)(arg))
+
+
+@st.composite
+def kde_inverse_cases(draw):
+    """A KDE with Silverman's bandwidth h on 5 to 400 points: normal, two
+    clusters 50 h apart, rounded to 0.1 (duplicates), or with the largest
+    point moved 1000 h out, where the inverse's node table is several
+    bandwidths wide.  Sorted quantiles: both clamp ends, 1e-6, up to about
+    30 of the levels k/n and 20 uniform draws."""
+    n = draw(st.integers(5, 400))
+    shape = draw(st.sampled_from(["normal", "gap_50", "duplicates", "isolated_1000"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = np.sort(rng.normal(0.0, 1.0, n))
+    h = silverman_bandwidth(v)
+    if shape == "gap_50":
+        k = draw(st.integers(1, n - 1))
+        v[k:] += v[k - 1] - v[k] + 50.0 * h
+    elif shape == "duplicates":
+        v = np.round(v, 1)
+    elif shape == "isolated_1000":
+        v[-1] = v[-2] + 1000.0 * h
+    levels = np.arange(1, n) / n
+    levels = levels[:: max(1, levels.size // 30)]
+    u = np.concatenate(([1e-9, 1e-6, 1.0 - 1e-9], levels, rng.uniform(0.0, 1.0, 20)))
+    return KdeModel(v, bandwidth=h), np.sort(u)
+
+
+class TestKdeTaylorInverse:
+    """The inverse cdf's certified Taylor steps: no kernel pass for a
+    quantile they certify, and the results of the kernel-pass loop to its
+    tolerance on any sample."""
+
+    def test_certified_quantiles_need_no_kernel_pass(self, monkeypatch):
+        dist = kde_distribution(_lognormal_tail_model())
+        u = np.linspace(0.001, 0.999, 999)
+        x = dist.inv_cdf(u)  # builds the node table
+        # 0.998 falls 2.4 past 16.56, in a 7-wide gap where the pdf is 1.5e-15
+        # and the root is set only to about 0.07 by any cdf in doubles; 0.999
+        # has a pdf of 3.7e-5, too small for the remainder there.  These two
+        # take the kernel-pass loop.
+        conditioned = u < 0.9975
+        assert np.all(dist.pdf(x[~conditioned]) < 1e-4)
+        rows = []
+
+        def counting_ndtr(z):
+            rows.append(z.shape[0])
+            return ndtr(z)
+
+        monkeypatch.setattr(uncoupled.distributions, "ndtr", counting_ndtr)
+        np.testing.assert_array_equal(dist.inv_cdf(u[conditioned]), x[conditioned])
+        assert rows == []
+
+    @pytest.mark.parametrize("gap", [150.0, 200.0, 300.0, 400.0])
+    def test_certified_roots_within_1e_10_of_the_closed_form(self, gap):
+        # below the median of two points `gap` bandwidths apart the cdf is
+        # Phi(y) / 2, so the root is ndtri(2u).  The node spacing, 0.6 to 1.6
+        # bandwidths, puts many queries where the remainder decides.
+        dist = kde_distribution(KdeModel(np.array([0.0, gap]), bandwidth=1.0))
+        u = np.linspace(1e-6, 0.49, 40_001)
+        np.testing.assert_allclose(dist.inv_cdf(u), ndtri(2.0 * u), rtol=0.0, atol=1e-10)
+
+    @given(kde_inverse_cases())
+    def test_matches_reference_on_any_sample(self, case):
+        model, u = case
+        dist = kde_distribution(model)
+        x = dist.inv_cdf(u)
+        assert np.all(np.diff(x) >= 0.0)
+        ref = reference_inv_cdf(model, u)
+        # where the pdf is below 1e-6 a cdf rounding error of 1e-14 alone
+        # moves the root by 1e-8: on a level k/n in a gap it moves it by 0.02
+        conditioned = dist.pdf(ref) >= 1e-6
+        np.testing.assert_allclose(x[conditioned], ref[conditioned], rtol=0.0, atol=1e-8)
+        lo, hi = kde_window(model)
+        inside = (x > lo) & (x < hi)
+        miss = np.abs(dist.cdf(x[inside]) - u[inside])
+        assert np.all(miss <= 1e-9 * dist.pdf(x[inside]) + 1e-14)
+
+    def test_hermite_sums_stay_within_the_rounding_bound(self):
+        # the certificate charges each moment 3 u times Cramér's bound
+        # 1.0865 sqrt(r!) for the exp and the recurrence; one point per row,
+        # so each row's sums are its terms
+        if np.finfo(np.longdouble).nmant <= np.finfo(float).nmant:
+            pytest.skip("needs an extended-precision long double")
+        z = np.linspace(-40.0, 40.0, 80_001).reshape(-1, 1)
+        e = np.exp(-0.5 * z * z)
+        got = _hermite_sums(z, e, _TAYLOR_TERMS, np.empty((2, *e.shape)))
+        zl = z.ravel().astype(np.longdouble)
+        prev, cur = np.exp(-0.5 * zl * zl), zl * np.exp(-0.5 * zl * zl)
+        ref = [prev, cur]
+        for r in range(1, _TAYLOR_TERMS - 1):
+            prev, cur = cur, zl * cur - r * prev
+            ref.append(cur)
+        for r in range(_TAYLOR_TERMS):
+            scale = _CRAMER * math.sqrt(2.0 * math.pi * math.factorial(r))
+            err = np.abs(got[:, r] - ref[r]).astype(float)
+            assert err.max() <= 3.0 * _UNIT_ROUNDOFF * scale
 
 
 class TestKdeOnePass:
