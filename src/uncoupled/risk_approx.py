@@ -30,17 +30,17 @@ closed form; the target-transform estimator is the same risk at (w1, w2) =
 (1/2, 0) on the clamped sigmoid or the target CDF, fitted by damped Newton
 steps on these closures.
 
-Weight tuning minimizes
+Weight tuning minimizes, with c = 2 w2, s = 2 (w1 - w2) and u = F_Y(y),
 
     Err(w1, w2) = E_Y | Y - 2 w1 F_Y(Y) - 2 w2 (1 - F_Y(Y)) |
+                = int_0^1 | Q(u) - c - s u | du     (Q the quantile function),
 
-which is zero for uniform targets on [a, b] exactly at (b/2, a/2).  With
-c = 2 w2 and s = 2 (w1 - w2), Err is the weighted absolute deviation of y
-from c + s F_Y(y): a least-absolute-deviations fit, i.e. median regression
-(Koenker & Bassett 1978, "Regression quantiles").  Its optimum is a line
-through two of the (y, F) nodes, reached exactly by Wesolowsky's (1981)
-vertex descent: each step is one weighted median of the slopes through a
-pivot node, and a handful of steps suffice.
+zero for uniform targets on [a, b] exactly at (b/2, a/2).  On a grid of
+quantiles it is a least-absolute-deviations fit of Q(u) on (1, u), i.e.
+median regression (Koenker & Bassett 1978, "Regression quantiles").  Its
+optimum is a line through two of the (Q(u), u) nodes, reached exactly by
+Wesolowsky's (1981) vertex descent: each step is one weighted median of the
+slopes through a pivot node, and a handful of steps suffice.
 """
 
 from __future__ import annotations
@@ -86,24 +86,23 @@ class RaVariances:
 # ---------------------------------------------------------------------------
 # Err objective and weight tuning
 
-# The Err quadrature grid: _ERR_NODES equally spaced nodes between the
-# _ERR_QUANTILES of the target distribution, each weighted by pdf * dy.  The
-# weights are the exact weighted-LAD optimum on that grid.
+# The Err grid: the midpoint rule on _ERR_NODES equal cells between the
+# _ERR_QUANTILES: nodes Q(u) at the cell midpoints u, with F = u and weight du.
 _ERR_NODES = 1001
 _ERR_QUANTILES = (0.01, 0.99)
 
 
 def _err_grid(dist: TargetDistribution):
-    y_lo, y_hi = (float(dist.inv_cdf(q)) for q in _ERR_QUANTILES)
-    if not y_hi > y_lo:
+    lo, hi = _ERR_QUANTILES
+    u = np.linspace(lo, hi, 2 * _ERR_NODES + 1)[1::2]  # the cell midpoints
+    y = np.asarray(dist.inv_cdf(u), dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ParameterError("inverse cdf gave non-finite quantiles on the Err grid")
+    if not y[-1] > y[0]:
         raise ParameterError(
-            f"degenerate quantile range [{y_lo:g}, {y_hi:g}] for the Err grid"
+            f"degenerate quantile range [{y[0]:g}, {y[-1]:g}] for the Err grid"
         )
-    y = np.linspace(y_lo, y_hi, _ERR_NODES)
-    dy = (y_hi - y_lo) / (_ERR_NODES - 1)
-    weight = np.asarray(dist.pdf(y), dtype=float) * dy
-    F = np.asarray(dist.cdf(y), dtype=float)
-    return y, F, weight
+    return y, u, np.full(_ERR_NODES, (hi - lo) / _ERR_NODES)
 
 
 def _empirical_err_grid(targets):
@@ -123,7 +122,7 @@ def _err(y, F, weight, w1: float, w2: float) -> float:
 
 
 def err_objective(dist: TargetDistribution, w1: float, w2: float) -> float:
-    """Grid approximation of Err between the 1% and 99% quantiles."""
+    """Err on the midpoint grid of quantile levels u in [0.01, 0.99]."""
     return _err(*_err_grid(dist), w1, w2)
 
 
@@ -221,9 +220,8 @@ def _lad_weights(y, F, weight) -> RiskConfig:
 
 
 def tune_weights(dist: TargetDistribution) -> RiskConfig:
-    """Exact minimizer of the Err grid objective (nodes y, weights pdf * dy):
-    the weighted LAD fit of y on (1, F_Y(y)) by the vertex descent of
-    _lad_weights, with lam = w1 + w2.  Deterministic."""
+    """Exact minimizer of the Err grid objective, the LAD fit of Q(u) on (1, u)
+    by _lad_weights; lam = w1 + w2.  Reads only dist.inv_cdf.  Deterministic."""
     return _lad_weights(*_err_grid(dist))
 
 

@@ -7,9 +7,12 @@ to move digits, regenerate every golden file from the RUNS table with
 
     PYTHONPATH=src python tests/test_golden.py --regen
 
-and say in the change log which digits moved and why.
+which prints every value that moved by more than the tolerance, and say in
+the change log which digits moved and why.
 """
 
+import contextlib
+import io
 import os
 import pathlib
 import sys
@@ -22,6 +25,7 @@ from uncoupled.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 DATA_NAME = "golden_data.csv"  # recorded in the bench metadata line
+TOLERANCE = 1e-12  # relative, per value
 SYNTH = ("synth", "--n-u", "2000", "--n-r", "100,400", "--repeats", "2",
          "--dim", "3", "--test-size", "200", "--seed", "11")
 BENCH = ("bench", "--data", DATA_NAME, "--n-r", "100,400", "--repeats", "2",
@@ -55,7 +59,7 @@ def assert_same_table(got: str, want: str) -> None:
         for gf, wf in zip(g_fields, w_fields):
             if gf != wf:
                 a, b = float(gf), float(wf)
-                assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), f"{g!r} != {w!r}"
+                assert abs(a - b) <= TOLERANCE * max(abs(a), abs(b)), f"{g!r} != {w!r}"
 
 
 @pytest.mark.parametrize("name", list(RUNS))
@@ -67,17 +71,59 @@ def test_result_csv_matches_golden(name, tmp_path, monkeypatch, capsys):
     assert_same_table((tmp_path / "result.csv").read_text(), (GOLDEN / name).read_text())
 
 
+def moved(name: str, old: str, new: str) -> list[str]:
+    """One line per value of the table new that differs from old by more
+    than the tolerance, as `file row column old → new (relative change)`
+    with the row named by its first two fields, and one per changed `#` or
+    header line; a changed line count is reported alone."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        return [f"{name}: {len(old_lines)} → {len(new_lines)} lines"]
+    n_head = next(i for i, w in enumerate(new_lines) if not w.startswith("#")) + 1
+    heads = zip(old_lines[:n_head], new_lines[:n_head])
+    out = [f"{name}: {o!r} → {n!r}" for o, n in heads if o != n]
+    columns = new_lines[n_head - 1].split(",")
+    for o, n in zip(old_lines[n_head:], new_lines[n_head:]):
+        row = n.split(",")
+        for column, of, nf in zip(columns, o.split(","), row):
+            if of == nf:
+                continue
+            where = f"{name} {','.join(row[:2])} {column} {of} → {nf}"
+            try:
+                a, b = float(of), float(nf)
+            except ValueError:  # a label, not a value
+                out.append(where)
+                continue
+            if abs(a - b) > TOLERANCE * max(abs(a), abs(b)):
+                out.append(f"{where} ({(b - a) / abs(a):+.2e})" if a else where)
+    return out
+
+
+def test_moved_lists_the_values_past_the_tolerance():
+    old = "# seed: 1\nmethod,n_r,mean_mse\nra,100,0.5\ntt,100,0.25\n"
+    new = "# seed: 1\nmethod,n_r,mean_mse\nra,100,0.5000000000000001\ntt,100,0.26\n"
+    assert moved("f.csv", old, new) == ["f.csv tt,100 mean_mse 0.25 → 0.26 (+4.00e-02)"]
+    assert moved("f.csv", old, old.replace("1", "2", 1)) == ["f.csv: '# seed: 1' → '# seed: 2'"]
+    assert moved("f.csv", old, old + "lr,100,0.5\n") == ["f.csv: 4 → 5 lines"]
+
+
 def regenerate() -> None:
     """Rewrite every golden file from RUNS, run where the data file carries
-    the name that the bench metadata line records."""
+    the name that the bench metadata line records, and print what moved."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             write_data(DATA_NAME)
             for name, argv in RUNS.items():
-                if main([*argv, "--out", str(GOLDEN / name)]) != 0:
+                path = GOLDEN / name
+                old = path.read_text() if path.exists() else ""
+                with contextlib.redirect_stdout(io.StringIO()):
+                    status = main([*argv, "--out", str(path)])
+                if status != 0:
                     sys.exit(f"{name}: run failed")
+                lines = moved(name, old, path.read_text())
+                print("\n".join(lines) if lines else f"{name}: unchanged (to {TOLERANCE:g})")
         finally:
             os.chdir(cwd)
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import optimize, sparse
+from scipy.special import ndtr
 
 from uncoupled import (
     Dataset,
@@ -32,6 +33,7 @@ from uncoupled import (
     tune_weights_empirical,
     uniform_distribution,
 )
+import uncoupled.distributions
 from uncoupled import risk_approx
 from uncoupled.distributions import TargetDistribution
 from uncoupled.optimize import minimize_gd
@@ -79,10 +81,10 @@ class TestErrObjective:
         assert err_objective(uniform_distribution(a, b), b / 2.0, a / 2.0) <= 1e-9
 
     def test_uniform_grid_value_at_origin(self):
-        # residual is y itself; the quantile grid spans [0.01, 0.99] in 1001
-        # steps, so the weighted sum is (0.98/1000) * sum(y_i) = 0.49049
+        # residual is y = Q(u) = u itself; the midpoint rule on 1001 equal
+        # cells of [0.01, 0.99] integrates a linear Q exactly, to 0.49
         val = err_objective(uniform_distribution(0.0, 1.0), 0.0, 0.0)
-        assert val == pytest.approx(0.49049, abs=1e-9)
+        assert val == pytest.approx(0.49, abs=1e-12)
         assert val == pytest.approx(0.49, abs=1e-3)  # the integral it discretizes
 
     def test_moving_off_optimum_increases_objective(self):
@@ -101,6 +103,20 @@ class TestErrObjective:
         )
         with pytest.raises(ParameterError):
             err_objective(point, 0.5, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_quantile_rejected(self, bad):
+        normal = gaussian_distribution(0.0, 1.0)
+
+        def inv_cdf(u):
+            y = np.array(normal.inv_cdf(u))
+            y[y.size // 2] = bad
+            return y
+
+        dist = TargetDistribution(normal.pdf, normal.pdf_prime, normal.cdf, inv_cdf)
+        for call in (lambda: err_objective(dist, 0.5, 0.0), lambda: tune_weights(dist)):
+            with pytest.raises(ParameterError, match="non-finite quantiles"):
+                call()
 
 
 class TestTuneWeights:
@@ -129,6 +145,33 @@ class TestTuneWeights:
         dist = gaussian_distribution(1.0, 2.0)
         a, b = tune_weights(dist), tune_weights(dist)
         assert (a.w1, a.w2, a.lam) == (b.w1, b.w2, b.lam)
+
+    def test_reads_only_the_inverse_cdf(self):
+        def refuse(y):
+            raise AssertionError("the Err grid read pdf, pdf' or cdf")
+
+        normal = gaussian_distribution(1.0, 2.0)
+        blind = TargetDistribution(refuse, refuse, refuse, normal.inv_cdf)
+        a, b = tune_weights(blind), tune_weights(normal)
+        assert (a.w1, a.w2, a.lam) == (b.w1, b.w2, b.lam)
+        assert err_objective(blind, 0.7, -0.7) == err_objective(normal, 0.7, -0.7)
+
+    def test_kde_marginal_needs_no_kernel_pass_past_the_table(self, monkeypatch):
+        # the first inv_cdf call builds the node table; every Err-grid
+        # quantile of this marginal is then certified from it, so the tuner
+        # runs no ndtr row (a quantile in a flat gap would fall back to the
+        # kernel-pass loop, and none of these lies in one)
+        dist = kde_distribution(fit_kde(LOGNORMAL_TARGETS))
+        dist.inv_cdf(0.5)
+        rows = []
+
+        def counting_ndtr(z):
+            rows.append(z.shape[0])
+            return ndtr(z)
+
+        monkeypatch.setattr(uncoupled.distributions, "ndtr", counting_ndtr)
+        tune_weights(dist)
+        assert rows == []
 
 
 class TestEmpiricalObjective:
@@ -167,8 +210,15 @@ class TestEmpiricalObjective:
 
 
 def quadrature_grid(dist):
-    """The Err grid rebuilt from its definition: 1001 equally spaced nodes
-    between the 1% and 99% quantiles, weights pdf * dy."""
+    """The Err grid rebuilt from its definition: Q(u) at the midpoints u of
+    1001 equal cells of [0.01, 0.99], F = u, weights 0.98 / 1001."""
+    u = 0.01 + 0.98 * (np.arange(1001) + 0.5) / 1001
+    return np.asarray(dist.inv_cdf(u)), u, np.full(1001, 0.98 / 1001)
+
+
+def pdf_dy_grid(dist):
+    """An oracle grid for the same integral in y: 1001 equally spaced nodes
+    between the 1% and 99% quantiles, F = cdf(y), weights pdf * dy."""
     y = np.linspace(float(dist.inv_cdf(0.01)), float(dist.inv_cdf(0.99)), 1001)
     return y, np.asarray(dist.cdf(y)), np.asarray(dist.pdf(y)) * (y[1] - y[0])
 
@@ -241,6 +291,16 @@ class TestExactTuning:
         lp = err(*lp_weights(*grid))
         assert abs(new - lp) <= 1e-10 * max(lp, err(0.0, 0.0))
         assert new <= err(*nested_grid_weights(*grid, y_lo, y_hi))
+
+    @pytest.mark.parametrize("case", [case for case, make in GATE_CASES.items() if make])
+    def test_near_the_optimum_of_the_pdf_dy_grid(self, case):
+        # both grids discretize one integral, so the weights tuned on Q(u)
+        # score within 1e-5 of the pdf * dy grid's own LP optimum there
+        dist = GATE_CASES[case]()
+        grid = pdf_dy_grid(dist)
+        cfg = tune_weights(dist)
+        lp = _err(*grid, *lp_weights(*grid))
+        assert _err(*grid, cfg.w1, cfg.w2) - lp <= 1e-5 * max(lp, _err(*grid, 0.0, 0.0))
 
 
 @st.composite
