@@ -85,7 +85,7 @@ def generate_synthetic(spec: SyntheticSpec, n: int, stream: int = STREAM_UNLABEL
 
 def pairwise_from_arrays(x1, y1, x2, y2) -> PairwiseSet:
     """Order aligned sample pairs into winners/losers; ties (y1 == y2) put the
-    first sample on the winner side."""
+    first sample on the winner side.  Targets must be finite."""
     X1 = np.asarray(x1, dtype=float)
     X2 = np.asarray(x2, dtype=float)
     v1 = np.asarray(y1, dtype=float).ravel()
@@ -94,6 +94,10 @@ def pairwise_from_arrays(x1, y1, x2, y2) -> PairwiseSet:
         raise ShapeError("x1 and x2 must be 2-d arrays of identical shape")
     if v1.shape[0] != X1.shape[0] or v2.shape[0] != X1.shape[0]:
         raise ShapeError("target lengths do not match the feature rows")
+    if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))):
+        # a comparison with nan is False, so it would silently hand every
+        # such pair to the second sample
+        raise ParameterError("targets contain non-finite entries")
     first_wins = (v1 >= v2)[:, None]
     winners = np.where(first_wins, X1, X2)
     losers = np.where(first_wins, X2, X1)

@@ -1,25 +1,23 @@
 """Risk-approximation ("ra") estimator.
 
-The regression risk under a Bregman loss decomposes into a term over the
-feature marginal plus a cross term E[Y phi'(h(X))].  The cross term is
-approximated from pairwise comparison data by weighting the winner and loser
-score means with tuned scalars (w1, w2); a further offset lam shifts
-variance between the unlabeled and pairwise parts without changing the
-expectation.  The tuned weights fix lam = w1 + w2, the variance-optimal
+The squared-loss regression risk decomposes into a term over the feature
+marginal plus a cross term E[Y h(X)].  The cross term is approximated from
+pairwise comparison data by weighting the winner and loser score means with
+tuned scalars (w1, w2); a further offset lam shifts variance between the
+unlabeled and pairwise parts without changing the expectation.  The tuned
+weights fix lam = w1 + w2, the variance-optimal
 2 (w1 s+ + w2 s-) / (s+ + s-) of Theorem 1 when the winner and loser score
 variances s+ and s- are equal.  Then the pair weights are a = -b =
 (w1 - w2) / 2, so the pairs enter only through winner-minus-loser
 differences, and a shift c of the target moves only the unlabeled term's
 lam * mean_U(x), which a constant-1 feature column absorbs exactly.  The
-empirical risk drops the model-free constant E[phi(Y)].
+empirical risk drops the model-free constant E[Y^2].
 
-The paper derives this rewrite for any Bregman divergence d_phi(y, h) =
-phi(y) - phi(h) - (y - h) phi'(h) with a convex generator phi: the risk is
-E[phi(Y)] - E[phi(h) - h phi'(h)] - E[Y phi'(h)], and the pairs estimate
-the cross term through their winner and loser means of phi'(h)
-("Uncoupled Regression from Pairwise Comparison Data", arXiv:1905.13659).
-This package implements only the squared case phi(z) = z^2, phi'(z) = 2z,
-the loss that every sweep, check and CLI path uses.
+The paper derives this rewrite for any Bregman divergence ("Uncoupled
+Regression from Pairwise Comparison Data", arXiv:1905.13659).  This package
+implements the squared case only: the risk is E[Y^2] + E[h^2] - 2 E[Y h],
+and the pairs estimate the cross term through their winner and loser means
+of phi'(h) = 2h.
 
 The risk is written once, with its gradient and Hessian, for a score h
 pushed through a link g (`linked_risk`), on one contiguous design that holds
@@ -276,11 +274,8 @@ def linked_risk(link, cfg: RiskConfig, unlabeled: Dataset, pairs: PairwiseSet):
 
       mean_U[ g^2 - 2 lam g ] - 2 mean_R[ a g(x+) + b g(x-) ]
 
-    with a = w1 - lam/2 and b = w2 - lam/2.  fun sums it in the Bregman
-    form's terms, -(g^2 - (g - lam) 2g) per unlabeled row and 2g per pair
-    row, whose rounding differs from g^2 - 2 lam g; the line search's
-    accepted steps, and so the fitted theta, follow that rounding.  link
-    maps an array of scores to (g, g', g'').  By the chain rule,
+    with a = w1 - lam/2 and b = w2 - lam/2.  link maps an array of scores
+    to (g, g', g'').  By the chain rule,
 
       grad = 2 mean_U[ (g - lam) g' x ] - 2 mean_R[ a g+' x+ + b g-' x- ]
       hess = 2 mean_U[ (g'^2 + (g - lam) g'') x x^T ]
@@ -332,7 +327,7 @@ def linked_risk(link, cfg: RiskConfig, unlabeled: Dataset, pairs: PairwiseSet):
         if not ok:
             return np.inf
         gu = g[:n_u]
-        risk = -float(weight[:n_u] @ (gu * gu - (gu - lam) * (2.0 * gu)))
+        risk = float(weight[:n_u] @ (gu * (gu - 2.0 * lam)))
         return risk + float(weight[n_u:] @ (2.0 * g[n_u:]))
 
     def grad(theta) -> np.ndarray:

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -11,124 +10,13 @@ from hypothesis import strategies as st
 
 import uncoupled
 from uncoupled import (
-    BERNOULLI_KL,
-    SQUARED,
     Dataset,
-    DomainError,
     LinearModel,
-    NumericError,
     PairwiseSet,
     RiskConfig,
     ShapeError,
-    bregman_divergence,
-    check_generator,
     predict,
 )
-
-
-class TestBregmanDivergence:
-    def test_squared_three_one(self):
-        assert bregman_divergence(SQUARED, 3.0, 1.0) == 4.0
-
-    @pytest.mark.parametrize("gen,c", [(SQUARED, 2.5), (SQUARED, -7.0), (BERNOULLI_KL, 0.3)])
-    def test_identity_is_zero(self, gen, c):
-        assert bregman_divergence(gen, c, c) == 0.0
-
-    def test_bernoulli_kl_value(self):
-        # phi(0.75) - phi(0.5) - 0.25 * phi'(0.5), with phi'(0.5) = 0
-        assert bregman_divergence(BERNOULLI_KL, 0.75, 0.5) == pytest.approx(
-            0.130812035941137, abs=1e-12
-        )
-
-    @pytest.mark.parametrize("t,z", [(1.5, 0.5), (-0.5, 0.3), (0.0, 2.0)])
-    def test_kl_outside_unit_interval_rejected(self, t, z):
-        with pytest.raises(DomainError):
-            bregman_divergence(BERNOULLI_KL, t, z)
-
-    @given(
-        t=st.floats(-50, 50, allow_nan=False),
-        z=st.floats(-50, 50, allow_nan=False),
-    )
-    def test_squared_equals_squared_distance(self, t, z):
-        assert bregman_divergence(SQUARED, t, z) == pytest.approx(
-            (t - z) ** 2, abs=1e-12, rel=1e-12
-        )
-
-    def test_squared_equals_squared_distance_bulk(self):
-        rng = np.random.default_rng(0)
-        t = rng.uniform(-10, 10, 1000)
-        z = rng.uniform(-10, 10, 1000)
-        vals = [bregman_divergence(SQUARED, ti, zi) for ti, zi in zip(t, z)]
-        np.testing.assert_allclose(vals, (t - z) ** 2, atol=1e-12)
-
-    def test_nonnegative_and_zero_iff_equal(self):
-        grid = np.linspace(0.05, 0.95, 25)
-        for gen, pts in [(SQUARED, np.linspace(-3, 3, 25)), (BERNOULLI_KL, grid)]:
-            for t in pts:
-                for z in pts:
-                    d = bregman_divergence(gen, float(t), float(z))
-                    assert d >= 0.0
-                    if abs(t - z) > 1e-12:
-                        assert d > 0.0
-
-
-class TestGenerators:
-    @pytest.mark.parametrize("gen", [SQUARED, BERNOULLI_KL], ids=["squared", "kl"])
-    def test_derivatives_match_finite_differences(self, gen):
-        check_generator(gen)  # raises if phi_prime/phi_third disagree with central FD
-
-    @pytest.mark.parametrize("gen", [SQUARED, BERNOULLI_KL], ids=["squared", "kl"])
-    def test_wrong_third_derivative_is_caught(self, gen):
-        broken = dataclasses.replace(gen, phi_third=lambda x: gen.phi_third(x) + 1.0)
-        with pytest.raises(NumericError, match="phi_third"):
-            check_generator(broken)
-
-    def test_third_derivative_hand_values(self):
-        x = np.array([0.25, 0.5])
-        np.testing.assert_array_equal(SQUARED.phi_third(x), [0.0, 0.0])
-        # (2x - 1) / (x (1 - x))^2 at x = 1/4 is -0.5 / (3/16)^2
-        np.testing.assert_allclose(BERNOULLI_KL.phi_third(x), [-128.0 / 9.0, 0.0])
-
-    TINY = np.nextafter(0.0, 1.0)
-    BELOW_ONE = np.nextafter(1.0, 0.0)
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "gen,x,inside",
-        [
-            (SQUARED, np.nan, False),
-            (SQUARED, np.inf, False),
-            (SQUARED, -np.inf, False),
-            (SQUARED, np.array([1.0, np.nan]), False),
-            (SQUARED, np.array([[-1e308, 1e308], [0.0, -np.inf]]), False),
-            (SQUARED, np.array([-1e308, 0.0, 1e308]), True),
-            (SQUARED, np.array(3.5), True),
-            (SQUARED, np.empty(0), True),
-            (BERNOULLI_KL, 0.0, False),
-            (BERNOULLI_KL, 1.0, False),
-            (BERNOULLI_KL, np.array([0.5, 1.0]), False),
-            (BERNOULLI_KL, np.array([0.0, 0.5]), False),
-            (BERNOULLI_KL, np.array([0.5, np.nan]), False),
-            (BERNOULLI_KL, np.array([np.nan, np.nan]), False),
-            (BERNOULLI_KL, np.array([-np.inf, 0.5, np.inf]), False),
-            (BERNOULLI_KL, np.array([TINY, 0.5, BELOW_ONE]), True),
-            (BERNOULLI_KL, np.array(0.5), True),
-            (BERNOULLI_KL, np.empty((0, 3)), True),
-        ],
-    )
-    def test_contains_is_the_open_domain(self, gen, x, inside):
-        """nan and +-inf lie outside every domain, the domain edges too, and
-        an empty array inside; 0-d input counts like a scalar."""
-        assert gen.contains(x) is inside
-
-    @pytest.mark.parametrize("gen", [SQUARED, BERNOULLI_KL], ids=["squared", "kl"])
-    def test_second_derivative_nonnegative(self, gen):
-        lo, hi = gen.valid_domain
-        pad = 1e-3 if np.isfinite(lo) else 0.0
-        lo = lo + pad if np.isfinite(lo) else -10.0
-        hi = hi - pad if np.isfinite(hi) else 10.0
-        grid = np.linspace(lo, hi, 101)
-        assert np.all(gen.phi_second(grid) >= 0.0)
 
 
 class TestPredict:

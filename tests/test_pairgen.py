@@ -96,6 +96,16 @@ class TestPairwiseConstruction:
         np.testing.assert_array_equal(pairs.winners, [[7.0]])
         np.testing.assert_array_equal(pairs.losers, [[8.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_non_finite_target_is_rejected(self, bad, side):
+        """nan compares False both ways, so it cannot order a pair."""
+        y1, y2 = [bad, 1.0], [0.0, 2.0]
+        if side == "second":
+            y1, y2 = y2, y1
+        with pytest.raises(ParameterError, match="targets contain non-finite entries"):
+            pairwise_from_arrays([[1.0], [2.0]], y1, [[3.0], [4.0]], y2)
+
     def test_swap_invariance_for_distinct_targets(self):
         rng = np.random.default_rng(2)
         x1, x2 = rng.standard_normal((2, 50, 3))

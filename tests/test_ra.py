@@ -10,6 +10,7 @@ from uncoupled import (
     DegenerateVarianceError,
     DomainError,
     LinearModel,
+    NumericError,
     PairwiseSet,
     ParameterError,
     RaVariances,
@@ -546,6 +547,11 @@ class TestNormalEquations:
         theta = solve_normal_equations(G, np.array([1.0, 1.0]))
         assert np.all(np.isfinite(theta))
         assert np.linalg.norm(theta) < 10.0
+
+    def test_overflowing_ridge_solve_raises(self):
+        # finite input whose ridge solve overflows to non-finite coefficients
+        with pytest.raises(NumericError, match="non-finite coefficients"):
+            solve_normal_equations(np.ones((2, 2)), np.array([1e308, -1e308]))
 
 
 class TestTuningConfig:
