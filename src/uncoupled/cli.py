@@ -101,7 +101,15 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     if not values or any(v < 1 for v in values):
         raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"expected distinct integers, got {text!r}")
     return values
+
+
+def _delimiter(text: str) -> str:
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"expected a single character, got {text!r}")
+    return text
 
 
 def _method_list(text: str) -> tuple[str, ...]:
@@ -199,7 +207,7 @@ def cmd_bench(args) -> int:
 
 def cmd_tune(args) -> int:
     if args.targets_file:
-        values = np.loadtxt(args.targets_file, delimiter=",").ravel()
+        values = np.loadtxt(args.targets_file, delimiter=",", encoding="utf-8-sig").ravel()
         cfg = tune_weights_empirical(values)
         source = f"targets-file {args.targets_file} (n={values.size})"
     elif args.dist == "uniform":
@@ -308,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--no-header", action="store_true", help="the file has no header row"
     )
-    p_bench.add_argument("--delimiter", default=",", help="field delimiter")
+    p_bench.add_argument("--delimiter", type=_delimiter, default=",", help="field delimiter")
     p_bench.add_argument(
         "--empirical-cdf",
         action="store_true",

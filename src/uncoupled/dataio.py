@@ -64,11 +64,12 @@ def _resolve_column(col: int | str, header: list[str] | None, ncols: int) -> int
 def load_csv(path, schema: CsvSchema):
     """Read a CSV file into a Dataset with targets.
 
+    A UTF-8 byte-order mark at the start of the file is skipped.
     Returns (dataset, dropped_row_count).  Raises OSError for unreadable
     files, SchemaError for unresolvable columns or a file with no column
     besides the target, EmptyDataError when no row survives filtering.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         raw = list(csv.reader(fh, delimiter=schema.delimiter))
     if not raw:
         raise EmptyDataError(f"{path}: file is empty")

@@ -24,11 +24,11 @@ sum too, except that chunks of sorted points where Phi is exactly 1 are
 counted instead of computed.  One pass per block of 32 queries gives the
 cdf, pdf and pdf' (at 1600 points its buffers fit a 2 MB L2 cache), and
 the last query's three values are cached, so asking for all three costs
-one pass.  Its inverse CDF caches a 257-node table of the exact cdf, pdf
-and pdf', and, from the same pass, the kernel moments of a 10-term Taylor
-expansion of the cdf about each node.  Each query starts from the Hermite
-interpolant of the inverse inside the table's bracket and takes Newton
-steps on the Taylor polynomial about the nearer node, with no kernel pass.
+one pass.  Its inverse CDF caches a 257-node table of the exact cdf and,
+from the same pass, the kernel moments of a 10-term Taylor expansion of the
+cdf about each node.  Each query starts from the linear interpolant of the
+inverse inside the table's bracket and takes Newton steps on the Taylor
+polynomial about the nearer node, with no kernel pass.
 The result stands when a certificate puts it within 1e-10 of the root: the
 remainder bound from Cramér's inequality, a rounding bound and the
 residual, over a lower bound of the cdf's slope.  The other queries (flat
@@ -63,7 +63,6 @@ class TargetDistribution:
     pdf_prime: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray]
     inv_cdf: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
 
 
 def _clamp_quantiles(u) -> np.ndarray:
@@ -118,7 +117,6 @@ def gaussian_distribution(mean: float, std: float) -> TargetDistribution:
         pdf_prime=_scalarize(pdf_prime),
         cdf=_scalarize(cdf),
         inv_cdf=_scalarize(inv),
-        name=f"gaussian(mean={mean:g}, std={std:g})",
     )
 
 
@@ -141,7 +139,6 @@ def uniform_distribution(a: float, b: float) -> TargetDistribution:
         pdf_prime=_scalarize(_flat),
         cdf=_scalarize(cdf),
         inv_cdf=_scalarize(inv),
-        name=f"uniform({a:g}, {b:g})",
     )
 
 
@@ -391,33 +388,31 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
     one-entry cache keyed on the query's shape and bytes and return its
     read-only arrays, so asking for all three at one query costs one pass.
 
-    The inverse CDF tabulates the exact cdf, pdf and pdf' at 257 nodes on
-    the first call and caches the table.  The same pass stores at each node
-    t the moments M_r = (1/n) sum_j He_r(z_j) phi(z_j), r < K = 10, by the
-    recurrence He_{r+1} = z He_r - r He_{r-1} on its z and exp(-z^2 / 2)
-    buffers.  Then F(t + h d) = F(t) + sum_r (-1)^r M_r d^(r+1) / (r+1)! + R
-    with |R| <= 0.4335 sqrt(K!) |d|^(K+1) / (K+1)! for any sample (Cramér's
+    The inverse CDF tabulates the exact cdf at 257 nodes on the first call
+    and caches the table.  The same pass stores at each node t the moments
+    M_r = (1/n) sum_j He_r(z_j) phi(z_j), r < K = 10, by the recurrence
+    He_{r+1} = z He_r - r He_{r-1} on its z and exp(-z^2 / 2) buffers.
+    Then F(t + h d) = F(t) + sum_r (-1)^r M_r d^(r+1) / (r+1)! + R with
+    |R| <= 0.4335 sqrt(K!) |d|^(K+1) / (K+1)! for any sample (Cramér's
     inequality bounds |He_K phi| by 0.4335 sqrt(K!)).
 
-    Each query takes its bracket from the table and starts from the quintic
-    Hermite interpolant of the inverse (derivatives 1/pdf and -pdf'/pdf^3),
-    or from linear interpolation where that is not finite or leaves the
-    bracket.  It takes 5 Newton steps on the Taylor polynomial about the
-    bracket node nearer the start, all queries at once and with no kernel
-    pass.  Its result is certified when R, a bound on the rounding of the
-    moments and of Horner's rule, and the residual, over a lower bound of
-    F' within 1e-10 of it (the polynomial's slope less its error bounds and
-    a bound on F''), put the root within 1e-10.  The root is that of the
-    exact cdf through the node's cdf float.  A query that is not certified
-    (one in a flat gap, where no cdf in doubles pins its root, or at a
-    clamped end) takes kernel-pass Newton steps from the same start, falling
-    back to bisection whenever a step leaves the bracket.  It stops once the
-    bracket is at most 1e-8 wide or a step is below 1e-9.  So every result
-    is within 1e-8 of the smallest y with cdf(y) >= u.  Quantiles below
-    cdf(lo) map to lo and above cdf(hi) to hi.  Each query's steps depend on
-    its own value alone, so repeated quantiles (the rank read-out's levels
-    k/n_U repeat) are inverted once each and scattered back, with the same
-    floats.
+    Each query takes its bracket from the table and starts from the linear
+    interpolant of the inverse inside it.  It takes 5 Newton steps on the
+    Taylor polynomial about the bracket node nearer the start, all queries
+    at once and with no kernel pass.  Its result is certified when R, a
+    bound on the rounding of the moments and of Horner's rule, and the
+    residual, over a lower bound of F' within 1e-10 of it (the polynomial's
+    slope less its error bounds and a bound on F''), put the root within
+    1e-10.  The root is that of the exact cdf through the node's cdf float.
+    A query that is not certified (one in a flat gap, where no cdf in
+    doubles pins its root, or at a clamped end) takes kernel-pass Newton
+    steps from the same start, falling back to bisection whenever a step
+    leaves the bracket.  It stops once the bracket is at most 1e-8 wide or
+    a step is below 1e-9.  So every result is within 1e-8 of the smallest y
+    with cdf(y) >= u.  Quantiles below cdf(lo) map to lo and above cdf(hi)
+    to hi.  Each query's steps depend on its own value alone, so repeated
+    quantiles (the rank read-out's levels k/n_U repeat) are inverted once
+    each and scattered back, with the same floats.
     """
     pts = model.sample_points
     h = model.bandwidth
@@ -510,12 +505,12 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
 
     @functools.cache
     def cdf_table():
-        """The nodes, their cdf, pdf and pdf', and the coefficients (by power
-        of d, then node) of four polynomials per node: S(d) / d, S'(d), and
-        the bounds on S's and S''s errors at |d| (the first over |d|), where
+        """The nodes, their cdf and the coefficients (by power of d, then
+        node) of four polynomials per node: S(d) / d, S'(d), and the bounds
+        on S's and S''s errors at |d| (the first over |d|), where
         S(d) = F(t + h d) - F(t) is the Taylor polynomial about the node t."""
         nodes = np.linspace(lo, hi, _CDF_TABLE_NODES)
-        levels, dens, slope, moments = kernel_pass(nodes, terms=_TAYLOR_TERMS)
+        levels, _, _, moments = kernel_pass(nodes, terms=_TAYLOR_TERMS)
         K = _TAYLOR_TERMS
         fact = np.array([float(math.factorial(r)) for r in range(K + 2)])
         signed = moments.T * (-1.0) ** np.arange(K)[:, None]
@@ -539,14 +534,14 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
         poly[2, K] = cramer / fact[K + 1]
         poly[3, :K] = gamma * np.abs(poly[1, :K]) + (moment_err / fact[:K])[:, None]
         poly[3, K] = cramer / fact[K]
-        return nodes, levels, dens, slope, poly
+        return nodes, levels, poly
 
     def taylor_roots(q, a, b, i, x):
         """Newton steps from x on the Taylor polynomial about the bracket node
         nearer x.  Returns the roots, clipped to [a, b], and which of them are
         certified within _CERTIFIED_RADIUS of the root of the exact cdf
         through the node's value."""
-        nodes, levels, _, _, poly = cdf_table()
+        nodes, levels, poly = cdf_table()
         j = np.where(x - a <= b - x, i - 1, i)
         t, gap, c = nodes[j], q - levels[j], poly[:, :, j]
         d = (x - t) / h
@@ -571,29 +566,15 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
     def inv(u):
         # invert each distinct quantile once; `repeat` scatters them back
         q, repeat = np.unique(np.ravel(_clamp_quantiles(u)), return_inverse=True)
-        nodes, levels, dens, slope, _ = cdf_table()
+        nodes, levels, _ = cdf_table()
         k = np.searchsorted(levels, q, side="left")
         out = np.where(k == 0, lo, hi)
         todo = np.flatnonzero((k > 0) & (k < nodes.size))
         qa = q[todo]
         i = k[todo]
         a, b = nodes[i - 1], nodes[i]
-        Fa, dF = levels[i - 1], levels[i] - levels[i - 1]
-        t = (qa - Fa) / dF
-        linear = a + t * (b - a)
-        # the quintic Hermite interpolant of the inverse cdf x(q), whose
-        # derivatives at a node are x' = 1/pdf and x'' = -pdf'/pdf^3, scaled
-        # here to t = (q - Fa) / dF; pdf ~ 0 makes it non-finite or throws it
-        # out of the bracket, and then the linear start stands
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            s = 1.0 - t
-            m0, m1 = dF / dens[i - 1], dF / dens[i]
-            c0, c1 = -slope[i - 1] * m0**3 / dF, -slope[i] * m1**3 / dF
-            x = s**3 * ((1.0 + 3.0 * t + 6.0 * t * t) * a + t * (1.0 + 3.0 * t) * m0
-                        + 0.5 * t * t * c0)
-            x += t**3 * ((1.0 + 3.0 * s + 6.0 * s * s) * b - s * (1.0 + 3.0 * s) * m1
-                         + 0.5 * s * s * c1)
-        x = np.where(np.isfinite(x) & (x >= a) & (x <= b), x, linear)
+        Fa = levels[i - 1]
+        x = a + (qa - Fa) / (levels[i] - Fa) * (b - a)
         roots, sure = taylor_roots(qa, a, b, i, x)
         out[todo[sure]] = roots[sure]
         rest = ~sure
@@ -623,16 +604,13 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
             x = np.where((nxt > a) & (nxt < b), nxt, 0.5 * (a + b))
         else:
             out[todo] = 0.5 * (a + b)
-        if np.ndim(u) == 0:
-            return float(out[0])
         return out[repeat].reshape(np.shape(u))
 
     return TargetDistribution(
         pdf=_scalarize(pdf),
         pdf_prime=_scalarize(pdf_prime),
         cdf=_scalarize(cdf),
-        inv_cdf=inv,
-        name=f"kde(n={n}, h={h:g})",
+        inv_cdf=_scalarize(inv),
     )
 
 
@@ -682,5 +660,4 @@ def empirical_distribution(values) -> TargetDistribution:
         pdf_prime=_scalarize(_flat),
         cdf=_scalarize(cdf),
         inv_cdf=_scalarize(inv),
-        name=f"empirical(n={n})",
     )

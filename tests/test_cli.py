@@ -65,18 +65,18 @@ class TestSynth:
         assert lines[0].startswith("# n_r ")
         assert lines[1].split()[0] == "60"
 
-    def test_duplicate_n_r_exits_one_before_any_fit(self, capsys, tmp_path, monkeypatch):
+    def test_duplicate_n_r_exits_two_before_any_fit(self, capsys, tmp_path, monkeypatch):
         fits = []
         for name in ("lr_fit", "ranker_fit", "ra_fit", "tt_fit"):
             monkeypatch.setattr(uncoupled.evaluation, name, lambda *a, name=name, **k: fits.append(name))
         out = tmp_path / "dup.csv"
-        code, _, stderr = run(
-            capsys,
-            "synth", "--n-u", "200", "--n-r", "20,20", "--repeats", "1",
-            "--test-size", "50", "--out", str(out),
-        )
-        assert code == 1
-        assert "error: ParameterError: n_r values must be distinct" in stderr
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "synth", "--n-u", "200", "--n-r", "20,20", "--repeats", "1",
+                "--test-size", "50", "--out", str(out),
+            ])
+        assert exc.value.code == 2
+        assert "expected distinct integers, got '20,20'" in capsys.readouterr().err
         assert fits == [] and not out.exists()
 
     def test_desk_preset_accepts_overrides(self, capsys, tmp_path):
@@ -154,6 +154,18 @@ class TestBench:
         assert code == 1
         assert "error:" in stderr
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--delimiter", ";;"), ("--delimiter", ""), ("--n-r", "40,40")],
+        ids=["long-delimiter", "empty-delimiter", "duplicate-n-r"],
+    )
+    def test_bad_flag_value_exits_two(self, capsys, tmp_path, flags):
+        data = write_benchmark_csv(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--data", str(data), *flags])
+        assert exc.value.code == 2
+        assert "expected" in capsys.readouterr().err
+
 
 class TestTune:
     def test_uniform_near_closed_form(self, capsys, tmp_path):
@@ -199,6 +211,18 @@ class TestTune:
         # location enters through the weight midpoint: w1 + w2 tracks the mean
         assert w1 > w2
         assert w1 + w2 == pytest.approx(2.0, abs=0.4)
+
+    def test_targets_file_with_byte_order_mark(self, capsys, tmp_path):
+        text = "".join(f"{float(v)!r}\n" for v in np.random.default_rng(4).normal(2.0, 1.0, 50))
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        code, with_mark, _ = run(capsys, "tune", "--targets-file", str(marked))
+        assert code == 0
+        _, without_mark, _ = run(capsys, "tune", "--targets-file", str(plain))
+        weights = [line for line in with_mark.splitlines() if " = " in line]
+        assert weights == [line for line in without_mark.splitlines() if " = " in line]
+        assert len(weights) == 3
 
     def test_dist_and_file_are_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:

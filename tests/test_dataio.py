@@ -94,6 +94,20 @@ class TestLoadCsv:
         data, _ = load_csv(path, CsvSchema(target_column="y", delimiter=";"))
         assert data.targets[0] == 2.0
 
+    def test_byte_order_mark_is_skipped_without_header(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF
+        path = write(tmp_path, "\ufeff1,2\n3,4\n5,6\n")
+        data, dropped = load_csv(path, CsvSchema(target_column=-1, has_header=False))
+        assert (data.n, dropped) == (3, 0)
+        np.testing.assert_array_equal(data.features[:, 0], [1.0, 3.0, 5.0])
+
+    def test_byte_order_mark_is_skipped_in_the_header(self, tmp_path):
+        path = write(tmp_path, "\ufeffx1,x2,y\n1,2,3\n4,5,6\n")
+        data, dropped = load_csv(path, CsvSchema(target_column="x1"))
+        assert dropped == 0
+        assert data.feature_names == ("x2", "y")
+        np.testing.assert_array_equal(data.targets, [1.0, 4.0])
+
     def test_deterministic(self, tmp_path):
         path = write(tmp_path, "sex,y\nM,1\nF,2\nM,3\n")
         schema = CsvSchema(target_column="y", categorical_columns=("sex",))

@@ -174,6 +174,26 @@ class TestTuneWeights:
         tune_weights(dist)
         assert rows == []
 
+    def test_rank_read_out_levels_need_no_kernel_pass_past_the_table(self, monkeypatch):
+        # every level the rank read-out can ask for at n_U = 1600 (its
+        # clamped (n_U - n') / n_U, n' = 1 .. n_U + 1) and the levels k/1000
+        # are certified from the node table alone, so the read-out runs no
+        # ndtr row once the table exists
+        dist = kde_distribution(fit_kde(LOGNORMAL_TARGETS))
+        dist.inv_cdf(0.5)
+        n = 1600
+        read_out = np.clip((n - 1 - np.arange(n + 1)) / n, 1.0 / (n + 1), n / (n + 1.0))
+        rows = []
+
+        def counting_ndtr(z):
+            rows.append(z.shape[0])
+            return ndtr(z)
+
+        monkeypatch.setattr(uncoupled.distributions, "ndtr", counting_ndtr)
+        dist.inv_cdf(read_out)
+        dist.inv_cdf(np.arange(1, 1000) / 1000)
+        assert rows == []
+
 
 class TestEmpiricalObjective:
     def test_two_point_sample_at_origin(self):
