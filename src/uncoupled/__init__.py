@@ -57,7 +57,7 @@ from .risk_approx import (
     tune_weights,
     tune_weights_empirical,
 )
-from .target_transform import cdf_link, tt_fit, tt_predict
+from .target_transform import tt_fit, tt_predict
 from .baselines import lr_fit, rank_predict, ranker_fit
 from .evaluation import (
     DEFAULT_SEED,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 
@@ -207,7 +208,10 @@ def cmd_bench(args) -> int:
 
 def cmd_tune(args) -> int:
     if args.targets_file:
-        values = np.loadtxt(args.targets_file, delimiter=",", encoding="utf-8-sig").ravel()
+        with warnings.catch_warnings():
+            # an empty file is reported below as too few target values
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(args.targets_file, delimiter=",", encoding="utf-8-sig").ravel()
         cfg = tune_weights_empirical(values)
         source = f"targets-file {args.targets_file} (n={values.size})"
     elif args.dist == "uniform":

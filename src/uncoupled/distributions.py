@@ -3,7 +3,8 @@ density estimates with cross-validated bandwidth, and an interpolated
 empirical CDF.
 
 All four callables of a TargetDistribution are vectorized over numpy
-arrays.  Quantile arguments are clamped into [1e-9, 1 - 1e-9] before
+arrays; cdf_link gives (cdf, pdf, pdf') in one call, the tt estimator's
+exact link.  Quantile arguments are clamped into [1e-9, 1 - 1e-9] before
 inversion so that unbounded supports never produce infinities.  At -inf and
 +inf the cdf, pdf and pdf' take their limits (cdf 0 or 1, pdf and pdf' 0),
 and a nan query gives nan.
@@ -22,13 +23,12 @@ it would change nothing there.  Its pdf and pdf' are full
 kernel sums, with no floor: a pdf of 1e-136 stays exact.  Its cdf is a full
 sum too, except that chunks of sorted points where Phi is exactly 1 are
 counted instead of computed.  One pass per block of 32 queries gives the
-cdf, pdf and pdf' (at 1600 points its buffers fit a 2 MB L2 cache), and
-the last query's three values are cached, so asking for all three costs
-one pass.  Its inverse CDF caches a 257-node table of the exact cdf and,
-from the same pass, the kernel moments of a 10-term Taylor expansion of the
-cdf about each node.  Each query starts from the linear interpolant of the
-inverse inside the table's bracket and takes Newton steps on the Taylor
-polynomial about the nearer node, with no kernel pass.
+cdf, pdf and pdf' (at 1600 points its buffers fit a 2 MB L2 cache), so
+cdf_link costs one pass.  Its inverse CDF caches a 257-node table of the
+exact cdf and, from the same pass, the kernel moments of a 10-term Taylor
+expansion of the cdf about each node.  Each query starts from the linear
+interpolant of the inverse inside the table's bracket and takes Newton
+steps on the Taylor polynomial about the nearer node, with no kernel pass.
 The result stands when a certificate puts it within 1e-10 of the root: the
 remainder bound from Cramér's inequality, a rounding bound and the
 residual, over a lower bound of the cdf's slope.  The other queries (flat
@@ -55,14 +55,14 @@ _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 @dataclass(frozen=True, eq=False)
 class TargetDistribution:
-    """pdf, its derivative, cdf and inverse cdf.  pdf_prime is the
-    derivative of pdf wherever it exists (0 on the flat pieces of a
-    piecewise-linear cdf)."""
+    """pdf, cdf, inverse cdf and the exact link: cdf_link(y) is the tuple
+    (cdf(y), pdf(y), pdf'(y)), where pdf' is the derivative of pdf wherever
+    it exists (0 on the flat pieces of a piecewise-linear cdf)."""
 
     pdf: Callable[[np.ndarray], np.ndarray]
-    pdf_prime: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray]
     inv_cdf: Callable[[np.ndarray], np.ndarray]
+    cdf_link: Callable[[np.ndarray], tuple]
 
 
 def _clamp_quantiles(u) -> np.ndarray:
@@ -73,13 +73,13 @@ def _clamp_quantiles(u) -> np.ndarray:
 
 
 def _scalarize(f):
-    """Return float for scalar input, ndarray otherwise."""
+    """Return float (tuple of floats) for scalar input, ndarray otherwise."""
 
     def wrapped(y):
         arr = np.asarray(y, dtype=float)
         out = f(arr)
         if arr.ndim == 0:
-            return float(out)
+            return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
         return out
 
     return wrapped
@@ -106,17 +106,18 @@ def gaussian_distribution(mean: float, std: float) -> TargetDistribution:
     def inv(u):
         return ndtri(_clamp_quantiles(u)) * std + mean
 
-    def pdf_prime(y):
+    def link(y):
+        p = pdf(y)
         # at +-inf, -inf * 0 would give nan where the limit is 0
         with np.errstate(invalid="ignore"):
-            slope = -(y - mean) / (std * std) * pdf(y)
-        return np.where(np.isinf(y), 0.0, slope)
+            slope = -(y - mean) / (std * std) * p
+        return cdf(y), p, np.where(np.isinf(y), 0.0, slope)
 
     return TargetDistribution(
         pdf=_scalarize(pdf),
-        pdf_prime=_scalarize(pdf_prime),
         cdf=_scalarize(cdf),
         inv_cdf=_scalarize(inv),
+        cdf_link=_scalarize(link),
     )
 
 
@@ -136,9 +137,9 @@ def uniform_distribution(a: float, b: float) -> TargetDistribution:
 
     return TargetDistribution(
         pdf=_scalarize(pdf),
-        pdf_prime=_scalarize(_flat),
         cdf=_scalarize(cdf),
         inv_cdf=_scalarize(inv),
+        cdf_link=_scalarize(lambda y: (cdf(y), pdf(y), _flat(y))),
     )
 
 
@@ -373,20 +374,19 @@ def _poly(coef, x):
 def kde_distribution(model: KdeModel) -> TargetDistribution:
     """Wrap a KdeModel as a TargetDistribution on [min - 5h, max + 5h].
 
-    pdf, pdf_prime and cdf are exact kernel sums, over blocks of 32 sorted
+    pdf, cdf and cdf_link are exact kernel sums, over blocks of 32 sorted
     queries (`_QUERY_BLOCK`).  The cdf sums the sorted sample in fixed
     chunks of 64 points, left to right.  A chunk that lies wholly at
     z >= 8.3 for a block's smallest query adds exactly its size, because
     ndtr is exactly 1 there, and gets no ndtr call.  So each query's value
     is the same float in any batch, and the cdf is exactly monotone.
 
-    The three come from one pass per block, in buffers allocated once per
-    call: z, then the cdf's ndtr chunk sums and one array exp(-z^2 / 2),
-    which the pdf sums and pdf' then scales in place by z.  That exp is not
-    floored, so a pdf far below e^-700 (1e-136 mid-way between two points
-    50 bandwidths apart) stays exact.  pdf, pdf_prime and cdf share a
-    one-entry cache keyed on the query's shape and bytes and return its
-    read-only arrays, so asking for all three at one query costs one pass.
+    cdf_link's cdf, pdf and pdf' come from one pass per block, in buffers
+    allocated once per call: z, then the cdf's ndtr chunk sums and one array
+    exp(-z^2 / 2), which the pdf sums and pdf' then scales in place by z.
+    That exp is not floored, so a pdf far below e^-700 (1e-136 mid-way
+    between two points 50 bandwidths apart) stays exact.  pdf and cdf each
+    run the same pass without the pdf' sums, so they give cdf_link's floats.
 
     The inverse CDF tabulates the exact cdf at 257 nodes on the first call
     and caches the table.  The same pass stores at each node t the moments
@@ -439,7 +439,7 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
         return np.cumsum(sums, axis=1)[:, -1] / n
 
     def kernel_pass(y, terms=2):
-        """[cdf, pdf, pdf'] at y, or [cdf, pdf] for terms=1; for terms > 2 also
+        """(cdf, pdf, pdf') at y, or (cdf, pdf) for terms=1; for terms > 2 also
         the (y.size, terms) kernel moments M_r of the node table."""
         flat = np.ravel(y)
         order = np.argsort(flat, kind="stable")
@@ -474,30 +474,8 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
                 outs[2][at] = -sums[:, 1] / (pdf_norm * h)
             if terms > 2:
                 moments[at] = sums / (n * _SQRT_2PI)
-        outs = [out.reshape(np.shape(y)) for out in outs]
-        return outs + [moments] if terms > 2 else outs
-
-    # one entry: the query's shape and bytes, and its read-only cdf, pdf, pdf'
-    last = {}
-
-    def cached_pass(y):
-        key = (y.shape, y.tobytes())
-        if key not in last:
-            last.clear()
-            values = kernel_pass(y)
-            for v in values:
-                v.flags.writeable = False
-            last[key] = values
-        return last[key]
-
-    def pdf(y):
-        return cached_pass(y)[1]
-
-    def pdf_prime(y):
-        return cached_pass(y)[2]
-
-    def cdf(y):
-        return cached_pass(y)[0]
+        outs = tuple(out.reshape(np.shape(y)) for out in outs)
+        return outs + (moments,) if terms > 2 else outs
 
     # the halvings plain bisection of [lo, hi] needs to reach 1e-8: the
     # Newton loop never takes more
@@ -607,10 +585,10 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
         return out[repeat].reshape(np.shape(u))
 
     return TargetDistribution(
-        pdf=_scalarize(pdf),
-        pdf_prime=_scalarize(pdf_prime),
-        cdf=_scalarize(cdf),
+        pdf=_scalarize(lambda y: kernel_pass(y, terms=1)[1]),
+        cdf=_scalarize(lambda y: kernel_pass(y, terms=1)[0]),
         inv_cdf=_scalarize(inv),
+        cdf_link=_scalarize(kernel_pass),
     )
 
 
@@ -621,7 +599,7 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
 def empirical_distribution(values) -> TargetDistribution:
     """Continuous (piecewise-linear) distribution interpolating the empirical
     CDF through Hazen plotting positions, giving a genuine pdf/cdf/inverse
-    triple; pdf_prime is 0 between knots.  Duplicate values are merged.
+    triple; pdf' is 0 between knots.  Duplicate values are merged.
     Needs >= 2 distinct values."""
     v = np.sort(np.asarray(values, dtype=float).ravel())
     if v.size < 2:
@@ -657,7 +635,7 @@ def empirical_distribution(values) -> TargetDistribution:
 
     return TargetDistribution(
         pdf=_scalarize(pdf),
-        pdf_prime=_scalarize(_flat),
         cdf=_scalarize(cdf),
         inv_cdf=_scalarize(inv),
+        cdf_link=_scalarize(lambda y: (cdf(y), pdf(y), _flat(y))),
     )

@@ -68,7 +68,8 @@ def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
 def minimize_gd(fun, grad, x0, *, hess) -> GdResult:
     """Minimize fun from x0 by damped Newton steps, with hess a callable
     returning the d x d Hessian.  Stops once the gradient norm reaches
-    GRAD_TOL, after MAX_ITER steps, or when the line search collapses, and
+    GRAD_TOL, after MAX_ITER steps, when the line search collapses, or when
+    it accepts a step that moves no float of x, and
     raises DivergenceError on a non-finite objective or gradient."""
     x = np.array(x0, dtype=float)
     f = float(fun(x))
@@ -95,6 +96,9 @@ def minimize_gd(fun, grad, x0, *, hess) -> GdResult:
             if t < 1e-20:
                 # step has collapsed to rounding level; nothing left to gain
                 return GdResult(x, f, gnorm, it - 1, False)
+        if np.array_equal(trial, x):
+            # the step rounds away, and every later step would repeat it
+            return GdResult(x, f, gnorm, it - 1, False)
         x = trial
         f = f_trial
         g = np.asarray(grad(x), dtype=float)

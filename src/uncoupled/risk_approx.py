@@ -259,7 +259,7 @@ def estimate_variances(model: LinearModel, pairs: PairwiseSet) -> RaVariances:
 
 def identity_link(h):
     """g(h) = h with g' = 1 and g'' = 0: the ra risk on the raw score."""
-    return h, 1.0, 0.0
+    return h, np.ones_like(h), np.zeros_like(h)
 
 
 # Column blocks of the Hessian sum: each block's p x _HESS_BLOCK weighted
@@ -275,7 +275,7 @@ def linked_risk(link, cfg: RiskConfig, unlabeled: Dataset, pairs: PairwiseSet):
       mean_U[ g^2 - 2 lam g ] - 2 mean_R[ a g(x+) + b g(x-) ]
 
     with a = w1 - lam/2 and b = w2 - lam/2.  link maps an array of scores
-    to (g, g', g'').  By the chain rule,
+    h to (g, g', g''), three arrays shaped like h.  By the chain rule,
 
       grad = 2 mean_U[ (g - lam) g' x ] - 2 mean_R[ a g+' x+ + b g-' x- ]
       hess = 2 mean_U[ (g'^2 + (g - lam) g'') x x^T ]
@@ -308,11 +308,7 @@ def linked_risk(link, cfg: RiskConfig, unlabeled: Dataset, pairs: PairwiseSet):
         key = theta.tobytes()
         if key not in last:
             last.clear()
-            h = theta @ Mt
-            g, d1, d2 = (
-                v if np.shape(v) == h.shape else np.broadcast_to(v, h.shape)
-                for v in link(h)
-            )
+            g, d1, d2 = link(theta @ Mt)
             last[key] = (g, d1, d2, bool(np.isfinite(g.min()) and np.isfinite(g.max())))
         return last[key]
 

@@ -15,7 +15,8 @@ and the read-out:
 
 * sigmoid_link (default): a clamped sigmoid, which needs no distribution
   to fit;
-* cdf_link(dist): the exact link g = F_Y, with g' = pdf and g'' = pdf_prime.
+* a marginal's own cdf_link: the exact link g = F_Y, with g' = pdf and
+  g'' = pdf', from one call.
 """
 
 from __future__ import annotations
@@ -48,19 +49,6 @@ def sigmoid_link(h: np.ndarray):
     np.subtract(1.0, s2, out=s2)
     s2 *= s1
     return s, s1, s2
-
-
-def cdf_link(dist: TargetDistribution):
-    """The exact link: the marginal's (cdf, pdf, pdf_prime) at the scores."""
-
-    def link(h: np.ndarray):
-        return (
-            np.asarray(dist.cdf(h), dtype=float),
-            np.asarray(dist.pdf(h), dtype=float),
-            np.asarray(dist.pdf_prime(h), dtype=float),
-        )
-
-    return link
 
 
 def tt_fit(unlabeled: Dataset, pairs: PairwiseSet, link=sigmoid_link) -> LinearModel:

@@ -224,6 +224,14 @@ class TestTune:
         assert weights == [line for line in without_mark.splitlines() if " = " in line]
         assert len(weights) == 3
 
+    def test_empty_targets_file_reports_no_warning(self, capsys, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        code, _, stderr = run(capsys, "tune", "--targets-file", str(empty))
+        assert code == 1
+        assert "need >= 2 target values, got 0" in stderr
+        assert "UserWarning" not in stderr
+
     def test_dist_and_file_are_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["tune", "--dist", "uniform", "--targets-file", "x.txt"])

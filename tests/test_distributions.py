@@ -12,7 +12,6 @@ from uncoupled import (
     DomainError,
     KdeModel,
     ParameterError,
-    cdf_link,
     empirical_distribution,
     fit_kde,
     gaussian_distribution,
@@ -111,7 +110,7 @@ class TestGaussianMatchesScipy:
         expected = [
             (dist.pdf, y, ref.pdf(y)),
             (dist.cdf, y, ref.cdf(y)),
-            (dist.pdf_prime, y, slope),
+            (lambda v: dist.cdf_link(v)[2], y, slope),
             (dist.inv_cdf, u, ref.ppf(np.clip(u, 1e-9, 1.0 - 1e-9))),
         ]
         for f, x, want in expected:
@@ -471,7 +470,7 @@ class TestKdeExactness:
         default = kde_distribution(model)
         monkeypatch.setattr(uncoupled.distributions, "_QUERY_BLOCK", block)
         other = kde_distribution(model)
-        for name in ("cdf", "pdf", "pdf_prime", "inv_cdf"):
+        for name in ("cdf", "pdf", "cdf_link", "inv_cdf"):
             arg = u if name == "inv_cdf" else y
             np.testing.assert_array_equal(getattr(other, name)(arg), getattr(default, name)(arg))
 
@@ -573,27 +572,27 @@ class TestKdeTaylorInverse:
 
 
 class TestKdeOnePass:
-    """One ndtr pass serves cdf, pdf and pdf', whose cached values are
-    read-only."""
+    """One cdf_link call runs the ndtr rows of one cdf call and gives the
+    plain kernel sums."""
 
     def test_one_pass_serves_cdf_pdf_and_pdf_prime(self, monkeypatch):
         model = _lognormal_tail_model()
         pts, h = model.sample_points, model.bandwidth
         dist = kde_distribution(model)
-        calls = []
+        rows = []
 
         def counting_ndtr(z):
-            calls.append(z.shape[0])
+            rows.append(z.shape[0])
             return ndtr(z)
 
         monkeypatch.setattr(uncoupled.distributions, "ndtr", counting_ndtr)
         lo, hi = kde_window(model)
         y = np.random.default_rng(5).uniform(lo, hi, 300)
-        pdf = dist.pdf(y)
-        assert calls
-        calls.clear()
-        cdf, slope = dist.cdf(y), dist.pdf_prime(y)
-        assert calls == []
+        cdf, pdf, slope = dist.cdf_link(y)
+        via_link = list(rows)
+        rows.clear()
+        np.testing.assert_array_equal(dist.cdf(y), cdf)
+        assert rows == via_link and sum(rows) == y.size
 
         # the same floats as the plain kernel sums
         z = (y[:, None] - pts[None, :]) / h
@@ -601,24 +600,12 @@ class TestKdeOnePass:
         np.testing.assert_array_equal(pdf, np.exp(-0.5 * z * z).sum(axis=1) / norm)
         np.testing.assert_array_equal(slope, -(z * np.exp(-0.5 * z * z)).sum(axis=1) / (norm * h))
         np.testing.assert_allclose(cdf, reference_cdf(model, y), rtol=0.0, atol=1e-15)
-        for values in (pdf, cdf, slope):
-            assert not values.flags.writeable
-        with pytest.raises(ValueError):
-            cdf[0] = 0.0
-
-        # the link's three values cost one cdf's ndtr calls
-        scores = np.random.default_rng(6).normal(2.0, 2.0, 300)
-        calls.clear()
-        cdf_link(dist)(scores)
-        via_link = len(calls)
-        calls.clear()
-        kde_distribution(model).cdf(scores)
-        assert via_link == len(calls) > 0
 
         # a query of the same shape but other values gets its own values
-        np.testing.assert_allclose(dist.cdf(scores), reference_cdf(model, scores), rtol=0.0, atol=1e-15)
-        for f in (dist.cdf, dist.pdf, dist.pdf_prime):
-            assert isinstance(f(1.5), float)
+        scores = np.random.default_rng(6).normal(2.0, 2.0, 300)
+        np.testing.assert_allclose(
+            dist.cdf_link(scores)[0], reference_cdf(model, scores), rtol=0.0, atol=1e-15
+        )
 
 
 class TestEmpiricalCdf:
@@ -652,18 +639,38 @@ class TestDistributionContract:
     def test_pdf_prime_is_the_pdf_derivative(self, name, dist):
         lo, hi = WINDOWS[name]
         grid = np.linspace(lo, hi, 501)[1:-1]
-        slope = dist.pdf_prime(grid)
+        slope = dist.cdf_link(grid)[2]
         if name.startswith("uniform") or name == "empirical":
             # a piecewise-linear cdf: pdf is flat wherever pdf' exists
             assert np.all(slope == 0.0)
-            assert dist.pdf_prime(0.5 * (lo + hi)) == 0.0
+            assert dist.cdf_link(0.5 * (lo + hi))[2] == 0.0
             return
         step = 1e-6 * (hi - lo)
         fd = (dist.pdf(grid + step) - dist.pdf(grid - step)) / (2.0 * step)
         scale = max(1.0, float(np.max(np.abs(fd))))
         assert np.max(np.abs(slope - fd)) / scale < 1e-6
         y = float(grid[200])
-        assert dist.pdf_prime(y) == pytest.approx(float(slope[200]), rel=1e-12)
+        assert dist.cdf_link(y)[2] == pytest.approx(float(slope[200]), rel=1e-12)
+
+    @pytest.mark.parametrize("name,dist", all_distributions(), ids=lambda p: p if isinstance(p, str) else "")
+    def test_cdf_link_gives_the_cdf_and_pdf_floats(self, name, dist):
+        lo, hi = WINDOWS[name]
+        y = np.linspace(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 1200).reshape(3, -1)
+        link = dist.cdf_link(y)
+        assert isinstance(link, tuple) and len(link) == 3
+        assert all(v.shape == y.shape for v in link)
+        np.testing.assert_array_equal(link[0], dist.cdf(y))
+        np.testing.assert_array_equal(link[1], dist.pdf(y))
+
+    @pytest.mark.parametrize("name,dist", all_distributions(), ids=lambda p: p if isinstance(p, str) else "")
+    def test_scalar_cdf_link_is_a_tuple_of_three_floats(self, name, dist):
+        lo, hi = WINDOWS[name]
+        y = 0.3 * lo + 0.7 * hi
+        link = dist.cdf_link(y)
+        assert isinstance(link, tuple) and len(link) == 3
+        assert all(isinstance(v, float) for v in link)
+        assert link[:2] == (dist.cdf(y), dist.pdf(y))
+        assert link == tuple(float(v[0]) for v in dist.cdf_link(np.array([y])))
 
     @pytest.mark.parametrize("name,dist", all_distributions(), ids=lambda p: p if isinstance(p, str) else "")
     def test_quantile_of_cdf_identity(self, name, dist):
@@ -690,13 +697,18 @@ class TestNonFiniteQueries:
     def test_limits_at_infinity_and_nan_stays_nan(self, name, dist):
         lo, hi = WINDOWS[name]
         y = np.array([-np.inf, lo, 0.5 * (lo + hi), np.inf, np.nan, hi, 0.3 * lo + 0.7 * hi])
-        funcs = (dist.cdf, dist.pdf, dist.pdf_prime)
+        finite_y = y[np.isfinite(y)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batched = [f(y) for f in funcs]
-            alone = [[f(v) for v in y] for f in funcs]
-            finite_only = [f(y[np.isfinite(y)]) for f in funcs]
-        limits = ([0.0, 1.0, np.nan], [0.0, 0.0, np.nan], [0.0, 0.0, np.nan])
+            batched = [dist.cdf(y), dist.pdf(y), *dist.cdf_link(y)]
+            alone = [
+                [dist.cdf(v) for v in y],
+                [dist.pdf(v) for v in y],
+                *zip(*(dist.cdf_link(v) for v in y)),
+            ]
+            finite_only = [dist.cdf(finite_y), dist.pdf(finite_y), *dist.cdf_link(finite_y)]
+        cdf, pdf = [0.0, 1.0, np.nan], [0.0, 0.0, np.nan]
+        limits = (cdf, pdf, cdf, pdf, [0.0, 0.0, np.nan])
         for values, scalars, finite, limit in zip(batched, alone, finite_only, limits):
             np.testing.assert_array_equal(values[[0, 3, 4]], limit)
             assert all(isinstance(v, float) for v in scalars)

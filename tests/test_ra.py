@@ -39,12 +39,12 @@ from uncoupled import risk_approx
 from uncoupled.distributions import TargetDistribution
 from uncoupled.optimize import minimize_gd
 from uncoupled.risk_approx import _err, _lad_weights, identity_link, linked_risk
-from uncoupled.target_transform import cdf_link, sigmoid_link
+from uncoupled.target_transform import sigmoid_link
 
 LINKS = {
     "identity": identity_link,
     "sigmoid": sigmoid_link,
-    "cdf": cdf_link(gaussian_distribution(0.0, 1.0)),
+    "cdf": gaussian_distribution(0.0, 1.0).cdf_link,
 }
 # case ids name the loss, then the link; the identity link (the ra risk)
 # carries the bare loss id
@@ -96,11 +96,14 @@ class TestErrObjective:
 
     def test_degenerate_quantile_range_rejected(self):
         # a point mass: every quantile is the same value
+        def cdf(y):
+            return np.where(np.asarray(y) >= 1.0, 1.0, 0.0)
+
         point = TargetDistribution(
             pdf=np.zeros_like,
-            pdf_prime=np.zeros_like,
-            cdf=lambda y: np.where(np.asarray(y) >= 1.0, 1.0, 0.0),
+            cdf=cdf,
             inv_cdf=lambda u: np.ones_like(np.asarray(u, dtype=float)),
+            cdf_link=lambda y: (cdf(y), np.zeros_like(y), np.zeros_like(y)),
         )
         with pytest.raises(ParameterError):
             err_objective(point, 0.5, 0.0)
@@ -114,7 +117,9 @@ class TestErrObjective:
             y[y.size // 2] = bad
             return y
 
-        dist = TargetDistribution(normal.pdf, normal.pdf_prime, normal.cdf, inv_cdf)
+        dist = TargetDistribution(
+            pdf=normal.pdf, cdf=normal.cdf, inv_cdf=inv_cdf, cdf_link=normal.cdf_link
+        )
         for call in (lambda: err_objective(dist, 0.5, 0.0), lambda: tune_weights(dist)):
             with pytest.raises(ParameterError, match="non-finite quantiles"):
                 call()
@@ -149,10 +154,10 @@ class TestTuneWeights:
 
     def test_reads_only_the_inverse_cdf(self):
         def refuse(y):
-            raise AssertionError("the Err grid read pdf, pdf' or cdf")
+            raise AssertionError("the Err grid read pdf, cdf or cdf_link")
 
         normal = gaussian_distribution(1.0, 2.0)
-        blind = TargetDistribution(refuse, refuse, refuse, normal.inv_cdf)
+        blind = TargetDistribution(pdf=refuse, cdf=refuse, inv_cdf=normal.inv_cdf, cdf_link=refuse)
         a, b = tune_weights(blind), tune_weights(normal)
         assert (a.w1, a.w2, a.lam) == (b.w1, b.w2, b.lam)
         assert err_objective(blind, 0.7, -0.7) == err_objective(normal, 0.7, -0.7)
@@ -628,7 +633,7 @@ def three_block_risk(link, cfg, unlabeled, pairs, include_intercept):
 
 LEAN_LINKS = {
     **LINKS,
-    "kde": cdf_link(kde_distribution(fit_kde(np.random.default_rng(3).normal(0.2, 1.5, 300)))),
+    "kde": kde_distribution(fit_kde(np.random.default_rng(3).normal(0.2, 1.5, 300))).cdf_link,
 }
 
 

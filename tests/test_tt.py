@@ -13,6 +13,7 @@ from uncoupled import (
     ParameterError,
     RiskConfig,
     SyntheticSpec,
+    empirical_distribution,
     fit_kde,
     gaussian_distribution,
     generate_synthetic,
@@ -29,15 +30,15 @@ from uncoupled import (
 from uncoupled.evaluation import _repeat_seed, _synthetic_data
 from uncoupled.optimize import minimize_gd
 from uncoupled.risk_approx import identity_link, linked_risk
-from uncoupled.target_transform import cdf_link, sigmoid_link
+from uncoupled.target_transform import sigmoid_link
 
 UNIFORM = uniform_distribution(0.0, 1.0)
 SURROGATE = RiskConfig(w1=0.5, w2=0.0, lam=0.5)
 LINKS = {
     "identity": identity_link,
     "sigmoid": sigmoid_link,
-    "gaussian_cdf": cdf_link(gaussian_distribution(0.0, 1.0)),
-    "kde_cdf": cdf_link(kde_distribution(fit_kde(np.random.default_rng(19).standard_normal(200)))),
+    "gaussian_cdf": gaussian_distribution(0.0, 1.0).cdf_link,
+    "kde_cdf": kde_distribution(fit_kde(np.random.default_rng(19).standard_normal(200))).cdf_link,
 }
 # case ids name the loss, then the link; the sigmoid link (the tt surrogate)
 # carries the bare loss id
@@ -115,14 +116,14 @@ class TestCdfRisk:
         # F(0) = 0 makes every g^2 and 2g term vanish
         unlabeled = single_feature(0.3, -0.8)
         pairs = pair_1d(0.5, -0.5)
-        fun, _ = tt_closures(cdf_link(UNIFORM), unlabeled, pairs)
+        fun, _ = tt_closures(UNIFORM.cdf_link, unlabeled, pairs)
         assert fun(np.zeros(1)) == 0.0
 
     def test_hand_instance(self):
         # -[(1/2 - 1/4)(1/2) + 1/16] - [(1/4)(3/2) - (1/4)(1/2)] = -0.4375
         unlabeled = single_feature(0.25)
         pairs = pair_1d(0.75, 0.25)
-        fun, _ = tt_closures(cdf_link(UNIFORM), unlabeled, pairs)
+        fun, _ = tt_closures(UNIFORM.cdf_link, unlabeled, pairs)
         assert fun(np.array([1.0])) == pytest.approx(-0.4375, abs=1e-12)
 
     def test_lambda_terms_cancel_in_expectation(self):
@@ -135,8 +136,8 @@ class TestCdfRisk:
             unlabeled = Dataset(features=rng.random((200, 1)))
             x1, x2 = rng.random((2, 200))
             pairs = pairwise_from_arrays(x1[:, None], x1, x2[:, None], x2)
-            lo = tt_closures(cdf_link(UNIFORM), unlabeled, pairs, lam=0.1)[0](theta)
-            hi = tt_closures(cdf_link(UNIFORM), unlabeled, pairs, lam=0.9)[0](theta)
+            lo = tt_closures(UNIFORM.cdf_link, unlabeled, pairs, lam=0.1)[0](theta)
+            hi = tt_closures(UNIFORM.cdf_link, unlabeled, pairs, lam=0.9)[0](theta)
             diffs.append(hi - lo)
         diffs = np.asarray(diffs)
         se = diffs.std(ddof=1) / np.sqrt(diffs.size)
@@ -227,7 +228,7 @@ class TestSurrogateGradient:
             unlabeled = Dataset(features=rng.standard_normal((15, 2)))
             pairs = PairwiseSet(rng.standard_normal((7, 2)), rng.standard_normal((7, 2)))
             theta = rng.standard_normal(2) * 0.5
-            fun, grad_fn = tt_closures(cdf_link(dist), unlabeled, pairs, lam=0.4)
+            fun, grad_fn = tt_closures(dist.cdf_link, unlabeled, pairs, lam=0.4)
             grad = grad_fn(theta)
             fd = finite_difference_gradient(fun, theta)
             scale = max(1.0, float(np.max(np.abs(fd))))
@@ -311,6 +312,22 @@ class TestFit:
         for start in (np.zeros(2), np.full(2, 0.1), np.full(2, -0.1)):
             assert final <= fun(start) + 1e-12
 
+    def test_a_step_that_moves_no_float_ends_the_solve(self):
+        # this exact fit stops moving after 141 steps, short of the gradient
+        # tolerance: the line search then accepts a step t d so small that
+        # theta + t d == theta, and would do so again on every later step
+        dist = empirical_distribution(np.random.default_rng(4).normal(0.0, 1.0, 300))
+        spec = SyntheticSpec(dim=3, noise_std=0.1, theta_true=np.ones(3) / np.sqrt(3), seed=5)
+        unlabeled = generate_synthetic(spec, 300).without_targets()
+        pairs = sample_pairwise_from_spec(spec, 50)
+        fun, grad, hess = linked_risk(dist.cdf_link, SURROGATE, unlabeled, pairs)
+        result = minimize_gd(fun, grad, np.zeros(3), hess=hess)
+        assert not result.converged and result.iterations <= 1000
+        again = minimize_gd(fun, grad, result.theta, hess=hess)
+        assert not again.converged and again.iterations == 0
+        np.testing.assert_array_equal(again.theta, result.theta)
+        np.testing.assert_array_equal(tt_fit(unlabeled, pairs, dist.cdf_link).theta, result.theta)
+
     @pytest.mark.parametrize("link", SURROGATE_CASE)
     def test_newton_agrees_with_gradient_descent(self, link, gradient_descent):
         theta = np.array([0.6, -0.8, 0.0])
@@ -336,13 +353,13 @@ class TestFit:
         unlabeled = generate_synthetic(spec, 5000).without_targets()
         pairs = sample_pairwise_from_spec(spec, n_r)
         dist = gaussian_distribution(0.0, np.sqrt(1.01))
-        fun, grad, hess = linked_risk(cdf_link(dist), SURROGATE, unlabeled, pairs)
+        fun, grad, hess = linked_risk(dist.cdf_link, SURROGATE, unlabeled, pairs)
         gd = gradient_descent(fun, grad, np.zeros(5))
         newton = minimize_gd(fun, grad, np.zeros(5), hess=hess)
         assert gd.converged and newton.converged
         assert newton.iterations <= 10
         np.testing.assert_allclose(newton.theta, gd.theta, rtol=0.0, atol=1e-6)
-        fitted = tt_fit(unlabeled, pairs, cdf_link(dist))
+        fitted = tt_fit(unlabeled, pairs, dist.cdf_link)
         np.testing.assert_array_equal(fitted.theta, newton.theta)
 
     def test_surrogate_honours_lambda(self):
@@ -366,8 +383,8 @@ class TestFit:
         unlabeled = generate_synthetic(spec, 300).without_targets()
         pairs = sample_pairwise_from_spec(spec, 150)
         dist = gaussian_distribution(0.0, np.sqrt(1.01))
-        model = tt_fit(unlabeled, pairs, cdf_link(dist))
-        fun, _ = tt_closures(cdf_link(dist), unlabeled, pairs, lam=0.5)
+        model = tt_fit(unlabeled, pairs, dist.cdf_link)
+        fun, _ = tt_closures(dist.cdf_link, unlabeled, pairs, lam=0.5)
         start_risk = fun(np.zeros(1))
         final_risk = fun(model.theta)
         assert final_risk <= start_risk + 1e-12
@@ -423,7 +440,7 @@ class TestExactReadOut:
     def fit(self, cell, n_r):
         rep, dist, pool = cell
         pairs = PairwiseSet(pool.winners[:n_r], pool.losers[:n_r])
-        link = cdf_link(dist)
+        link = dist.cdf_link
         return tt_fit(rep.train.without_targets(), pairs, link), link
 
     def test_blown_up_cell_reads_out_bounded(self, cell):
