@@ -4,6 +4,12 @@ Subcommands: synth (synthetic sweep), bench (benchmark CSV sweep), tune
 (weight tuning for a target distribution), check (Monte-Carlo check suites).
 Exit codes: 0 success, 1 runtime or check failure, 2 usage error.  All
 output is deterministic given the full flag set; the default seed is 1729.
+
+The parser only splits and converts flag values.  Each subcommand then
+builds its value objects (`ExperimentSpec`, `CsvSchema`, the `tune`
+marginal), which check them, before it reads a file or runs a fit; a
+`ParameterError` raised there is a usage error.  `tune` builds only the
+source it reads, so it never checks the flags of the other one.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import warnings
 import numpy as np
 
 from . import __version__
+from .core import ParameterError
 from .dataio import CsvSchema, load_csv
 from .distributions import gaussian_distribution, uniform_distribution
 from .evaluation import (
@@ -81,47 +88,18 @@ def _seed(text: str) -> int:
     return value
 
 
-def _noise_std(text: str) -> float:
-    value = float(text)
-    if not (np.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {text!r}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite value, got {text!r}")
-    return value
+def _split(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
+        values = tuple(int(part) for part in _split(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
-    if len(set(values)) != len(values):
-        raise argparse.ArgumentTypeError(f"expected distinct integers, got {text!r}")
-    return values
-
-
-def _delimiter(text: str) -> str:
-    if len(text) != 1:
-        raise argparse.ArgumentTypeError(f"expected a single character, got {text!r}")
-    return text
-
-
-def _method_list(text: str) -> tuple[str, ...]:
-    values = tuple(part.strip().lower() for part in text.split(",") if part.strip())
+    # an empty tuple would select ExperimentSpec's full-scale n_r grid
     if not values:
-        raise argparse.ArgumentTypeError("expected at least one method")
-    unknown = [v for v in values if v not in METHOD_ORDER]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown method {unknown[0]!r}; choose from {','.join(METHOD_ORDER)}"
-        )
+        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
     return values
 
 
@@ -133,7 +111,15 @@ def _column(text: str):
 
 
 def _column_list(text: str) -> tuple:
-    return tuple(_column(part.strip()) for part in text.split(",") if part.strip())
+    return tuple(_column(part) for part in _split(text))
+
+
+def _build(args, make, *params, **fields):
+    """make(*params, **fields); a ParameterError it raises is a usage error."""
+    try:
+        return make(*params, **fields)
+    except ParameterError as exc:
+        args.parser.error(str(exc))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -168,8 +154,9 @@ def cmd_synth(args) -> int:
         methods=args.methods, n_u=args.n_u, n_r_values=args.n_r, repeats=args.repeats,
         noise_std=args.noise_std, dim=args.dim, test_size=args.test_size,
     )
-    spec = dataclasses.replace(
-        base, seed=args.seed, **{k: v for k, v in given.items() if v is not None}
+    spec = _build(
+        args, dataclasses.replace, base, seed=args.seed,
+        **{k: v for k, v in given.items() if v is not None},
     )
     table = run_synthetic(spec, jobs=args.jobs)
     config = (
@@ -182,20 +169,22 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    schema = CsvSchema(
+    schema = _build(
+        args, CsvSchema,
         target_column=args.target_col,
         categorical_columns=args.categorical_cols,
         has_header=not args.no_header,
         delimiter=args.delimiter,
     )
-    data, dropped = load_csv(args.data, schema)
-    print(f"loaded {data.n} rows x {data.dim} features ({dropped} dropped)")
-    spec = ExperimentSpec(
-        methods=args.methods if args.methods else ExperimentSpec.methods,
+    spec = _build(
+        args, ExperimentSpec,
+        methods=ExperimentSpec.methods if args.methods is None else args.methods,
         n_r_values=args.n_r,
         repeats=args.repeats,
         seed=args.seed,
     )
+    data, dropped = load_csv(args.data, schema)
+    print(f"loaded {data.n} rows x {data.dim} features ({dropped} dropped)")
     table = run_benchmark(data, spec, jobs=args.jobs, empirical_cdf=args.empirical_cdf)
     config = (
         f"data={args.data} rows={data.n} dropped={dropped} "
@@ -215,10 +204,10 @@ def cmd_tune(args) -> int:
         cfg = tune_weights_empirical(values)
         source = f"targets-file {args.targets_file} (n={values.size})"
     elif args.dist == "uniform":
-        cfg = tune_weights(uniform_distribution(args.a, args.b))
+        cfg = tune_weights(_build(args, uniform_distribution, args.a, args.b))
         source = f"uniform[{args.a:g}, {args.b:g}]"
     else:
-        cfg = tune_weights(gaussian_distribution(args.mean, args.std))
+        cfg = tune_weights(_build(args, gaussian_distribution, args.mean, args.std))
         source = f"gaussian(mean={args.mean:g}, std={args.std:g})"
     print(f"tuned weights for {source}")
     print(f"w1 = {cfg.w1:.6f}")
@@ -230,13 +219,16 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _check_names(args) -> list[str]:
-    return [args.only] if args.only else list(_CHECK_SUITES)
-
-
 def cmd_check(args) -> int:
+    names = [args.only] if args.only else list(_CHECK_SUITES)
+    # every chosen suite's budget is checked before the first one runs
+    for name in names:
+        flag, least, _ = _CHECK_SUITES[name]
+        given = getattr(args, flag)
+        if given is not None and given < least:
+            args.parser.error(f"{name} needs --{flag} >= {least}, got {given}")
     all_passed = True
-    for name in _check_names(args):
+    for name in names:
         report = _CHECK_SUITES[name][2](args)
         print(report)
         all_passed = all_passed and report.passed
@@ -260,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument(
             "--seed",
-            type=_seed,
+            type=int,
             default=DEFAULT_SEED,
             help=f"RNG seed (default {DEFAULT_SEED})",
         )
@@ -273,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--methods",
-            type=_method_list,
+            type=_split,
             default=None,
             help=f"comma-separated subset of {','.join(METHOD_ORDER)} (default all)",
         )
@@ -290,16 +282,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument(
         "--preset", choices=("desk",), default=None, help="small-budget preset"
     )
-    p_synth.add_argument("--n-u", type=_positive_int, default=None)
+    p_synth.add_argument("--n-u", type=int, default=None)
     p_synth.add_argument(
         "--n-r", type=_int_list, default=None, help="comma-separated sizes"
     )
-    p_synth.add_argument("--repeats", type=_positive_int, default=None)
-    p_synth.add_argument("--dim", type=_positive_int, default=None)
-    p_synth.add_argument("--noise-std", type=_noise_std, default=None)
-    p_synth.add_argument("--test-size", type=_positive_int, default=None)
+    p_synth.add_argument("--repeats", type=int, default=None)
+    p_synth.add_argument("--dim", type=int, default=None)
+    p_synth.add_argument("--noise-std", type=float, default=None)
+    p_synth.add_argument("--test-size", type=int, default=None)
     add_common(p_synth)
-    p_synth.set_defaults(func=cmd_synth)
+    p_synth.set_defaults(func=cmd_synth, parser=p_synth)
 
     p_bench = sub.add_parser(
         "bench", help="repeated 80/20 benchmark sweep on a labeled CSV dataset"
@@ -320,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--no-header", action="store_true", help="the file has no header row"
     )
-    p_bench.add_argument("--delimiter", type=_delimiter, default=",", help="field delimiter")
+    p_bench.add_argument("--delimiter", default=",", help="field delimiter")
     p_bench.add_argument(
         "--empirical-cdf",
         action="store_true",
@@ -330,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_bench.add_argument("--n-r", type=_int_list, default=(5000,))
-    p_bench.add_argument("--repeats", type=_positive_int, default=100)
+    p_bench.add_argument("--repeats", type=int, default=100)
     add_common(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
+    p_bench.set_defaults(func=cmd_bench, parser=p_bench)
 
     p_tune = sub.add_parser(
         "tune", help="tune the (w1, w2) weights for a target distribution"
@@ -343,10 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--targets-file",
         help="file of target values (one per line); uses the sample objective",
     )
-    p_tune.add_argument("--a", type=_finite_float, default=0.0, help="uniform lower bound")
-    p_tune.add_argument("--b", type=_finite_float, default=1.0, help="uniform upper bound")
-    p_tune.add_argument("--mean", type=_finite_float, default=0.0, help="gaussian mean")
-    p_tune.add_argument("--std", type=_finite_float, default=1.0, help="gaussian std")
+    p_tune.add_argument("--a", type=float, default=0.0, help="uniform lower bound")
+    p_tune.add_argument("--b", type=float, default=1.0, help="uniform upper bound")
+    p_tune.add_argument("--mean", type=float, default=0.0, help="gaussian mean")
+    p_tune.add_argument("--std", type=float, default=1.0, help="gaussian std")
     p_tune.add_argument("--out", help="write w1,w2,lambda CSV to this path")
     p_tune.set_defaults(func=cmd_tune, parser=p_tune)
 
@@ -387,17 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "tune":
-        if not args.b > args.a:
-            args.parser.error(f"need --a < --b, got {args.a!r} and {args.b!r}")
-        if not args.std > 0.0:
-            args.parser.error(f"need --std > 0, got {args.std!r}")
-    if args.command == "check":
-        for name in _check_names(args):
-            flag, least, _ = _CHECK_SUITES[name]
-            given = getattr(args, flag)
-            if given is not None and given < least:
-                args.parser.error(f"{name} needs --{flag} >= {least}, got {given}")
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary: report, exit 1

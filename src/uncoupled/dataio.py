@@ -5,11 +5,17 @@ stripping), an unparseable or non-finite numeric cell, or the wrong number
 of fields are dropped; the drop count is reported next to the dataset.
 Categorical columns expand to one-hot blocks in place, category order being
 first appearance among the kept rows.
+
+`load_csv` reads the rows in one pass and keeps each surviving row's
+stripped cells and the floats of its numeric cells, the target's included.
+The features are then built in file order from one numeric matrix and the
+kept categorical cells.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +48,7 @@ class CsvSchema:
             if not isinstance(c, (int, str)):
                 raise ParameterError("categorical columns must be indices or names")
         if len(self.delimiter) != 1:
-            raise ParameterError("delimiter must be a single character")
+            raise ParameterError(f"delimiter must be a single character, got {self.delimiter!r}")
 
 
 def _resolve_column(col: int | str, header: list[str] | None, ncols: int) -> int:
@@ -90,79 +96,42 @@ def load_csv(path, schema: CsvSchema):
         raise SchemaError(
             f"target column {schema.target_column!r} is also listed as categorical"
         )
-    numeric_idxs = [
-        i for i in range(ncols) if i != target_idx and i not in cat_idxs
-    ]
+    # the target is parsed with the numeric columns, in file order
+    numeric_idxs = [i for i in range(ncols) if i not in cat_idxs]
 
-    parsed_numeric: list[list[float]] = []
-    parsed_cats: list[list[str]] = []
-    parsed_targets: list[float] = []
-    dropped = 0
+    kept_cells: list[list[str]] = []
+    kept_numbers: list[list[float]] = []
     for row in body:
-        if len(row) != ncols:
-            dropped += 1
-            continue
         cells = [c.strip() for c in row]
-        if any(c in MISSING_TOKENS for c in cells):
-            dropped += 1
+        if len(cells) != ncols or not MISSING_TOKENS.isdisjoint(cells):
             continue
         try:
-            target = float(cells[target_idx])
-            numerics = [float(cells[i]) for i in numeric_idxs]
+            numbers = [float(cells[i]) for i in numeric_idxs]
         except ValueError:
-            dropped += 1
             continue
-        parsed_numeric.append(numerics)
-        parsed_cats.append([cells[i] for i in cat_idxs])
-        parsed_targets.append(target)
-    # one finite-row mask over the parsed cells: a row with an inf or nan
-    # ("inf", "nan", "1e999", ...) is dropped
-    targets = np.asarray(parsed_targets, dtype=float)
-    numeric_matrix = np.asarray(parsed_numeric, dtype=float).reshape(
-        targets.size, len(numeric_idxs)
-    )
-    finite = np.isfinite(targets) & np.isfinite(numeric_matrix).all(axis=1)
-    dropped += targets.size - int(np.count_nonzero(finite))
-    if not finite.any():
+        # "inf", "nan", "1e999", ... parse but are dropped
+        if all(map(math.isfinite, numbers)):
+            kept_cells.append(cells)
+            kept_numbers.append(numbers)
+    dropped = len(body) - len(kept_cells)
+    if not kept_cells:
         raise EmptyDataError(f"{path}: no rows survive missing-value filtering")
-    targets, numeric_matrix = targets[finite], numeric_matrix[finite]
-    kept_cats = [cats for cats, keep in zip(parsed_cats, finite) if keep]
 
-    categories: dict[int, list[str]] = {i: [] for i in cat_idxs}
-    for row_cats in kept_cats:
-        for pos, i in enumerate(cat_idxs):
-            val = row_cats[pos]
-            if val not in categories[i]:
-                categories[i].append(val)
-
-    def _name(i: int) -> str:
-        return header[i] if header is not None else f"col{i}"
-
-    n = targets.size
+    numeric_columns = iter(np.array(kept_numbers, dtype=float).T)
     columns: list[np.ndarray] = []
     names: list[str] = []
-    numeric_pos = {i: p for p, i in enumerate(numeric_idxs)}
-    cat_pos = {i: p for p, i in enumerate(cat_idxs)}
     for i in range(ncols):
-        if i == target_idx:
-            continue
-        if i in cat_pos:
-            cats = categories[i]
-            col_values = [row[cat_pos[i]] for row in kept_cats]
-            for cat in cats:
-                onehot = np.fromiter(
-                    (1.0 if v == cat else 0.0 for v in col_values), dtype=float, count=n
-                )
-                columns.append(onehot)
-                names.append(f"{_name(i)}={cat}")
+        name = header[i] if header is not None else f"col{i}"
+        if i in cat_idxs:
+            values = [cells[i] for cells in kept_cells]
+            # one-hot block, categories in first-appearance order
+            for cat in dict.fromkeys(values):
+                columns.append(np.array([v == cat for v in values], dtype=float))
+                names.append(f"{name}={cat}")
+        elif i == target_idx:
+            targets = next(numeric_columns)
         else:
-            columns.append(numeric_matrix[:, numeric_pos[i]])
-            names.append(_name(i))
-    features = np.column_stack(columns)
-    dataset = Dataset(
-        features=features,
-        targets=targets,
-        feature_names=tuple(names),
-    )
-    return dataset, dropped
+            columns.append(next(numeric_columns))
+            names.append(name)
+    return Dataset(np.column_stack(columns), targets, tuple(names)), dropped
 

@@ -94,7 +94,7 @@ def gaussian_distribution(mean: float, std: float) -> TargetDistribution:
     """N(mean, std^2), with the floats of scipy.stats.norm(mean, std): the
     same operations in the same order on the standardized x."""
     if not (std > 0.0 and np.isfinite(std) and np.isfinite(mean)):
-        raise ParameterError(f"need finite mean and std > 0, got {mean!r}, {std!r}")
+        raise ParameterError(f"need finite mean and std > 0, got mean={mean!r}, std={std!r}")
 
     def pdf(y):
         x = (y - mean) / std

@@ -103,22 +103,22 @@ class ExperimentSpec:
         if not n_r:
             n_r = _full_scale_n_r()
         if any(v < 1 for v in n_r):
-            raise ParameterError("all n_r values must be >= 1")
+            raise ParameterError(f"all n_r values must be >= 1, got {n_r}")
         if len(set(n_r)) != len(n_r):
             raise ParameterError(f"n_r values must be distinct, got {n_r}")
         object.__setattr__(self, "n_r_values", n_r)
         if self.n_u < 1:
-            raise ParameterError("n_u must be >= 1")
+            raise ParameterError(f"n_u must be >= 1, got {self.n_u!r}")
         if self.repeats < 1:
-            raise ParameterError("repeats must be >= 1")
+            raise ParameterError(f"repeats must be >= 1, got {self.repeats!r}")
         if self.seed < 0:
-            raise ParameterError("seed must be >= 0")
+            raise ParameterError(f"seed must be >= 0, got {self.seed!r}")
         if not (np.isfinite(self.noise_std) and self.noise_std >= 0.0):
-            raise ParameterError("noise_std must be finite and >= 0")
+            raise ParameterError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
         if self.dim < 1:
-            raise ParameterError("dim must be >= 1")
+            raise ParameterError(f"dim must be >= 1, got {self.dim!r}")
         if self.test_size < 1:
-            raise ParameterError("test_size must be >= 1")
+            raise ParameterError(f"test_size must be >= 1, got {self.test_size!r}")
 
     @classmethod
     def desk(cls, **overrides) -> "ExperimentSpec":
@@ -261,6 +261,8 @@ def mse(predictions, targets) -> float:
 
 def _repeat_seed(seed: int, repeat: int) -> int:
     """Well-mixed nonnegative sub-seed for one repeat."""
+    if seed < 0:  # SeedSequence would raise a plain ValueError
+        raise ParameterError(f"seed must be >= 0, got {seed!r}")
     return int(np.random.SeedSequence((int(seed), int(repeat))).generate_state(1)[0])
 
 

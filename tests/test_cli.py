@@ -76,8 +76,24 @@ class TestSynth:
                 "--test-size", "50", "--out", str(out),
             ])
         assert exc.value.code == 2
-        assert "expected distinct integers, got '20,20'" in capsys.readouterr().err
+        assert "n_r values must be distinct, got (20, 20)" in capsys.readouterr().err
         assert fits == [] and not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--n-r", ","), "expected at least one integer, got ','"),
+            (("--methods", ","), "methods must be nonempty"),
+        ],
+        ids=["n-r", "methods"],
+    )
+    def test_empty_list_exits_two_and_selects_no_default(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--preset", "desk", *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_desk_preset_accepts_overrides(self, capsys, tmp_path):
         out = tmp_path / "desk.csv"
@@ -155,16 +171,30 @@ class TestBench:
         assert "error:" in stderr
 
     @pytest.mark.parametrize(
-        "flags",
-        [("--delimiter", ";;"), ("--delimiter", ""), ("--n-r", "40,40")],
-        ids=["long-delimiter", "empty-delimiter", "duplicate-n-r"],
+        "flags,message",
+        [
+            (("--delimiter", ";;"), "delimiter must be a single character, got ';;'"),
+            (("--delimiter", ""), "delimiter must be a single character, got ''"),
+            (("--n-r", "40,40"), "n_r values must be distinct, got (40, 40)"),
+            # an empty list must not fall back to every method
+            (("--methods", ","), "methods must be nonempty"),
+        ],
+        ids=["long-delimiter", "empty-delimiter", "duplicate-n-r", "empty-methods"],
     )
-    def test_bad_flag_value_exits_two(self, capsys, tmp_path, flags):
+    def test_bad_flag_value_exits_two(self, capsys, tmp_path, flags, message):
         data = write_benchmark_csv(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--data", str(data), *flags])
         assert exc.value.code == 2
-        assert "expected" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    def test_bad_delimiter_exits_two_before_the_file_is_opened(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--delimiter", ";;", "--data", str(tmp_path / "missing.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: uncoupled bench")
+        assert "delimiter must be a single character, got ';;'" in err
 
 
 class TestTune:
@@ -231,6 +261,20 @@ class TestTune:
         assert code == 1
         assert "need >= 2 target values, got 0" in stderr
         assert "UserWarning" not in stderr
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--std", "0"), ("--dist", "gaussian", "--a", "1", "--b", "0")],
+        ids=["targets-file-std-zero", "gaussian-b-below-a"],
+    )
+    def test_flags_of_the_unused_source_are_not_checked(self, capsys, tmp_path, flags):
+        if "--dist" not in flags:
+            targets = tmp_path / "t.txt"
+            np.savetxt(targets, np.random.default_rng(4).normal(2.0, 1.0, size=50))
+            flags = ("--targets-file", str(targets), *flags)
+        code, stdout, _ = run(capsys, "tune", *flags)
+        assert code == 0
+        assert "w1 = " in stdout
 
     def test_dist_and_file_are_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -305,18 +349,19 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--noise-std", value])
         assert exc.value.code == 2
-        assert "--noise-std: expected a finite value >= 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"noise_std must be finite and >= 0, got {float(value)!r}" in err
 
     @pytest.mark.parametrize(
         "flags,message",
         [
-            (["--dist", "gaussian", "--std", "-1"], "need --std > 0"),
-            (["--dist", "gaussian", "--std", "0"], "need --std > 0"),
-            (["--dist", "gaussian", "--std", "nan"], "--std: expected a finite value"),
-            (["--dist", "gaussian", "--mean", "inf"], "--mean: expected a finite value"),
-            (["--dist", "uniform", "--a", "1", "--b", "0"], "need --a < --b"),
-            (["--dist", "uniform", "--a", "1", "--b", "1"], "need --a < --b"),
-            (["--dist", "uniform", "--b=-inf"], "--b: expected a finite value"),
+            (["--dist", "gaussian", "--std", "-1"], "need finite mean and std > 0, got mean=0.0, std=-1.0"),
+            (["--dist", "gaussian", "--std", "0"], "need finite mean and std > 0, got mean=0.0, std=0.0"),
+            (["--dist", "gaussian", "--std", "nan"], "need finite mean and std > 0, got mean=0.0, std=nan"),
+            (["--dist", "gaussian", "--mean", "inf"], "need finite mean and std > 0, got mean=inf, std=1.0"),
+            (["--dist", "uniform", "--a", "1", "--b", "0"], "need finite a < b, got a=1.0, b=0.0"),
+            (["--dist", "uniform", "--a", "1", "--b", "1"], "need finite a < b, got a=1.0, b=1.0"),
+            (["--dist", "uniform", "--b=-inf"], "need finite a < b, got a=0.0, b=-inf"),
         ],
         ids=["std-negative", "std-zero", "std-nan", "mean-inf", "b-below-a", "b-equals-a", "b-inf"],
     )

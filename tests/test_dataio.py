@@ -155,6 +155,20 @@ class TestLoadCsv:
         with pytest.raises(EmptyDataError):
             load_csv(path, CsvSchema(target_column="y"))
 
+    @pytest.mark.parametrize("has_header", [True, False], ids=["header", "no-header"])
+    def test_numeric_file_matches_loadtxt(self, tmp_path, has_header):
+        rng = np.random.default_rng(11)
+        values = rng.normal(0.0, 10.0, (200, 4)) * 10.0 ** rng.integers(-5, 6, (200, 4))
+        lines = [",".join(repr(float(v)) for v in row) for row in values]
+        if has_header:
+            lines.insert(0, "a,b,c,y")
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        data, dropped = load_csv(path, CsvSchema(target_column=-1, has_header=has_header))
+        expected = np.loadtxt(path, delimiter=",", skiprows=int(has_header))
+        assert dropped == 0
+        assert data.features.tobytes() == expected[:, :-1].tobytes()
+        assert data.targets.tobytes() == expected[:, -1].tobytes()
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "nope.csv", CsvSchema(target_column=0))

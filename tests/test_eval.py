@@ -472,6 +472,20 @@ class TestCheckSuites:
         with pytest.raises(ParameterError):
             check_counterexample(n_samples=1000)
 
+    @pytest.mark.parametrize(
+        "suite,budget",
+        [
+            (check_lemma1, {"n_samples": evaluation.LEMMA1_MIN_SAMPLES}),
+            (check_theorem1_variance, {"resamples": evaluation.THEOREM1_MIN_RESAMPLES}),
+            (check_counterexample, {"n_samples": evaluation.COUNTEREXAMPLE_MIN_SAMPLES}),
+            (check_unbiasedness, {"resamples": evaluation.UNBIASEDNESS_MIN_RESAMPLES}),
+        ],
+        ids=["lemma1", "theorem1", "counterexample", "unbiasedness"],
+    )
+    def test_negative_seed_rejected(self, suite, budget):
+        with pytest.raises(ParameterError, match="seed must be"):
+            suite(seed=-1, **budget)
+
     def test_unbiasedness_passes(self):
         report = check_unbiasedness(resamples=400, n=400, seed=12)
         assert report.passed, str(report)
