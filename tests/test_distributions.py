@@ -23,12 +23,17 @@ from uncoupled.distributions import (
     _CRAMER,
     _EXP_FLOOR,
     _KERNEL_BUDGET,
+    _SCREEN_BAND,
+    _SCREEN_MIN_POINTS,
+    _SCREEN_TERMS,
     _TAYLOR_TERMS,
     _UNDERFLOW_EXPONENT,
     _UNIT_ROUNDOFF,
     _chunked,
+    _cv_bounds,
     _cv_scores,
     _hermite_sums,
+    _screen_table,
     _shifted_log_sums,
     silverman_bandwidth,
 )
@@ -380,11 +385,24 @@ class TestKdeExactness:
         assert np.any((scaled > 600.0) & (scaled <= 700.0))
 
     def test_tied_scores_prefer_the_smallest_bandwidth(self, monkeypatch):
+        # the bounds tie too, so every bandwidth reaches the exact pass, and
+        # there the exact scores tie; a 10-point sample skips the screen
+        scored = []
+
+        def tied_scores(v, grid):
+            scored.append(grid)
+            return np.zeros(grid.size)
+
+        monkeypatch.setattr(uncoupled.distributions, "_cv_scores", tied_scores)
         monkeypatch.setattr(
-            uncoupled.distributions, "_cv_scores", lambda v, grid: np.zeros(grid.size)
+            uncoupled.distributions, "_cv_bounds", lambda v, grid: (np.zeros(grid.size),) * 2
         )
-        model = fit_kde(np.arange(10.0), bandwidth_grid=np.array([3.0, 1.0, 0.3, 0.1]))
-        assert model.bandwidth == 0.1
+        for n in (10, _SCREEN_MIN_POINTS):
+            scored.clear()
+            model = fit_kde(np.arange(float(n)), bandwidth_grid=np.array([3.0, 1.0, 0.3, 0.1]))
+            assert model.bandwidth == 0.1
+            assert len(scored) == 1
+            np.testing.assert_array_equal(scored[0], [0.1, 0.3, 1.0, 3.0])
 
     def test_ndtr_saturates_from_8_3(self):
         assert np.all(ndtr(np.linspace(8.3, 40.0, 10**6)) == 1.0)
@@ -473,6 +491,138 @@ class TestKdeExactness:
         for name in ("cdf", "pdf", "cdf_link", "inv_cdf"):
             arg = u if name == "inv_cdf" else y
             np.testing.assert_array_equal(getattr(other, name)(arg), getattr(default, name)(arg))
+
+
+def _default_grid(v):
+    h0 = silverman_bandwidth(v)
+    return np.geomspace(h0 / 10.0, h0 * 10.0, 20)
+
+
+def _screen_cases():
+    """The gate samples, a 1600-point log-normal with a long tail, and one
+    shaped like the benchmark's train targets (log-normal, sigma 0.36), each
+    sorted, with its grid."""
+    rng = np.random.default_rng(1600)
+    samples = [(name, values, grid) for name, values, grid in _bandwidth_gate_cases()]
+    samples.append(("lognormal_1600", rng.lognormal(0.0, 1.0, 1600), None))
+    samples.append(("benchmark_like_1600", rng.lognormal(0.0, 0.36, 1600), None))
+    cases = []
+    for name, values, grid in samples:
+        v = np.sort(values)
+        cases.append((name, v, _default_grid(v) if grid is None else grid))
+    return cases
+
+
+_SCREEN_IDS = dict(ids=lambda p: p if isinstance(p, str) else "")
+
+
+class TestBandwidthScreen:
+    """fit_kde bounds every grid bandwidth's CV score (`_cv_bounds`) and
+    runs the exact `_cv_scores` once, on the bandwidths whose upper bound
+    reaches the best lower bound.  The bounds must hold for the floats that
+    `_cv_scores` returns, with no tolerance added here: their rounding margin
+    is their own.  `_cv_scores` must give a bandwidth the same float in any
+    subset of the grid, or the exact pass could rank the candidates
+    differently from the full grid."""
+
+    @pytest.mark.parametrize("name,v,grid", _screen_cases(), **_SCREEN_IDS)
+    def test_bounds_bracket_the_exact_scores(self, name, v, grid):
+        lower, upper = _cv_bounds(v, grid)
+        exact = _cv_scores(v, grid)
+        assert np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))
+        assert np.all(lower <= exact)
+        assert np.all(exact <= upper)
+
+    @pytest.mark.parametrize("name,v,grid", _screen_cases(), **_SCREEN_IDS)
+    def test_the_best_bandwidth_is_one_of_at_most_two_candidates(self, name, v, grid):
+        # measured: two candidates on "bimodal", one on every other sample
+        lower, upper = _cv_bounds(v, grid)
+        candidates = np.flatnonzero(upper >= lower.max())
+        assert 1 <= candidates.size <= 2
+        assert int(np.argmax(_cv_scores(v, grid))) in candidates
+
+    @pytest.mark.parametrize("name,v,grid", _screen_cases(), **_SCREEN_IDS)
+    def test_any_subset_of_the_grid_gives_the_same_floats(self, name, v, grid):
+        full = _cv_scores(v, grid)
+        rng = np.random.default_rng(v.size)
+        for size in (1, 2, 3, grid.size // 2):
+            subset = np.sort(rng.choice(grid.size, size, replace=False))
+            np.testing.assert_array_equal(_cv_scores(v, grid[subset]), full[subset])
+
+    def test_exact_pass_runs_once_on_the_candidates(self, monkeypatch):
+        (_, v, grid), = [c for c in _screen_cases() if c[0] == "lognormal_1600"]
+        lower, upper = _cv_bounds(v, grid)
+        scored = []
+
+        def recording_scores(v, grid):
+            scored.append(grid)
+            return _cv_scores(v, grid)
+
+        monkeypatch.setattr(uncoupled.distributions, "_cv_scores", recording_scores)
+        model = fit_kde(np.random.default_rng(3).permutation(v))
+        assert len(scored) == 1
+        np.testing.assert_array_equal(scored[0], grid[upper >= lower.max()])
+        assert model.bandwidth == grid[int(np.argmax(_cv_scores(v, grid)))]
+
+    def test_a_near_tie_goes_to_the_exact_pass(self):
+        # two bandwidths 1e-9 apart at the optimum: their scores differ by
+        # far less than the bounds' slack, so neither may be ruled out
+        (_, v, grid), = [c for c in _screen_cases() if c[0] == "benchmark_like_1600"]
+        best = grid[int(np.argmax(_cv_scores(v, grid)))]
+        pair = np.array([best, best * (1.0 + 1e-9)])
+        lower, upper = _cv_bounds(v, pair)
+        exact = _cv_scores(v, pair)
+        assert abs(exact[1] - exact[0]) < 1e-6
+        assert np.all(upper >= lower.max())
+        assert fit_kde(v, bandwidth_grid=pair).bandwidth == pair[int(np.argmax(exact))]
+
+    def test_samples_below_the_threshold_score_the_whole_grid(self, monkeypatch):
+        def no_screen(v, grid):
+            raise AssertionError("the screen ran")
+
+        scored = []
+
+        def recording_scores(v, grid):
+            scored.append(grid)
+            return _cv_scores(v, grid)
+
+        monkeypatch.setattr(uncoupled.distributions, "_cv_bounds", no_screen)
+        monkeypatch.setattr(uncoupled.distributions, "_cv_scores", recording_scores)
+        v = np.sort(np.random.default_rng(4).normal(0.0, 1.0, _SCREEN_MIN_POINTS - 1))
+        fit_kde(v)
+        assert len(scored) == 1
+        np.testing.assert_array_equal(scored[0], _default_grid(v))
+
+    def test_table_expands_the_kernel_within_cramers_remainder(self):
+        P, B = _SCREEN_TERMS, _SCREEN_BAND
+        table, _ = _screen_table()
+        table = table.reshape(2 * B + 1, P, P + 1)
+        rng = np.random.default_rng(5)
+        o, s = rng.uniform(-0.5, 0.5, (2, 4000))
+        o[:2], s[:2] = [0.5, -0.5], [-0.5, 0.5]
+        worst = 0.0
+        for j in range(-B, B + 1):
+            poly = np.einsum("iq,ir,qr->i", s[:, None] ** np.arange(P), o[:, None] ** np.arange(P),
+                             table[j + B, :, :P])
+            remainder = table[j + B, 0, P] * (np.abs(o) + 0.5) ** P
+            miss = np.abs(poly - np.exp(-0.5 * (j + o - s) ** 2))
+            # 1e-15 for this test's own sums of terms below 1
+            assert np.all(miss <= remainder + 1e-15)
+            worst = max(worst, float(miss.max()))
+        # the truncation is not negligible: the remainder bound is needed
+        assert worst > 1e-7
+        # each remainder weight bounds |G^(P)(x)| / P! = |He_P(x)| e^(-x^2/2) / P!
+        # wherever j + o - s can be, |x| >= |j| - 1; and Cramér's inequality
+        # holds at P as the table uses it
+        x = np.linspace(-40.0, 40.0, 400_001)
+        he_prev, he = np.ones_like(x), x.copy()
+        for m in range(1, P):
+            he_prev, he = he, x * he - m * he_prev
+        derivative = np.abs(he) * np.exp(-0.5 * x * x) / math.factorial(P)
+        for j in range(-B, B + 1):
+            assert np.max(derivative[np.abs(x) >= abs(j) - 1]) <= table[j + B, 0, P]
+        peak = np.max(np.abs(he) * np.exp(-0.25 * x * x)) / math.sqrt(math.factorial(P))
+        assert peak <= _CRAMER * math.sqrt(2.0 * math.pi)
 
 
 @st.composite
