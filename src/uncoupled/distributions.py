@@ -14,16 +14,16 @@ arithmetic of scipy.stats.norm, and gives its floats bit for bit, without
 importing scipy.stats.
 
 The KDE is exact throughout.  Its bandwidth is the grid's best by the
-exact 5-fold log-likelihood.  From 600 points on, a screen first bounds
-every bandwidth's score from above and below at O(n) cost: Taylor
-expansions of the Gaussian kernel in cells one bandwidth wide, with
-Cramér's remainder, a count bound on the points beyond the band, the
-nearest-neighbour kernel, and every rounding error of the screen and of the
-exact score.  The exact score then runs once, on the bandwidths whose upper
-bound reaches the best lower bound: one or two of 20 on the benchmark's
-samples.  It scores each pair of folds once.  Its exponents are
-floored at -700, so that np.exp stays on its fast path; points with
-a d_min > 600 are rescored with a sum shifted by d_min, and every other
+exact 5-fold log-likelihood.  A screen first bounds every bandwidth's score
+from above and below at O(n) cost: Taylor expansions of the Gaussian kernel
+in cells one bandwidth wide, with Cramér's remainder, a count bound on the
+points beyond the band, the nearest-neighbour kernel, and every rounding
+error of the screen and of the exact score.  The exact score then runs
+once, on the bandwidths whose upper bound reaches the best lower bound: one
+or two of 20 on the benchmark's samples.  It scores each pair of folds
+once.  Its exponents are floored at -700, so that np.exp stays on its fast
+path; a point whose squared gap to its nearer sorted neighbour, d_min,
+has a d_min > 600 is rescored with a sum shifted by d_min, and every other
 point's sum moves by at most n e^-100 relative.  The floor pass is skipped
 in each block and bandwidth where no exponent can fall below -700, since
 it would change nothing there.  Its pdf and pdf' are full
@@ -199,24 +199,32 @@ _EXP_FLOOR = -700.0
 _UNDERFLOW_EXPONENT = 600.0
 
 
-def _shifted_log_sums(val: np.ndarray, train: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _nearest_gaps(v: np.ndarray) -> np.ndarray:
+    """Each point's distance to the nearer of its neighbours in the sorted
+    sample v."""
+    gap = np.diff(v)
+    return np.minimum(np.r_[np.inf, gap], np.r_[gap, np.inf])
+
+
+def _shifted_log_sums(
+    val: np.ndarray, train: np.ndarray, a: np.ndarray, d_min: np.ndarray
+) -> np.ndarray:
     """log sum_j exp(-a_k (val_i - train_j)^2) for every a_k and row i, as a
-    (len(a), len(val)) array.  Each row is shifted by its nearest-neighbour
-    distance d_min: log(sum(exp(-a D'))) - a d_min, whose shifted sum is >= 1
-    and never underflows to log(0)."""
+    (len(a), len(val)) array.  Each row is shifted by d_min_i, its smallest
+    squared distance to `train`: log(sum(exp(-a D'))) - a d_min, whose
+    shifted sum is >= 1 and never underflows to log(0)."""
     out = np.empty((a.size, val.size))
     block = max(1, _KERNEL_BUDGET // train.size)
     for lo, hi in _chunked(val.size, block):
         d = val[lo:hi, None] - train[None, :]
         d *= d
-        d_min = d.min(axis=1)
-        d -= d_min[:, None]
+        d -= d_min[lo:hi, None]
         buf = np.empty_like(d)
         for k in range(a.size):
             np.multiply(d, -a[k], out=buf)
             np.maximum(buf, _EXP_FLOOR, out=buf)
             np.exp(buf, out=buf)
-            out[k, lo:hi] = np.log(buf.sum(axis=1)) - a[k] * d_min
+            out[k, lo:hi] = np.log(buf.sum(axis=1)) - a[k] * d_min[lo:hi]
     return out
 
 
@@ -231,12 +239,15 @@ def _cv_scores(v: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
     Every exponent -a d, with a = 1 / (2 h^2), is floored at -700 before
     np.exp, whose vector loop is 15 to 130 times slower on results that
-    underflow.  A point whose nearest training point is d_min away has a
-    largest term of e^(-a d_min).  The (bandwidth, point) cells with
-    a d_min > 600 are recomputed shifted by d_min (`_shifted_log_sums`),
-    where the largest term is exactly 1.  In every other cell the largest
-    term is at least e^-600 and each floored term is off by less than
-    e^-700, so the sum moves by at most n e^-100 relative.
+    underflow.  A point's smallest squared distance d_min to its training
+    points is its squared nearest gap in the sorted sample
+    (`_nearest_gaps`): both sorted neighbours lie in other folds, and
+    rounding is monotone, so no float of the blocks is smaller.  Its largest
+    term is e^(-a d_min).  The (bandwidth, point) cells with a d_min > 600
+    are recomputed shifted by d_min (`_shifted_log_sums`), where the largest
+    term is exactly 1.  In every other cell the largest term is at least
+    e^-600 and each floored term is off by less than e^-700, so the sum
+    moves by at most n e^-100 relative.
 
     The floor pass is skipped in each (block, bandwidth) cell where
     a * max(d) <= 700.  Rounding is monotone, so every product -a d of the
@@ -246,17 +257,15 @@ def _cv_scores(v: np.ndarray, grid: np.ndarray) -> np.ndarray:
     n = v.size
     a = 0.5 / grid**2
     sums = np.zeros((grid.size, n))
-    d_min = np.full(n, np.inf)
+    d_min = _nearest_gaps(v) ** 2
     for f in range(5):
         for g in range(f + 1, 5):
             rows, cols = v[f::5], v[g::5]
-            row_min, row_sums = d_min[f::5], sums[:, f::5]
+            row_sums = sums[:, f::5]
             block = max(1, _KERNEL_BUDGET // cols.size)
             for lo, hi in _chunked(rows.size, block):
                 d = rows[lo:hi, None] - cols[None, :]
                 d *= d
-                np.minimum(row_min[lo:hi], d.min(axis=1), out=row_min[lo:hi])
-                np.minimum(d_min[g::5], d.min(axis=0), out=d_min[g::5])
                 buf = np.empty_like(d)
                 # BLAS matrix-vector products: several times faster than .sum(axis)
                 row_ones, col_ones = np.ones(hi - lo), np.ones(cols.size)
@@ -277,7 +286,7 @@ def _cv_scores(v: np.ndarray, grid: np.ndarray) -> np.ndarray:
         redo = np.flatnonzero(fold_under.any(axis=0))
         if redo.size:
             train = np.delete(v, np.arange(f, n, 5))
-            shifted = _shifted_log_sums(v[f::5][redo], train, a)
+            shifted = _shifted_log_sums(v[f::5][redo], train, a, d_min[f::5][redo])
             fold_cells[:, redo] = np.where(fold_under[:, redo], shifted, fold_cells[:, redo])
         n_val = fold_cells.shape[1]
         scores += fold_cells.sum(axis=1) - n_val * np.log((n - n_val) * grid * _SQRT_2PI)
@@ -288,12 +297,6 @@ def _cv_scores(v: np.ndarray, grid: np.ndarray) -> np.ndarray:
 # terms in cells one bandwidth wide, over a band of +-_SCREEN_BAND cells.
 _SCREEN_TERMS = 12
 _SCREEN_BAND = 6
-# Samples smaller than this skip the screen and score every bandwidth
-# exactly.  With the default grid, the screen and the exact pass on its
-# candidates cost more than the exact pass on the whole grid below about
-# 600 points on normal samples, and below about 350 on log-normal and
-# bimodal ones.
-_SCREEN_MIN_POINTS = 600
 # (bandwidth, point) pairs per screen group, and (fold, cell) rows per
 # translation block: each keeps the screen's buffers near 2 MB.
 _SCREEN_PAIRS = 16384
@@ -357,8 +360,8 @@ def _cv_bounds(v: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     then bounded
 
     - below by the polynomial less its remainder and rounding bounds, and
-      by G at the point's nearest-neighbour distance d_nn (the nearer of
-      its sorted neighbours, both in other folds);
+      by G at the point's nearest-neighbour distance d_nn
+      (`_nearest_gaps`: its sorted neighbours are both in other folds);
     - above by the polynomial plus those bounds plus the training points
       beyond the band, each counted at G of the larger of d_nn and the
       distance the cells allow: 6.5 cells less the offset for those within
@@ -396,8 +399,7 @@ def _cv_bounds(v: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     fold = np.arange(n) % 5
     n_val = np.bincount(fold, minlength=5).astype(float)
     n_train = n - n_val[fold]
-    gap = np.diff(v)
-    d_nn = np.minimum(np.r_[np.inf, gap], np.r_[gap, np.inf])
+    d_nn = _nearest_gaps(v)
     lower = np.full(grid.size, -np.inf)
     upper = np.full(grid.size, np.inf)
     eps_all = 4.0 * u * ((v[-1] - v[0]) / grid + 1.0)
@@ -487,16 +489,14 @@ def fit_kde(targets, bandwidth_grid=None) -> KdeModel:
     log-likelihood of every validation point under its training folds
     (`_cv_scores`), with each pair of folds scored once per bandwidth.
 
-    From 600 points on (`_SCREEN_MIN_POINTS`), `_cv_bounds` first bounds
-    every bandwidth's score from below and above, rounding included, at
-    O(n) cost per bandwidth, and `_cv_scores` runs once, on the candidates:
-    the bandwidths whose upper bound reaches the largest lower bound.  The
-    best bandwidth is always a candidate, and `_cv_scores` gives each
-    bandwidth the same float in any subset of the grid, so the choice, ties
-    included, is that of the exact scores on the whole grid.  A bandwidth
-    whose score is within the bounds' slack of the best stays a candidate,
-    so near-ties go to the exact pass.  Smaller samples score the whole grid
-    exactly, which costs them less.
+    `_cv_bounds` first bounds every bandwidth's score from below and above,
+    rounding included, at O(n) cost per bandwidth, and `_cv_scores` runs
+    once, on the candidates: the bandwidths whose upper bound reaches the
+    largest lower bound.  The best bandwidth is always a candidate, and
+    `_cv_scores` gives each bandwidth the same float in any subset of the
+    grid, so the choice, ties included, is that of the exact scores on the
+    whole grid.  A bandwidth whose score is within the bounds' slack of the
+    best stays a candidate, so near-ties go to the exact pass.
     """
     v = np.sort(np.asarray(targets, dtype=float).ravel())
     if v.size == 0:
@@ -513,10 +513,8 @@ def fit_kde(targets, bandwidth_grid=None) -> KdeModel:
         if grid.size == 0 or np.any(~np.isfinite(grid)) or np.any(grid <= 0.0):
             raise ParameterError("bandwidth grid must be nonempty and positive")
 
-    candidates = np.arange(grid.size)
-    if v.size >= _SCREEN_MIN_POINTS:
-        lower, upper = _cv_bounds(v, grid)
-        candidates = np.flatnonzero(upper >= lower.max())
+    lower, upper = _cv_bounds(v, grid)
+    candidates = np.flatnonzero(upper >= lower.max())
     best = candidates[int(np.argmax(_cv_scores(v, grid[candidates])))]
     return KdeModel(sample_points=v, bandwidth=float(grid[best]))
 
@@ -525,10 +523,11 @@ _CDF_TABLE_NODES = 257
 # ndtr(z) is exactly 1.0 for every z >= 8.2924; the tests pin it from 8.3 up.
 _NDTR_ONE = 8.3
 # Sample points per chunk of the cdf sum, and queries per kernel block.  A
-# block's pass holds three rows x n float buffers (z, the ndtr output and
-# exp).  At 32 rows and n = 1600 they take 1.2 MB and stay in a 2 MB L2
-# cache; at 64 rows they took 2.4 MB, and the pass ran about 10% slower.
-# The values do not depend on the block size.
+# block's pass holds four rows x n float buffers (z, the ndtr output, exp
+# and its product with z).  At 32 rows and n = 1600 they take 1.6 MB and
+# stay in a 2 MB L2 cache; at 64 rows the first three alone took 2.4 MB,
+# and the pass ran about 10% slower.  The values do not depend on the
+# block size.
 _CDF_CHUNK = 64
 _QUERY_BLOCK = 32
 # The inverse's node table stores, at each node t, the kernel moments
@@ -556,23 +555,20 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 
 def _hermite_sums(z, e, terms, work):
-    """Row sums of He_r(z) e for r < terms, by He_{r+1} = z He_r - r He_{r-1}.
-    Overwrites e; for terms > 2, work holds two more arrays of its shape."""
+    """Row sums of He_r(z) e for r < terms (terms >= 2), by
+    He_{r+1} = z He_r - r He_{r-1}.  Overwrites e and work, which holds two
+    more arrays of its shape."""
     sums = np.empty((e.shape[0], terms))
     sums[:, 0] = e.sum(axis=1)
-    if terms == 2:
-        e *= z
-        sums[:, 1] = e.sum(axis=1)
-    elif terms > 2:
-        prev, cur, tmp = e, work[0], work[1]
-        np.multiply(z, e, out=cur)
-        sums[:, 1] = cur.sum(axis=1)
-        for r in range(1, terms - 1):
-            np.multiply(z, cur, out=tmp)
-            prev *= r
-            np.subtract(tmp, prev, out=prev)
-            sums[:, r + 1] = prev.sum(axis=1)
-            prev, cur = cur, prev
+    prev, cur, tmp = e, work[0], work[1]
+    np.multiply(z, e, out=cur)
+    sums[:, 1] = cur.sum(axis=1)
+    for r in range(1, terms - 1):
+        np.multiply(z, cur, out=tmp)
+        prev *= r
+        np.subtract(tmp, prev, out=prev)
+        sums[:, r + 1] = prev.sum(axis=1)
+        prev, cur = cur, prev
     return sums
 
 
@@ -596,10 +592,10 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
 
     cdf_link's cdf, pdf and pdf' come from one pass per block, in buffers
     allocated once per call: z, then the cdf's ndtr chunk sums and one array
-    exp(-z^2 / 2), which the pdf sums and pdf' then scales in place by z.
+    exp(-z^2 / 2), which the pdf sums and whose product with z pdf' sums.
     That exp is not floored, so a pdf far below e^-700 (1e-136 mid-way
-    between two points 50 bandwidths apart) stays exact.  pdf and cdf each
-    run the same pass without the pdf' sums, so they give cdf_link's floats.
+    between two points 50 bandwidths apart) stays exact.  pdf and cdf read
+    the same pass, so they are cdf_link's floats.
 
     The inverse CDF tabulates the exact cdf at 257 nodes on the first call
     and caches the table.  The same pass stores at each node t the moments
@@ -652,12 +648,12 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
         return np.cumsum(sums, axis=1)[:, -1] / n
 
     def kernel_pass(y, terms=2):
-        """(cdf, pdf, pdf') at y, or (cdf, pdf) for terms=1; for terms > 2 also
-        the (y.size, terms) kernel moments M_r of the node table."""
+        """(cdf, pdf, pdf') at y; for terms > 2 also the (y.size, terms)
+        kernel moments M_r of the node table."""
         flat = np.ravel(y)
         order = np.argsort(flat, kind="stable")
         ys = flat[order]
-        outs = [np.empty(flat.size) for _ in range(min(terms, 2) + 1)]
+        outs = [np.empty(flat.size) for _ in range(3)]
         moments = np.zeros((flat.size, terms)) if terms > 2 else None
         # -inf sorts first, then the finite queries, then +inf and nan; the
         # non-finite ones take their limits and stay out of the kernel blocks
@@ -672,7 +668,7 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
         ys, order = ys[start:stop], order[start:stop]
         z_buf = np.empty((min(block, ys.size), padded.size))
         e_buf = np.empty((z_buf.shape[0], n))
-        work = np.empty((2, *e_buf.shape)) if terms > 2 else None
+        work = np.empty((2, *e_buf.shape))
         for a, b in _chunked(ys.size, block):
             z, e, at = z_buf[: b - a], e_buf[: b - a], order[a:b]
             np.subtract(ys[a:b, None], padded[None, :], out=z)
@@ -681,10 +677,9 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
             np.multiply(z[:, :n], -0.5, out=e)
             e *= z[:, :n]
             np.exp(e, out=e)
-            sums = _hermite_sums(z[:, :n], e, terms, None if work is None else work[:, : b - a])
+            sums = _hermite_sums(z[:, :n], e, terms, work[:, : b - a])
             outs[1][at] = sums[:, 0] / pdf_norm
-            if terms > 1:
-                outs[2][at] = -sums[:, 1] / (pdf_norm * h)
+            outs[2][at] = -sums[:, 1] / (pdf_norm * h)
             if terms > 2:
                 moments[at] = sums / (n * _SQRT_2PI)
         outs = tuple(out.reshape(np.shape(y)) for out in outs)
@@ -771,7 +766,7 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
         rest = ~sure
         todo, qa, a, b, x = todo[rest], qa[rest], a[rest], b[rest], x[rest]
         for _ in range(max_steps):
-            F, f = kernel_pass(x, terms=1)
+            F, f, _ = kernel_pass(x)
             below = F < qa
             a = np.where(below, x, a)
             b = np.where(below, b, x)
@@ -798,8 +793,8 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
         return out[repeat].reshape(np.shape(u))
 
     return TargetDistribution(
-        pdf=_scalarize(lambda y: kernel_pass(y, terms=1)[1]),
-        cdf=_scalarize(lambda y: kernel_pass(y, terms=1)[0]),
+        pdf=_scalarize(lambda y: kernel_pass(y)[1]),
+        cdf=_scalarize(lambda y: kernel_pass(y)[0]),
         inv_cdf=_scalarize(inv),
         cdf_link=_scalarize(kernel_pass),
     )

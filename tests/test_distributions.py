@@ -24,7 +24,6 @@ from uncoupled.distributions import (
     _EXP_FLOOR,
     _KERNEL_BUDGET,
     _SCREEN_BAND,
-    _SCREEN_MIN_POINTS,
     _SCREEN_TERMS,
     _TAYLOR_TERMS,
     _UNDERFLOW_EXPONENT,
@@ -33,6 +32,7 @@ from uncoupled.distributions import (
     _cv_bounds,
     _cv_scores,
     _hermite_sums,
+    _nearest_gaps,
     _screen_table,
     _shifted_log_sums,
     silverman_bandwidth,
@@ -244,7 +244,7 @@ def floor_every_cell_cv_scores(v, grid):
         redo = np.flatnonzero(fold_under.any(axis=0))
         if redo.size:
             train = np.delete(v, np.arange(f, n, 5))
-            shifted = _shifted_log_sums(v[f::5][redo], train, a)
+            shifted = _shifted_log_sums(v[f::5][redo], train, a, d_min[f::5][redo])
             fold_cells[:, redo] = np.where(fold_under[:, redo], shifted, fold_cells[:, redo])
         n_val = fold_cells.shape[1]
         scores += fold_cells.sum(axis=1) - n_val * np.log((n - n_val) * grid * np.sqrt(2.0 * np.pi))
@@ -386,7 +386,7 @@ class TestKdeExactness:
 
     def test_tied_scores_prefer_the_smallest_bandwidth(self, monkeypatch):
         # the bounds tie too, so every bandwidth reaches the exact pass, and
-        # there the exact scores tie; a 10-point sample skips the screen
+        # there the exact scores tie
         scored = []
 
         def tied_scores(v, grid):
@@ -397,12 +397,10 @@ class TestKdeExactness:
         monkeypatch.setattr(
             uncoupled.distributions, "_cv_bounds", lambda v, grid: (np.zeros(grid.size),) * 2
         )
-        for n in (10, _SCREEN_MIN_POINTS):
-            scored.clear()
-            model = fit_kde(np.arange(float(n)), bandwidth_grid=np.array([3.0, 1.0, 0.3, 0.1]))
-            assert model.bandwidth == 0.1
-            assert len(scored) == 1
-            np.testing.assert_array_equal(scored[0], [0.1, 0.3, 1.0, 3.0])
+        model = fit_kde(np.arange(10.0), bandwidth_grid=np.array([3.0, 1.0, 0.3, 0.1]))
+        assert model.bandwidth == 0.1
+        assert len(scored) == 1
+        np.testing.assert_array_equal(scored[0], [0.1, 0.3, 1.0, 3.0])
 
     def test_ndtr_saturates_from_8_3(self):
         assert np.all(ndtr(np.linspace(8.3, 40.0, 10**6)) == 1.0)
@@ -514,6 +512,7 @@ def _screen_cases():
 
 
 _SCREEN_IDS = dict(ids=lambda p: p if isinstance(p, str) else "")
+_TEN_POINTS = np.sort(np.random.default_rng(10).normal(0.0, 1.0, 10))
 
 
 class TestBandwidthScreen:
@@ -549,8 +548,15 @@ class TestBandwidthScreen:
             subset = np.sort(rng.choice(grid.size, size, replace=False))
             np.testing.assert_array_equal(_cv_scores(v, grid[subset]), full[subset])
 
-    def test_exact_pass_runs_once_on_the_candidates(self, monkeypatch):
-        (_, v, grid), = [c for c in _screen_cases() if c[0] == "lognormal_1600"]
+    @pytest.mark.parametrize(
+        "name,v,grid",
+        [("ten_points", _TEN_POINTS, _default_grid(_TEN_POINTS))]
+        + [c for c in _screen_cases() if c[0] in ("isolated_point", "lognormal_1600")],
+        **_SCREEN_IDS,
+    )
+    def test_exact_pass_runs_once_on_the_candidates(self, monkeypatch, name, v, grid):
+        # fit_kde builds the default grid itself
+        given = None if np.array_equal(grid, _default_grid(v)) else grid
         lower, upper = _cv_bounds(v, grid)
         scored = []
 
@@ -559,7 +565,7 @@ class TestBandwidthScreen:
             return _cv_scores(v, grid)
 
         monkeypatch.setattr(uncoupled.distributions, "_cv_scores", recording_scores)
-        model = fit_kde(np.random.default_rng(3).permutation(v))
+        model = fit_kde(np.random.default_rng(3).permutation(v), given)
         assert len(scored) == 1
         np.testing.assert_array_equal(scored[0], grid[upper >= lower.max()])
         assert model.bandwidth == grid[int(np.argmax(_cv_scores(v, grid)))]
@@ -576,22 +582,13 @@ class TestBandwidthScreen:
         assert np.all(upper >= lower.max())
         assert fit_kde(v, bandwidth_grid=pair).bandwidth == pair[int(np.argmax(exact))]
 
-    def test_samples_below_the_threshold_score_the_whole_grid(self, monkeypatch):
-        def no_screen(v, grid):
-            raise AssertionError("the screen ran")
-
-        scored = []
-
-        def recording_scores(v, grid):
-            scored.append(grid)
-            return _cv_scores(v, grid)
-
-        monkeypatch.setattr(uncoupled.distributions, "_cv_bounds", no_screen)
-        monkeypatch.setattr(uncoupled.distributions, "_cv_scores", recording_scores)
-        v = np.sort(np.random.default_rng(4).normal(0.0, 1.0, _SCREEN_MIN_POINTS - 1))
-        fit_kde(v)
-        assert len(scored) == 1
-        np.testing.assert_array_equal(scored[0], _default_grid(v))
+    @pytest.mark.parametrize("name,v,grid", _screen_cases(), **_SCREEN_IDS)
+    def test_nearest_gaps_are_the_smallest_distances_to_the_other_folds(self, name, v, grid):
+        # the squared gap must be, bit for bit, the smallest float the exact
+        # pass's fold-pair blocks produce, which `_cv_scores` reads it as
+        fold_of = np.arange(v.size) % 5
+        brute = np.array([np.min((x - v[fold_of != f]) ** 2) for x, f in zip(v, fold_of)])
+        np.testing.assert_array_equal(_nearest_gaps(v) ** 2, brute)
 
     def test_table_expands_the_kernel_within_cramers_remainder(self):
         P, B = _SCREEN_TERMS, _SCREEN_BAND
