@@ -4,10 +4,12 @@ empirical CDF.
 
 All four callables of a TargetDistribution are vectorized over numpy
 arrays; cdf_link gives (cdf, pdf, pdf') in one call, the tt estimator's
-exact link.  Quantile arguments are clamped into [1e-9, 1 - 1e-9] before
-inversion so that unbounded supports never produce infinities.  At -inf and
-+inf the cdf, pdf and pdf' take their limits (cdf 0 or 1, pdf and pdf' 0),
-and a nan query gives nan.
+exact link.  The type itself enforces the call contract, for the four
+constructors here and for a marginal a caller builds: a scalar query gives
+a float, and a quantile outside (0, 1) raises DomainError while the rest
+are clamped into [1e-9, 1 - 1e-9] before inversion, so that unbounded
+supports never produce infinities.  At -inf and +inf the cdf, pdf and pdf'
+take their limits (cdf 0 or 1, pdf and pdf' 0), and a nan query gives nan.
 
 The Gaussian marginal is built from scipy.special's ndtr and ndtri with the
 arithmetic of scipy.stats.norm, and gives its floats bit for bit, without
@@ -24,9 +26,7 @@ or two of 20 on the benchmark's samples.  It scores each pair of folds
 once.  Its exponents are floored at -700, so that np.exp stays on its fast
 path; a point whose squared gap to its nearer sorted neighbour, d_min,
 has a d_min > 600 is rescored with a sum shifted by d_min, and every other
-point's sum moves by at most n e^-100 relative.  The floor pass is skipped
-in each block and bandwidth where no exponent can fall below -700, since
-it would change nothing there.  Its pdf and pdf' are full
+point's sum moves by at most n e^-100 relative.  Its pdf and pdf' are full
 kernel sums, with no floor: a pdf of 1e-136 stays exact.  Its cdf is a full
 sum too, except that chunks of sorted points where Phi is exactly 1 are
 counted instead of computed.  One pass per block of 32 queries gives the
@@ -64,12 +64,26 @@ _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 class TargetDistribution:
     """pdf, cdf, inverse cdf and the exact link: cdf_link(y) is the tuple
     (cdf(y), pdf(y), pdf'(y)), where pdf' is the derivative of pdf wherever
-    it exists (0 on the flat pieces of a piecewise-linear cdf)."""
+    it exists (0 on the flat pieces of a piecewise-linear cdf).
+
+    The fields are given as vectorized callables of a float ndarray, and the
+    type enforces one call contract on every marginal, a caller's included:
+    a scalar query gives a float (cdf_link a tuple of floats), an array
+    query an ndarray, and inv_cdf raises DomainError for a quantile outside
+    (0, 1) or nan and clamps the rest into [1e-9, 1 - 1e-9].  Both wrappers
+    are idempotent, so dataclasses.replace, which wraps the fields again,
+    changes no float."""
 
     pdf: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray]
     inv_cdf: Callable[[np.ndarray], np.ndarray]
     cdf_link: Callable[[np.ndarray], tuple]
+
+    def __post_init__(self):
+        inv = self.inv_cdf
+        object.__setattr__(self, "inv_cdf", lambda u: inv(_clamp_quantiles(u)))
+        for name in ("pdf", "cdf", "inv_cdf", "cdf_link"):
+            object.__setattr__(self, name, _scalarize(getattr(self, name)))
 
 
 def _clamp_quantiles(u) -> np.ndarray:
@@ -111,7 +125,7 @@ def gaussian_distribution(mean: float, std: float) -> TargetDistribution:
         return ndtr((y - mean) / std)
 
     def inv(u):
-        return ndtri(_clamp_quantiles(u)) * std + mean
+        return ndtri(u) * std + mean
 
     def link(y):
         p = pdf(y)
@@ -120,12 +134,7 @@ def gaussian_distribution(mean: float, std: float) -> TargetDistribution:
             slope = -(y - mean) / (std * std) * p
         return cdf(y), p, np.where(np.isinf(y), 0.0, slope)
 
-    return TargetDistribution(
-        pdf=_scalarize(pdf),
-        cdf=_scalarize(cdf),
-        inv_cdf=_scalarize(inv),
-        cdf_link=_scalarize(link),
-    )
+    return TargetDistribution(pdf=pdf, cdf=cdf, inv_cdf=inv, cdf_link=link)
 
 
 def uniform_distribution(a: float, b: float) -> TargetDistribution:
@@ -140,13 +149,10 @@ def uniform_distribution(a: float, b: float) -> TargetDistribution:
         return np.clip((y - a) / width, 0.0, 1.0)
 
     def inv(u):
-        return a + _clamp_quantiles(u) * width
+        return a + u * width
 
     return TargetDistribution(
-        pdf=_scalarize(pdf),
-        cdf=_scalarize(cdf),
-        inv_cdf=_scalarize(inv),
-        cdf_link=_scalarize(lambda y: (cdf(y), pdf(y), _flat(y))),
+        pdf=pdf, cdf=cdf, inv_cdf=inv, cdf_link=lambda y: (cdf(y), pdf(y), _flat(y))
     )
 
 
@@ -248,11 +254,6 @@ def _cv_scores(v: np.ndarray, grid: np.ndarray) -> np.ndarray:
     term is exactly 1.  In every other cell the largest term is at least
     e^-600 and each floored term is off by less than e^-700, so the sum
     moves by at most n e^-100 relative.
-
-    The floor pass is skipped in each (block, bandwidth) cell where
-    a * max(d) <= 700.  Rounding is monotone, so every product -a d of the
-    block is then >= -700 and the floor would change no float.  On a
-    1600-point sample with the default grid, about half the cells skip it.
     """
     n = v.size
     a = 0.5 / grid**2
@@ -269,16 +270,13 @@ def _cv_scores(v: np.ndarray, grid: np.ndarray) -> np.ndarray:
                 buf = np.empty_like(d)
                 # BLAS matrix-vector products: several times faster than .sum(axis)
                 row_ones, col_ones = np.ones(hi - lo), np.ones(cols.size)
-                d_max = d.max()
                 for k in range(grid.size):
                     np.multiply(d, -a[k], out=buf)
-                    if d_max * -a[k] < _EXP_FLOOR:
-                        np.maximum(buf, _EXP_FLOOR, out=buf)
+                    np.maximum(buf, _EXP_FLOOR, out=buf)
                     np.exp(buf, out=buf)
                     row_sums[k, lo:hi] += buf @ col_ones
                     sums[k, g::5] += row_ones @ buf
-    with np.errstate(divide="ignore"):
-        log_sums = np.log(sums)
+    log_sums = np.log(sums)
     under = a[:, None] * d_min[None, :] > _UNDERFLOW_EXPONENT
     scores = np.zeros(grid.size)
     for f in range(5):
@@ -751,7 +749,7 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
 
     def inv(u):
         # invert each distinct quantile once; `repeat` scatters them back
-        q, repeat = np.unique(np.ravel(_clamp_quantiles(u)), return_inverse=True)
+        q, repeat = np.unique(np.ravel(u), return_inverse=True)
         nodes, levels, _ = cdf_table()
         k = np.searchsorted(levels, q, side="left")
         out = np.where(k == 0, lo, hi)
@@ -793,10 +791,10 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
         return out[repeat].reshape(np.shape(u))
 
     return TargetDistribution(
-        pdf=_scalarize(lambda y: kernel_pass(y)[1]),
-        cdf=_scalarize(lambda y: kernel_pass(y)[0]),
-        inv_cdf=_scalarize(inv),
-        cdf_link=_scalarize(kernel_pass),
+        pdf=lambda y: kernel_pass(y)[1],
+        cdf=lambda y: kernel_pass(y)[0],
+        inv_cdf=inv,
+        cdf_link=kernel_pass,
     )
 
 
@@ -839,11 +837,8 @@ def empirical_distribution(values) -> TargetDistribution:
         return np.where(inside, slopes[safe], _flat(arr))
 
     def inv(u):
-        return np.interp(_clamp_quantiles(u), levels, knots)
+        return np.interp(u, levels, knots)
 
     return TargetDistribution(
-        pdf=_scalarize(pdf),
-        cdf=_scalarize(cdf),
-        inv_cdf=_scalarize(inv),
-        cdf_link=_scalarize(lambda y: (cdf(y), pdf(y), _flat(y))),
+        pdf=pdf, cdf=cdf, inv_cdf=inv, cdf_link=lambda y: (cdf(y), pdf(y), _flat(y))
     )

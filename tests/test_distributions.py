@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from uncoupled import (
     DomainError,
     KdeModel,
     ParameterError,
+    TargetDistribution,
     empirical_distribution,
     fit_kde,
     gaussian_distribution,
@@ -21,20 +23,15 @@ from uncoupled import (
 import uncoupled.distributions
 from uncoupled.distributions import (
     _CRAMER,
-    _EXP_FLOOR,
-    _KERNEL_BUDGET,
     _SCREEN_BAND,
     _SCREEN_TERMS,
     _TAYLOR_TERMS,
-    _UNDERFLOW_EXPONENT,
     _UNIT_ROUNDOFF,
-    _chunked,
     _cv_bounds,
     _cv_scores,
     _hermite_sums,
     _nearest_gaps,
     _screen_table,
-    _shifted_log_sums,
     silverman_bandwidth,
 )
 
@@ -211,46 +208,6 @@ def reference_cv_scores(v, grid):
     return scores
 
 
-def floor_every_cell_cv_scores(v, grid):
-    """`_cv_scores` with the exponent floor applied in every (block,
-    bandwidth) cell, reachable or not: the loop before the reach test."""
-    n = v.size
-    a = 0.5 / grid**2
-    sums = np.zeros((grid.size, n))
-    d_min = np.full(n, np.inf)
-    for f in range(5):
-        for g in range(f + 1, 5):
-            rows, cols = v[f::5], v[g::5]
-            row_min, row_sums = d_min[f::5], sums[:, f::5]
-            for lo, hi in _chunked(rows.size, max(1, _KERNEL_BUDGET // cols.size)):
-                d = rows[lo:hi, None] - cols[None, :]
-                d *= d
-                np.minimum(row_min[lo:hi], d.min(axis=1), out=row_min[lo:hi])
-                np.minimum(d_min[g::5], d.min(axis=0), out=d_min[g::5])
-                buf = np.empty_like(d)
-                row_ones, col_ones = np.ones(hi - lo), np.ones(cols.size)
-                for k in range(grid.size):
-                    np.multiply(d, -a[k], out=buf)
-                    np.maximum(buf, _EXP_FLOOR, out=buf)
-                    np.exp(buf, out=buf)
-                    row_sums[k, lo:hi] += buf @ col_ones
-                    sums[k, g::5] += row_ones @ buf
-    with np.errstate(divide="ignore"):
-        log_sums = np.log(sums)
-    under = a[:, None] * d_min[None, :] > _UNDERFLOW_EXPONENT
-    scores = np.zeros(grid.size)
-    for f in range(5):
-        fold_cells, fold_under = log_sums[:, f::5], under[:, f::5]
-        redo = np.flatnonzero(fold_under.any(axis=0))
-        if redo.size:
-            train = np.delete(v, np.arange(f, n, 5))
-            shifted = _shifted_log_sums(v[f::5][redo], train, a, d_min[f::5][redo])
-            fold_cells[:, redo] = np.where(fold_under[:, redo], shifted, fold_cells[:, redo])
-        n_val = fold_cells.shape[1]
-        scores += fold_cells.sum(axis=1) - n_val * np.log((n - n_val) * grid * np.sqrt(2.0 * np.pi))
-    return scores
-
-
 def reference_cdf(model, y):
     """Full-sum kernel cdf, one query at a time."""
     pts, h = model.sample_points, model.bandwidth
@@ -303,8 +260,8 @@ def _past_the_max(values, gap):
 class TestKdeExactness:
     """The exact-KDE gates.  CV scores must match a per-pair logsumexp,
     including the floored exponents and the rows rescored above
-    a d_min = 600, and must equal bit for bit the loop that floors every
-    cell.  The inverse cdf must match bisection, and the cdf the full sum.
+    a d_min = 600.  The inverse cdf must match bisection, and the cdf the
+    full sum.
     Repeated quantiles and the query block size must move no float."""
 
     @pytest.mark.parametrize(
@@ -348,24 +305,6 @@ class TestKdeExactness:
         scalar = dist.inv_cdf(0.25)
         assert isinstance(scalar, float)
         assert scalar == dist.inv_cdf(np.array([0.25]))[0]
-
-    @pytest.mark.parametrize("name", ["lognormal", "isolated_point", "near_floor"])
-    def test_skipped_floor_passes_change_no_float(self, name):
-        (_, values, grid), = [c for c in _bandwidth_gate_cases() if c[0] == name]
-        v = np.sort(values)
-        if grid is None:
-            h0 = silverman_bandwidth(v)
-            grid = np.geomspace(h0 / 10.0, h0 * 10.0, 20)
-        # these samples fit each fold pair in one block: its largest squared
-        # distance decides, per bandwidth, whether the floor can be reached
-        reach = []
-        for f in range(5):
-            for g in range(f + 1, 5):
-                assert v[f::5].size * v[g::5].size <= _KERNEL_BUDGET
-                d_max = np.max((v[f::5][:, None] - v[g::5][None, :]) ** 2)
-                reach.extend(d_max * -(0.5 / grid**2) < _EXP_FLOOR)
-        assert any(reach) and not all(reach)
-        np.testing.assert_array_equal(_cv_scores(v, grid), floor_every_cell_cv_scores(v, grid))
 
     def test_isolated_point_needs_the_shifted_sum(self):
         (_, values, grid), = [c for c in _bandwidth_gate_cases() if c[0] == "isolated_point"]
@@ -834,6 +773,74 @@ class TestDistributionContract:
         for u in np.linspace(0.001, 0.999, 21):
             assert dist.cdf(dist.inv_cdf(u)) == pytest.approx(u, abs=1e-6)
 
+
+
+def raw_logistic():
+    """The standard logistic marginal's fields as bare vectorized callables,
+    each giving a 0-d array for a 0-d query."""
+
+    def cdf(y):
+        return np.array(1.0 / (1.0 + np.exp(-y)))
+
+    def pdf(y):
+        c = cdf(y)
+        return c * (1.0 - c)
+
+    def link(y):
+        c = cdf(y)
+        return c, c * (1.0 - c), c * (1.0 - c) * (1.0 - 2.0 * c)
+
+    def inv(u):
+        return np.array(np.log(u / (1.0 - u)))
+
+    return {"pdf": pdf, "cdf": cdf, "inv_cdf": inv, "cdf_link": link}
+
+
+class TestTypeContract:
+    """TargetDistribution applies the call contract to every marginal, one a
+    caller builds from bare callables included, and the contract survives
+    dataclasses.replace (the benchmark tracer rebuilds marginals with it)."""
+
+    def test_scalar_query_gives_floats(self):
+        dist = TargetDistribution(**raw_logistic())
+        for f in (dist.pdf, dist.cdf, dist.inv_cdf):
+            assert isinstance(f(0.25), float)
+        link = dist.cdf_link(0.25)
+        assert isinstance(link, tuple) and all(isinstance(v, float) for v in link)
+        y = np.array([-1.0, 0.25, 2.0])
+        assert dist.cdf(0.25) == dist.cdf(y)[1]
+        assert link == tuple(float(v[1]) for v in dist.cdf_link(y))
+
+    def test_inv_cdf_rejects_outside_quantiles_and_clamps_the_rest(self):
+        dist = TargetDistribution(**raw_logistic())
+        for bad in (0.0, 1.0, -0.2, np.nan):
+            with pytest.raises(DomainError):
+                dist.inv_cdf(bad)
+            with pytest.raises(DomainError):
+                dist.inv_cdf(np.array([0.5, bad]))
+        assert dist.inv_cdf(1e-12) == dist.inv_cdf(1e-9)
+        assert dist.inv_cdf(1.0 - 1e-12) == dist.inv_cdf(1.0 - 1e-9)
+
+    @pytest.mark.parametrize(
+        "name,dist",
+        [("gaussian", gaussian_distribution(0.0, 1.0)), ("kde", kde_distribution(_SAMPLE_KDE))],
+        ids=lambda p: p if isinstance(p, str) else "",
+    )
+    def test_replaced_marginal_gives_the_same_floats(self, name, dist):
+        fields = ("pdf", "cdf", "inv_cdf", "cdf_link")
+        # pass-through wrappers, as the tracer's query counters are
+        passed = {k: (lambda f: lambda v: f(v))(getattr(dist, k)) for k in fields}
+        again = dataclasses.replace(dist, **passed)
+        lo, hi = WINDOWS[name]
+        y = np.linspace(lo, hi, 101)
+        u = np.linspace(1e-12, 1.0 - 1e-12, 101)
+        for k in fields:
+            arg = u if k == "inv_cdf" else y
+            old, new = getattr(dist, k), getattr(again, k)
+            np.testing.assert_array_equal(new(arg), old(arg))
+            for v in arg[[0, 37, 100]]:
+                assert new(v) == old(v)
+                assert type(new(v)) is type(old(v))
 
 class TestNonFiniteQueries:
     """Every marginal gives its limits at +-inf and nan at nan, with no
