@@ -9,7 +9,9 @@ The parser only splits and converts flag values.  Each subcommand then
 builds its value objects (`ExperimentSpec`, `CsvSchema`, the `tune`
 marginal), which check them, before it reads a file or runs a fit; a
 `ParameterError` raised there is a usage error.  `tune` builds only the
-source it reads, so it never checks the flags of the other one.
+source it reads, so it never checks the flags of the other one.  Each
+check suite owns its default budget: `check` passes a budget only when its
+flag is given, after checking every chosen suite's least budget.
 """
 
 from __future__ import annotations
@@ -45,32 +47,13 @@ from .risk_approx import tune_weights, tune_weights_empirical
 
 _STD_NOTE = "std convention: sample std over repeats (ddof=1); 0.0 when repeats=1"
 
-# suite -> (its budget flag, the least budget it accepts, its run)
+# suite -> (its run, its budget flag, the run's budget parameter, the least
+# budget it accepts); the default budget is the run's own
 _CHECK_SUITES = {
-    "lemma1": (
-        "samples",
-        LEMMA1_MIN_SAMPLES,
-        lambda args: check_lemma1(n_samples=args.samples or 1_000_000, seed=args.seed),
-    ),
-    "theorem1": (
-        "resamples",
-        THEOREM1_MIN_RESAMPLES,
-        lambda args: check_theorem1_variance(
-            resamples=args.resamples or 2000, seed=args.seed
-        ),
-    ),
-    "counterexample": (
-        "samples",
-        COUNTEREXAMPLE_MIN_SAMPLES,
-        lambda args: check_counterexample(
-            n_samples=args.samples or 1_000_000, seed=args.seed
-        ),
-    ),
-    "unbiasedness": (
-        "resamples",
-        UNBIASEDNESS_MIN_RESAMPLES,
-        lambda args: check_unbiasedness(resamples=args.resamples or 1000, seed=args.seed),
-    ),
+    "lemma1": (check_lemma1, "samples", "n_samples", LEMMA1_MIN_SAMPLES),
+    "theorem1": (check_theorem1_variance, "resamples", "resamples", THEOREM1_MIN_RESAMPLES),
+    "counterexample": (check_counterexample, "samples", "n_samples", COUNTEREXAMPLE_MIN_SAMPLES),
+    "unbiasedness": (check_unbiasedness, "resamples", "resamples", UNBIASEDNESS_MIN_RESAMPLES),
 }
 
 
@@ -223,13 +206,15 @@ def cmd_check(args) -> int:
     names = [args.only] if args.only else list(_CHECK_SUITES)
     # every chosen suite's budget is checked before the first one runs
     for name in names:
-        flag, least, _ = _CHECK_SUITES[name]
+        _, flag, _, least = _CHECK_SUITES[name]
         given = getattr(args, flag)
         if given is not None and given < least:
             args.parser.error(f"{name} needs --{flag} >= {least}, got {given}")
     all_passed = True
     for name in names:
-        report = _CHECK_SUITES[name][2](args)
+        run, flag, param, _ = _CHECK_SUITES[name]
+        given = getattr(args, flag)
+        report = run(seed=args.seed, **({} if given is None else {param: given}))
         print(report)
         all_passed = all_passed and report.passed
     print("all checks passed" if all_passed else "some checks FAILED")

@@ -4,12 +4,14 @@ empirical CDF.
 
 All four callables of a TargetDistribution are vectorized over numpy
 arrays; cdf_link gives (cdf, pdf, pdf') in one call, the tt estimator's
-exact link.  The type itself enforces the call contract, for the four
-constructors here and for a marginal a caller builds: a scalar query gives
-a float, and a quantile outside (0, 1) raises DomainError while the rest
-are clamped into [1e-9, 1 - 1e-9] before inversion, so that unbounded
-supports never produce infinities.  At -inf and +inf the cdf, pdf and pdf'
-take their limits (cdf 0 or 1, pdf and pdf' 0), and a nan query gives nan.
+exact link.  The type itself enforces the whole call contract, for the four
+constructors here and for a marginal a caller builds, so that each
+constructor's callables see finite queries and valid quantiles only: a
+scalar query gives a float; at -inf and +inf the cdf, pdf and pdf' take
+their limits (cdf 0 or 1, pdf and pdf' 0), and a nan query gives nan; and a
+quantile outside (0, 1) raises DomainError while the rest are clamped into
+[1e-9, 1 - 1e-9] before inversion, so that unbounded supports never
+produce infinities.
 
 The Gaussian marginal is built from scipy.special's ndtr and ndtri with the
 arithmetic of scipy.stats.norm, and gives its floats bit for bit, without
@@ -69,10 +71,12 @@ class TargetDistribution:
     The fields are given as vectorized callables of a float ndarray, and the
     type enforces one call contract on every marginal, a caller's included:
     a scalar query gives a float (cdf_link a tuple of floats), an array
-    query an ndarray, and inv_cdf raises DomainError for a quantile outside
-    (0, 1) or nan and clamps the rest into [1e-9, 1 - 1e-9].  Both wrappers
-    are idempotent, so dataclasses.replace, which wraps the fields again,
-    changes no float."""
+    query an ndarray.  pdf, cdf and cdf_link see only the finite queries; at
+    -inf and +inf each output takes its limit (0 and 1 for the cdf, 0 for
+    pdf and pdf'), and at nan it is nan.  inv_cdf raises DomainError for a
+    quantile outside (0, 1) or nan and clamps the rest into
+    [1e-9, 1 - 1e-9].  The wrappers are idempotent, so
+    dataclasses.replace, which wraps the fields again, changes no float."""
 
     pdf: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray]
@@ -82,6 +86,11 @@ class TargetDistribution:
     def __post_init__(self):
         inv = self.inv_cdf
         object.__setattr__(self, "inv_cdf", lambda u: inv(_clamp_quantiles(u)))
+        object.__setattr__(self, "pdf", _with_limits(self.pdf, (0.0, 0.0)))
+        object.__setattr__(self, "cdf", _with_limits(self.cdf, (0.0, 1.0)))
+        object.__setattr__(
+            self, "cdf_link", _with_limits(self.cdf_link, (0.0, 1.0), (0.0, 0.0), (0.0, 0.0))
+        )
         for name in ("pdf", "cdf", "inv_cdf", "cdf_link"):
             object.__setattr__(self, name, _scalarize(getattr(self, name)))
 
@@ -106,9 +115,24 @@ def _scalarize(f):
     return wrapped
 
 
-def _flat(y) -> np.ndarray:
-    """pdf' of a piecewise-linear cdf: 0 wherever it exists, nan at nan."""
-    return np.where(np.isnan(y), np.nan, 0.0)
+def _with_limits(f, *limits):
+    """f on the finite queries of a float ndarray only.  At -inf and +inf
+    output k takes its limit limits[k] = (at -inf, at +inf), and at nan it
+    is nan.  An all-finite query goes straight to f."""
+
+    def wrapped(y):
+        finite = np.isfinite(y)
+        if finite.all():
+            return f(y)
+        values = f(y[finite])
+        outs = []
+        for value, (low, high) in zip(values if len(limits) > 1 else (values,), limits):
+            out = np.where(np.isnan(y), np.nan, np.where(y > 0.0, high, low))
+            out[finite] = value
+            outs.append(out)
+        return tuple(outs) if len(limits) > 1 else outs[0]
+
+    return wrapped
 
 
 def gaussian_distribution(mean: float, std: float) -> TargetDistribution:
@@ -129,10 +153,7 @@ def gaussian_distribution(mean: float, std: float) -> TargetDistribution:
 
     def link(y):
         p = pdf(y)
-        # at +-inf, -inf * 0 would give nan where the limit is 0
-        with np.errstate(invalid="ignore"):
-            slope = -(y - mean) / (std * std) * p
-        return cdf(y), p, np.where(np.isinf(y), 0.0, slope)
+        return cdf(y), p, -(y - mean) / (std * std) * p
 
     return TargetDistribution(pdf=pdf, cdf=cdf, inv_cdf=inv, cdf_link=link)
 
@@ -143,7 +164,7 @@ def uniform_distribution(a: float, b: float) -> TargetDistribution:
     width = b - a
 
     def pdf(y):
-        return np.where((y >= a) & (y <= b), 1.0 / width, _flat(y))
+        return np.where((y >= a) & (y <= b), 1.0 / width, 0.0)
 
     def cdf(y):
         return np.clip((y - a) / width, 0.0, 1.0)
@@ -152,7 +173,7 @@ def uniform_distribution(a: float, b: float) -> TargetDistribution:
         return a + u * width
 
     return TargetDistribution(
-        pdf=pdf, cdf=cdf, inv_cdf=inv, cdf_link=lambda y: (cdf(y), pdf(y), _flat(y))
+        pdf=pdf, cdf=cdf, inv_cdf=inv, cdf_link=lambda y: (cdf(y), pdf(y), np.zeros_like(y))
     )
 
 
@@ -646,24 +667,14 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
         return np.cumsum(sums, axis=1)[:, -1] / n
 
     def kernel_pass(y, terms=2):
-        """(cdf, pdf, pdf') at y; for terms > 2 also the (y.size, terms)
-        kernel moments M_r of the node table."""
+        """(cdf, pdf, pdf') at finite y; for terms > 2 also the
+        (y.size, terms) kernel moments M_r of the node table.  Non-finite
+        queries never get here: TargetDistribution gives them their limits."""
         flat = np.ravel(y)
         order = np.argsort(flat, kind="stable")
         ys = flat[order]
         outs = [np.empty(flat.size) for _ in range(3)]
         moments = np.zeros((flat.size, terms)) if terms > 2 else None
-        # -inf sorts first, then the finite queries, then +inf and nan; the
-        # non-finite ones take their limits and stay out of the kernel blocks
-        start = int(np.searchsorted(ys, -np.inf, side="right"))
-        stop = int(np.searchsorted(ys, np.inf, side="left"))
-        edge = np.r_[order[:start], order[stop:]]
-        y_edge = flat[edge]
-        limit = _flat(y_edge)
-        outs[0][edge] = np.where(y_edge > 0.0, 1.0, limit)
-        for out in outs[1:]:
-            out[edge] = limit
-        ys, order = ys[start:stop], order[start:stop]
         z_buf = np.empty((min(block, ys.size), padded.size))
         e_buf = np.empty((z_buf.shape[0], n))
         work = np.empty((2, *e_buf.shape))
@@ -830,15 +841,14 @@ def empirical_distribution(values) -> TargetDistribution:
         return np.interp(y, knots, levels)
 
     def pdf(y):
-        arr = np.asarray(y, dtype=float)
-        idx = np.searchsorted(knots, arr, side="right") - 1
+        idx = np.searchsorted(knots, y, side="right") - 1
         inside = (idx >= 0) & (idx < slopes.size)
         safe = np.clip(idx, 0, slopes.size - 1)
-        return np.where(inside, slopes[safe], _flat(arr))
+        return np.where(inside, slopes[safe], 0.0)
 
     def inv(u):
         return np.interp(u, levels, knots)
 
     return TargetDistribution(
-        pdf=pdf, cdf=cdf, inv_cdf=inv, cdf_link=lambda y: (cdf(y), pdf(y), _flat(y))
+        pdf=pdf, cdf=cdf, inv_cdf=inv, cdf_link=lambda y: (cdf(y), pdf(y), np.zeros_like(y))
     )

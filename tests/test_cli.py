@@ -1,10 +1,13 @@
 """End-to-end command-line behavior, exercised in process via main()."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
 import uncoupled.evaluation
-from uncoupled import ResultTable
+from uncoupled import ResultTable, cli
 from uncoupled.cli import main
 
 
@@ -320,6 +323,50 @@ class TestCheck:
         )
         assert code == 0
         assert "[PASS] lemma1" in stdout
+
+    @pytest.mark.parametrize(
+        "name,argv,budget",
+        [
+            ("lemma1", (), {}),
+            ("lemma1", ("--samples", "20000"), {"n_samples": 20000}),
+            ("theorem1", ("--resamples", "600"), {"resamples": 600}),
+            ("unbiasedness", ("--resamples", "600"), {"resamples": 600}),
+        ],
+        ids=["lemma1-default", "lemma1-samples", "theorem1-resamples", "unbiasedness-resamples"],
+    )
+    def test_a_budget_reaches_its_suite_only_when_given(
+        self, capsys, monkeypatch, name, argv, budget
+    ):
+        calls = []
+
+        def record(**kwargs):
+            calls.append(kwargs)
+            return uncoupled.evaluation.CheckReport(name=name, passed=True, lines=())
+
+        _, *rest = cli._CHECK_SUITES[name]
+        monkeypatch.setitem(cli._CHECK_SUITES, name, (record, *rest))
+        code, stdout, _ = run(capsys, "check", "--only", name, *argv)
+        assert code == 0
+        assert "all checks passed" in stdout
+        assert calls == [{"seed": uncoupled.evaluation.DEFAULT_SEED, **budget}]
+
+    def test_help_states_the_suites_own_default_budgets(self, capsys):
+        # the help text is the one place outside the suites' signatures that
+        # states their default budgets
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        stated = {}
+        for suites, defaults in re.findall(r"for (\w+/\w+) \(default ([\d/]+),", text):
+            names, values = suites.split("/"), [int(v) for v in defaults.split("/")]
+            if len(values) == 1:
+                values *= len(names)
+            stated.update(zip(names, values))
+        own = {
+            name: inspect.signature(suite).parameters[param].default
+            for name, (suite, _, param, _) in cli._CHECK_SUITES.items()
+        }
+        assert stated == own
 
 
 class TestParser:

@@ -47,10 +47,12 @@ def kde_window(model):
 _SAMPLE = np.random.default_rng(11).normal(0.0, 1.0, 200)
 _SAMPLE_KDE = fit_kde(_SAMPLE)
 _PAD = (_SAMPLE.max() - _SAMPLE.min()) / _SAMPLE.size
-# the finite window each marginal of all_distributions() is scanned over:
-# mean +- 10 std, the support, and the empirical cdf's padded knot range
+# the finite window each marginal of all_distributions() and
+# TestNonFiniteQueries is scanned over: mean +- 10 std, the support, and the
+# empirical cdf's padded knot range
 WINDOWS = {
     "gaussian": (-10.0, 10.0),
+    "gaussian_formulas": (-10.0, 10.0),
     "gaussian_shifted": (-2.0 - 30.0, -2.0 + 30.0),
     "uniform": (0.0, 1.0),
     "uniform_wide": (-1.0, 3.0),
@@ -842,12 +844,33 @@ class TestTypeContract:
                 assert new(v) == old(v)
                 assert type(new(v)) is type(old(v))
 
+
+def raw_gaussian():
+    """The standard Gaussian marginal from bare formulas.  Its pdf' -y pdf
+    would give -inf * 0 = nan, with a RuntimeWarning, at +-inf."""
+
+    def pdf(y):
+        return np.exp(-y**2 / 2.0) / math.sqrt(2.0 * math.pi)
+
+    return {
+        "pdf": pdf,
+        "cdf": ndtr,
+        "inv_cdf": ndtri,
+        "cdf_link": lambda y: (ndtr(y), pdf(y), -y * pdf(y)),
+    }
+
+
 class TestNonFiniteQueries:
     """Every marginal gives its limits at +-inf and nan at nan, with no
-    warning.  The 200-point KDE pads its cdf's last 64-point chunk with
-    +inf."""
+    warning, one built from bare formulas included: TargetDistribution
+    passes only the finite queries on.  The 200-point KDE pads its cdf's
+    last 64-point chunk with +inf."""
 
-    @pytest.mark.parametrize("name,dist", all_distributions(), ids=lambda p: p if isinstance(p, str) else "")
+    @pytest.mark.parametrize(
+        "name,dist",
+        all_distributions() + [("gaussian_formulas", TargetDistribution(**raw_gaussian()))],
+        ids=lambda p: p if isinstance(p, str) else "",
+    )
     def test_limits_at_infinity_and_nan_stays_nan(self, name, dist):
         lo, hi = WINDOWS[name]
         y = np.array([-np.inf, lo, 0.5 * (lo + hi), np.inf, np.nan, hi, 0.3 * lo + 0.7 * hi])
