@@ -22,12 +22,16 @@ exact 5-fold log-likelihood.  A screen first bounds every bandwidth's score
 from above and below at O(n) cost: Taylor expansions of the Gaussian kernel
 in cells one bandwidth wide, with Cramér's remainder, a count bound on the
 points beyond the band, the nearest-neighbour kernel, and every rounding
-error of the screen and of the exact score.  The exact score then runs
-once, on the bandwidths whose upper bound reaches the best lower bound: one
-or two of 20 on the benchmark's samples.  It scores each pair of folds
-once.  Its exponents are floored at -700, so that np.exp stays on its fast
-path; a point whose squared gap to its nearer sorted neighbour, d_min,
-has a d_min > 600 is rescored with a sum shifted by d_min, and every other
+error of the screen and of the exact score.  Where a point's bound is set
+by its count of far neighbours alone (an isolated sample maximum), and two
+or more bandwidths remain, its log-sum is rescored exactly, within a
+derived rounding bound.  The candidates are the bandwidths whose upper
+bound reaches the best lower bound: one of 20 on 119 of the benchmark's
+120 samples, which is the choice with no exact pass.  Otherwise the exact
+score runs once, on the candidates.  It scores each pair of folds once.
+Its exponents are floored at -700, so that np.exp stays on its fast path;
+a point whose squared gap to its nearer sorted neighbour, d_min, has a
+d_min > 600 is rescored with a sum shifted by d_min, and every other
 point's sum moves by at most n e^-100 relative.  Its pdf and pdf' are full
 kernel sums, with no floor: a pdf of 1e-136 stays exact.  Its cdf is a full
 sum too, except that chunks of sorted points where Phi is exactly 1 are
@@ -369,14 +373,14 @@ def _cv_bounds(v: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     range (cell coordinates off by more than 1e-9) gets (-inf, inf).
 
     For each bandwidth h the sorted sample is cut into cells of width h
-    from v[0].  Each (fold, occupied cell) gets the power moments q < 12 of
-    its points' offsets from the cell centre, in units of h; a fold's
-    training moments are the cell's total less the fold's own.  The table
-    of `_screen_table` turns the training moments of the cells within 6 of
-    a point's cell into a polynomial in the point's offset: the point's
-    kernel sum over those training points, up to Cramér's remainder.  The
-    sum of G = exp(-(d / h)^2 / 2) over all of a point's training points is
-    then bounded
+    from v[0] (`_screen_cells`).  Each (fold, occupied cell) gets the power
+    moments q < 12 of its points' offsets from the cell centre, in units of
+    h; a fold's training moments are the cell's total less the fold's own.
+    The table of `_screen_table` turns the training moments of the cells
+    within 6 of a point's cell into a polynomial in the point's offset: the
+    point's kernel sum over those training points, up to Cramér's
+    remainder.  The sum of G = exp(-(d / h)^2 / 2) over all of a point's
+    training points is then bounded
 
     - below by the polynomial less its remainder and rounding bounds, and
       by G at the point's nearest-neighbour distance d_nn
@@ -388,7 +392,20 @@ def _cv_bounds(v: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]
       training count times G(d_nn).
 
     The sums of the log-bounds, less `_cv_scores`'s normalization, bound
-    the score.
+    the score (`_bound_sums`).
+
+    A (bandwidth, point) cell is tail-dominated when its in-band lower
+    bound is no larger than its beyond-band allowance, value - err <= tail
+    (so also when value - err <= 0).  There the upper bound is a count
+    times a kernel value, loose by up to several nats for an isolated
+    sample maximum.  When two or more bandwidths' upper bounds reach the
+    best lower bound, the points tail-dominated under any of those
+    bandwidths are rescored exactly at each of them: one
+    `_shifted_log_sums` row per point, against its training folds, shifted
+    by its squared nearest gap d_min.  Each rescored log-bound becomes that
+    float l +- r, and those bandwidths' bounds are summed again.  Other
+    bandwidths are never rescored and each rescored cell is one O(n) sum,
+    so the rescue never costs more than the exact pass on the candidates.
 
     Rounding is part of the bounds.  The cell coordinates (v - v[0]) / h
     are off by at most 3 u (z_max + 1) (u = 2^-53), under
@@ -398,14 +415,82 @@ def _cv_bounds(v: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     and the polynomial's evaluation are off by at most (2n + 20P) u tau
     times the count of all points in the band.  The remainder, rounding and
     tail terms are raised by 0.1%, which covers their own rounding, and
-    d_nn / h is moved 8 u outward.  Last, each score bound is widened by
-    2 u (n (2n + 8005) + 2 (n + 40) S), with S the sum over points of the
-    larger |log-bound| and over folds of |normalization|.  That covers the
-    screen's logs and sums and every way `_cv_scores`'s float can differ
-    from the exact score: exponents off by 6 u relative, at most 700 (or
-    their shift by d_min), numpy's exp and log within 4 ulp, sums of n
-    nonnegative terms within 2 n u relative, the floored terms (n e^-100
-    relative) and the fold sums.
+    d_nn / h is moved 8 u outward.
+
+    A rescored float l is within r = 2 u (2500 + n + 12 a d_min + 6 |l|)
+    of the exact log-sum, with a = 1 / (2 h^2):
+
+    - each squared distance and d_min is off by at most 3 u relative (the
+      difference and its square), and the shifted difference, a and their
+      product by 4 u more, so an exponent that is not floored (at most 700)
+      is off by at most 7 u 700 + 6 u a d_min;
+    - a floored term's exact value is below min(1, e^(-699 + 6 u a d_min)),
+      so the floored terms move the log of the shifted sum, which is at
+      least 1 (the nearest neighbour's term), by less than u while
+      6 u a d_min <= 600 and otherwise by less than log(1 + n), below
+      4 u a d_min;
+    - np.exp is within 4 ulp (8 u relative), and the sum of at most n
+      nonnegative terms within 1.01 n u relative;
+    - np.log is within 4 ulp of the log of the shifted sum, which is at
+      most |l| + a d_min: 8 u (|l| + a d_min);
+    - the product a d_min is off by 6 u a d_min, and the last subtraction
+      by u |l|.
+
+    That is u (4910 + 1.01 n + 20 a d_min + 9 |l|) and terms in u^2 in
+    all; the rest of r covers those and the rounding of r and of l +- r.
+
+    Last, each score bound is widened by 2 u (n (2n + 8005) + 2 (n + 40) S),
+    with S the sum over points of the larger |log-bound| and over folds of
+    |normalization|.  That covers the screen's logs and sums (a rescored
+    log-bound is rounded less than the log it replaces) and every way
+    `_cv_scores`'s float can differ from the exact score: exponents off by
+    6 u relative, at most 700 (or their shift by d_min), numpy's exp and
+    log within 4 ulp, sums of n nonnegative terms within 2 n u relative,
+    the floored terms (n e^-100 relative) and the fold sums.
+    """
+    log_lo, log_up, dominated = _screen_cells(v, grid)
+    lower, upper = _bound_sums(log_lo, log_up, grid)
+    candidates = upper >= lower.max()
+    redo = np.flatnonzero(candidates & dominated.any(axis=1))
+    if np.count_nonzero(candidates) > 1 and redo.size:
+        n = v.size
+        a = 0.5 / grid[redo] ** 2
+        d_min = _nearest_gaps(v) ** 2
+        for f in range(5):
+            pts = f + 5 * np.flatnonzero(dominated[redo, f::5].any(axis=0))
+            if pts.size:
+                train = np.delete(v, np.arange(f, n, 5))
+                ell = _shifted_log_sums(v[pts], train, a, d_min[pts])
+                r = 2.0 * _UNIT_ROUNDOFF * (
+                    2500.0 + n + 12.0 * a[:, None] * d_min[pts] + 6.0 * np.abs(ell)
+                )
+                log_lo[np.ix_(redo, pts)] = ell - r
+                log_up[np.ix_(redo, pts)] = ell + r
+        lower[redo], upper[redo] = _bound_sums(log_lo[redo], log_up[redo], grid[redo])
+    return lower, upper
+
+
+def _bound_sums(
+    log_lo: np.ndarray, log_up: np.ndarray, grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each bandwidth's score bounds from its points' log-bounds: their
+    sums less `_cv_scores`'s normalization, widened by the rounding margin
+    of `_cv_bounds`.  A row of infinite log-bounds gives (-inf, inf)."""
+    n = log_lo.shape[1]
+    n_val = np.bincount(np.arange(n) % 5, minlength=5).astype(float)
+    lam = np.log((n - n_val) * grid[:, None] * _SQRT_2PI)
+    norm = lam @ n_val
+    size = np.maximum(np.abs(log_lo), np.abs(log_up)).sum(axis=1) + np.abs(lam) @ n_val
+    margin = 2.0 * _UNIT_ROUNDOFF * (n * (2 * n + 8005) + 2 * (n + 40) * size)
+    return log_lo.sum(axis=1) - norm - margin, log_up.sum(axis=1) - norm + margin
+
+
+def _screen_cells(v: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The screen of `_cv_bounds` for every (bandwidth, point) cell: the
+    lower and upper bounds of the log of the point's kernel sum over its
+    training folds, and whether the cell is tail-dominated, each a
+    (grid.size, n) array.  A bandwidth that is not screened gets -inf and
+    inf.
 
     Bandwidths are screened in groups of about 16384 (bandwidth, point)
     pairs; each bandwidth's cell keys are offset past the previous one's by
@@ -419,8 +504,9 @@ def _cv_bounds(v: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     n_val = np.bincount(fold, minlength=5).astype(float)
     n_train = n - n_val[fold]
     d_nn = _nearest_gaps(v)
-    lower = np.full(grid.size, -np.inf)
-    upper = np.full(grid.size, np.inf)
+    log_lo = np.full((grid.size, n), -np.inf)
+    log_up = np.full((grid.size, n), np.inf)
+    dominated = np.zeros((grid.size, n), dtype=bool)
     eps_all = 4.0 * u * ((v[-1] - v[0]) / grid + 1.0)
     screened = np.flatnonzero(eps_all <= 1e-9)
     per_group = max(1, _SCREEN_PAIRS // n)
@@ -482,19 +568,14 @@ def _cv_bounds(v: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             * np.exp(np.maximum(-0.5 * np.maximum(edge + B, x_lo) ** 2, _EXP_FLOOR))
         )
         with np.errstate(divide="ignore"):
-            log_up = np.minimum(
+            log_up[ks] = np.minimum(
                 np.log((value + err) * (1.0 + eta) + tail), np.log(n_train) - 0.5 * x_lo**2
             )
-            log_lo = np.maximum(
+            log_lo[ks] = np.maximum(
                 np.log(np.maximum(value - err, 0.0) * (1.0 - eta)), -0.5 * x_hi**2
             )
-        lam = np.log((n - n_val) * h * _SQRT_2PI)
-        norm = lam @ n_val
-        size = np.maximum(np.abs(log_lo), np.abs(log_up)).sum(axis=1) + np.abs(lam) @ n_val
-        margin = 2.0 * u * (n * (2 * n + 8005) + 2 * (n + 40) * size)
-        lower[ks] = log_lo.sum(axis=1) - norm - margin
-        upper[ks] = log_up.sum(axis=1) - norm + margin
-    return lower, upper
+        dominated[ks] = value - err <= tail
+    return log_lo, log_up, dominated
 
 
 def fit_kde(targets, bandwidth_grid=None) -> KdeModel:
@@ -509,13 +590,15 @@ def fit_kde(targets, bandwidth_grid=None) -> KdeModel:
     (`_cv_scores`), with each pair of folds scored once per bandwidth.
 
     `_cv_bounds` first bounds every bandwidth's score from below and above,
-    rounding included, at O(n) cost per bandwidth, and `_cv_scores` runs
-    once, on the candidates: the bandwidths whose upper bound reaches the
-    largest lower bound.  The best bandwidth is always a candidate, and
-    `_cv_scores` gives each bandwidth the same float in any subset of the
-    grid, so the choice, ties included, is that of the exact scores on the
-    whole grid.  A bandwidth whose score is within the bounds' slack of the
-    best stays a candidate, so near-ties go to the exact pass.
+    rounding included, at O(n) cost per bandwidth, rescoring exactly the
+    few cells where its screen is loose.  The candidates are the
+    bandwidths whose upper bound reaches the largest lower bound, and the
+    best bandwidth is always one of them.  A single candidate is the
+    choice, with no exact pass.  Otherwise `_cv_scores` runs once, on the
+    candidates; it gives each bandwidth the same float in any subset of
+    the grid, so the choice, ties included, is that of the exact scores on
+    the whole grid.  A bandwidth whose score is within the bounds' slack of
+    the best stays a candidate, so near-ties go to the exact pass.
     """
     v = np.sort(np.asarray(targets, dtype=float).ravel())
     if v.size == 0:
@@ -534,7 +617,9 @@ def fit_kde(targets, bandwidth_grid=None) -> KdeModel:
 
     lower, upper = _cv_bounds(v, grid)
     candidates = np.flatnonzero(upper >= lower.max())
-    best = candidates[int(np.argmax(_cv_scores(v, grid[candidates])))]
+    best = candidates[0]
+    if candidates.size > 1:
+        best = candidates[int(np.argmax(_cv_scores(v, grid[candidates])))]
     return KdeModel(sample_points=v, bandwidth=float(grid[best]))
 
 
@@ -775,6 +860,8 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
         rest = ~sure
         todo, qa, a, b, x = todo[rest], qa[rest], a[rest], b[rest], x[rest]
         for _ in range(max_steps):
+            if not todo.size:
+                break
             F, f, _ = kernel_pass(x)
             below = F < qa
             a = np.where(below, x, a)
@@ -793,8 +880,6 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
                 0.5 * (a[done] + b[done]),
             )
             keep = ~done
-            if not keep.any():
-                break
             todo, qa, a, b, nxt = todo[keep], qa[keep], a[keep], b[keep], nxt[keep]
             x = np.where((nxt > a) & (nxt < b), nxt, 0.5 * (a + b))
         else:

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.special import logsumexp, ndtr, ndtri
 from scipy.stats import norm
@@ -27,11 +27,14 @@ from uncoupled.distributions import (
     _SCREEN_TERMS,
     _TAYLOR_TERMS,
     _UNIT_ROUNDOFF,
+    _bound_sums,
     _cv_bounds,
     _cv_scores,
     _hermite_sums,
     _nearest_gaps,
+    _screen_cells,
     _screen_table,
+    _shifted_log_sums,
     silverman_bandwidth,
 )
 
@@ -456,14 +459,55 @@ _SCREEN_IDS = dict(ids=lambda p: p if isinstance(p, str) else "")
 _TEN_POINTS = np.sort(np.random.default_rng(10).normal(0.0, 1.0, 10))
 
 
+@st.composite
+def kde_inverse_cases(draw):
+    """A KDE with Silverman's bandwidth h on 5 to 400 points: normal, two
+    clusters 50 h apart, rounded to 0.1 (duplicates), or with the largest
+    point moved 1000 h out, where the inverse's node table is several
+    bandwidths wide.  Sorted quantiles: both clamp ends, 1e-6, up to about
+    30 of the levels k/n and 20 uniform draws."""
+    n = draw(st.integers(5, 400))
+    shape = draw(st.sampled_from(["normal", "gap_50", "duplicates", "isolated_1000"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = np.sort(rng.normal(0.0, 1.0, n))
+    h = silverman_bandwidth(v)
+    if shape == "gap_50":
+        k = draw(st.integers(1, n - 1))
+        v[k:] += v[k - 1] - v[k] + 50.0 * h
+    elif shape == "duplicates":
+        v = np.round(v, 1)
+    elif shape == "isolated_1000":
+        v[-1] = v[-2] + 1000.0 * h
+    levels = np.arange(1, n) / n
+    levels = levels[:: max(1, levels.size // 30)]
+    u = np.concatenate(([1e-9, 1e-6, 1.0 - 1e-9], levels, rng.uniform(0.0, 1.0, 20)))
+    return KdeModel(v, bandwidth=h), np.sort(u)
+
+
+def _near_tie(v):
+    """Two bandwidths 1e-9 apart at the optimum of v's default grid: their
+    scores differ by far less than the bounds' slack."""
+    grid = _default_grid(v)
+    best = grid[int(np.argmax(_cv_scores(v, grid)))]
+    return np.array([best, best * (1.0 + 1e-9)])
+
+
+def _isolated_maximum(seed):
+    """A benchmark-shaped sample whose largest point is moved 0.9 past the
+    next: its tail count leaves the screen a second candidate."""
+    v = np.sort(np.random.default_rng(seed).lognormal(0.0, 0.36, 1600))
+    v[-1] = v[-2] + 0.9
+    return v
+
+
 class TestBandwidthScreen:
     """fit_kde bounds every grid bandwidth's CV score (`_cv_bounds`) and
-    runs the exact `_cv_scores` once, on the bandwidths whose upper bound
-    reaches the best lower bound.  The bounds must hold for the floats that
-    `_cv_scores` returns, with no tolerance added here: their rounding margin
-    is their own.  `_cv_scores` must give a bandwidth the same float in any
-    subset of the grid, or the exact pass could rank the candidates
-    differently from the full grid."""
+    runs the exact `_cv_scores` only when two or more bandwidths' upper
+    bounds reach the best lower bound, once, on those.  The bounds must
+    hold for the floats that `_cv_scores` returns, with no tolerance added
+    here: their rounding margin is their own.  `_cv_scores` must give a
+    bandwidth the same float in any subset of the grid, or the exact pass
+    could rank the candidates differently from the full grid."""
 
     @pytest.mark.parametrize("name,v,grid", _screen_cases(), **_SCREEN_IDS)
     def test_bounds_bracket_the_exact_scores(self, name, v, grid):
@@ -474,12 +518,10 @@ class TestBandwidthScreen:
         assert np.all(exact <= upper)
 
     @pytest.mark.parametrize("name,v,grid", _screen_cases(), **_SCREEN_IDS)
-    def test_the_best_bandwidth_is_one_of_at_most_two_candidates(self, name, v, grid):
-        # measured: two candidates on "bimodal", one on every other sample
+    def test_the_best_bandwidth_is_the_only_candidate(self, name, v, grid):
         lower, upper = _cv_bounds(v, grid)
         candidates = np.flatnonzero(upper >= lower.max())
-        assert 1 <= candidates.size <= 2
-        assert int(np.argmax(_cv_scores(v, grid))) in candidates
+        assert candidates.tolist() == [int(np.argmax(_cv_scores(v, grid)))]
 
     @pytest.mark.parametrize("name,v,grid", _screen_cases(), **_SCREEN_IDS)
     def test_any_subset_of_the_grid_gives_the_same_floats(self, name, v, grid):
@@ -490,15 +532,21 @@ class TestBandwidthScreen:
             np.testing.assert_array_equal(_cv_scores(v, grid[subset]), full[subset])
 
     @pytest.mark.parametrize(
-        "name,v,grid",
-        [("ten_points", _TEN_POINTS, _default_grid(_TEN_POINTS))]
-        + [c for c in _screen_cases() if c[0] in ("isolated_point", "lognormal_1600")],
+        "name,v,grid,n_candidates",
+        [("ten_points", _TEN_POINTS, _default_grid(_TEN_POINTS), 1)]
+        + [c + (1,) for c in _screen_cases() if c[0] in ("isolated_point", "lognormal_1600")]
+        + [c[:2] + (_near_tie(c[1]), 2) for c in _screen_cases() if c[0] == "benchmark_like_1600"],
         **_SCREEN_IDS,
     )
-    def test_exact_pass_runs_once_on_the_candidates(self, monkeypatch, name, v, grid):
+    def test_exact_pass_runs_once_only_on_two_or_more_candidates(
+        self, monkeypatch, name, v, grid, n_candidates
+    ):
         # fit_kde builds the default grid itself
         given = None if np.array_equal(grid, _default_grid(v)) else grid
         lower, upper = _cv_bounds(v, grid)
+        candidates = grid[upper >= lower.max()]
+        assert candidates.size == n_candidates
+        best = grid[int(np.argmax(_cv_scores(v, grid)))]
         scored = []
 
         def recording_scores(v, grid):
@@ -507,21 +555,58 @@ class TestBandwidthScreen:
 
         monkeypatch.setattr(uncoupled.distributions, "_cv_scores", recording_scores)
         model = fit_kde(np.random.default_rng(3).permutation(v), given)
-        assert len(scored) == 1
-        np.testing.assert_array_equal(scored[0], grid[upper >= lower.max()])
-        assert model.bandwidth == grid[int(np.argmax(_cv_scores(v, grid)))]
+        if n_candidates == 1:
+            assert scored == []
+        else:
+            assert len(scored) == 1
+            np.testing.assert_array_equal(scored[0], candidates)
+        assert model.bandwidth == best
 
     def test_a_near_tie_goes_to_the_exact_pass(self):
-        # two bandwidths 1e-9 apart at the optimum: their scores differ by
-        # far less than the bounds' slack, so neither may be ruled out
-        (_, v, grid), = [c for c in _screen_cases() if c[0] == "benchmark_like_1600"]
-        best = grid[int(np.argmax(_cv_scores(v, grid)))]
-        pair = np.array([best, best * (1.0 + 1e-9)])
+        # their scores differ by far less than the bounds' slack, so neither
+        # may be ruled out
+        (_, v, _), = [c for c in _screen_cases() if c[0] == "benchmark_like_1600"]
+        pair = _near_tie(v)
         lower, upper = _cv_bounds(v, pair)
         exact = _cv_scores(v, pair)
         assert abs(exact[1] - exact[0]) < 1e-6
         assert np.all(upper >= lower.max())
         assert fit_kde(v, bandwidth_grid=pair).bandwidth == pair[int(np.argmax(exact))]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rescue_rescores_only_the_candidates(self, monkeypatch, seed):
+        v = _isolated_maximum(seed)
+        grid = _default_grid(v)
+        exact = _cv_scores(v, grid)
+        log_lo, log_up, dominated = _screen_cells(v, grid)
+        lower, upper = _bound_sums(log_lo, log_up, grid)
+        before = np.flatnonzero(upper >= lower.max())
+        assert before.size == 2
+        rescored = []
+
+        def recording_sums(val, train, a, d_min):
+            rescored.append(a)
+            return _shifted_log_sums(val, train, a, d_min)
+
+        monkeypatch.setattr(uncoupled.distributions, "_shifted_log_sums", recording_sums)
+        lower, upper = _cv_bounds(v, grid)
+        assert np.all(lower <= exact) and np.all(exact <= upper)
+        assert np.flatnonzero(upper >= lower.max()).tolist() == [int(np.argmax(exact))]
+        assert rescored
+        touched = np.concatenate(rescored)
+        assert np.all(np.isin(touched, 0.5 / grid[before] ** 2))
+        assert np.all(np.isin(touched, 0.5 / grid[dominated.any(axis=1)] ** 2))
+
+    @given(kde_inverse_cases())
+    def test_bounds_and_choice_on_any_sample(self, case):
+        # the samples of kde_inverse_cases, on their default grid
+        v = case[0].sample_points
+        assume(v[-1] > v[0])
+        grid = _default_grid(v)
+        lower, upper = _cv_bounds(v, grid)
+        exact = _cv_scores(v, grid)
+        assert np.all(lower <= exact) and np.all(exact <= upper)
+        assert fit_kde(v).bandwidth == grid[int(np.argmax(exact))]
 
     @pytest.mark.parametrize("name,v,grid", _screen_cases(), **_SCREEN_IDS)
     def test_nearest_gaps_are_the_smallest_distances_to_the_other_folds(self, name, v, grid):
@@ -561,31 +646,6 @@ class TestBandwidthScreen:
             assert np.max(derivative[np.abs(x) >= abs(j) - 1]) <= table[j + B, 0, P]
         peak = np.max(np.abs(he) * np.exp(-0.25 * x * x)) / math.sqrt(math.factorial(P))
         assert peak <= _CRAMER * math.sqrt(2.0 * math.pi)
-
-
-@st.composite
-def kde_inverse_cases(draw):
-    """A KDE with Silverman's bandwidth h on 5 to 400 points: normal, two
-    clusters 50 h apart, rounded to 0.1 (duplicates), or with the largest
-    point moved 1000 h out, where the inverse's node table is several
-    bandwidths wide.  Sorted quantiles: both clamp ends, 1e-6, up to about
-    30 of the levels k/n and 20 uniform draws."""
-    n = draw(st.integers(5, 400))
-    shape = draw(st.sampled_from(["normal", "gap_50", "duplicates", "isolated_1000"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    v = np.sort(rng.normal(0.0, 1.0, n))
-    h = silverman_bandwidth(v)
-    if shape == "gap_50":
-        k = draw(st.integers(1, n - 1))
-        v[k:] += v[k - 1] - v[k] + 50.0 * h
-    elif shape == "duplicates":
-        v = np.round(v, 1)
-    elif shape == "isolated_1000":
-        v[-1] = v[-2] + 1000.0 * h
-    levels = np.arange(1, n) / n
-    levels = levels[:: max(1, levels.size // 30)]
-    u = np.concatenate(([1e-9, 1e-6, 1.0 - 1e-9], levels, rng.uniform(0.0, 1.0, 20)))
-    return KdeModel(v, bandwidth=h), np.sort(u)
 
 
 class TestKdeTaylorInverse:
