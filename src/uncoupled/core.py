@@ -1,8 +1,11 @@
 """Shared domain types: datasets, pairwise comparison sets, linear models
 and the risk weights.
 
-Everything downstream treats these as immutable value objects; the numpy
-arrays they hold are made read-only at construction time.
+Everything downstream treats these as immutable value objects.  Each array
+they hold goes through one rule, `_frozen`, at construction time: it must
+have the expected number of dimensions (ShapeError) and finite entries
+(ParameterError), and the object keeps a read-only float copy, so changing
+the caller's array afterwards changes nothing.
 """
 
 from __future__ import annotations
@@ -57,16 +60,15 @@ class EmptyDataError(UncoupledError, ValueError):
 # array plumbing
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
+def _frozen(a, name: str, ndim: int) -> np.ndarray:
+    """A read-only float copy of `a`, which must have `ndim` dimensions
+    (ShapeError) and only finite entries (ParameterError)."""
+    out = np.array(a, dtype=float)
+    if out.ndim != ndim:
+        raise ShapeError(f"{name} must be a {ndim}-d array, got ndim={out.ndim}")
+    if not np.all(np.isfinite(out)):
+        raise ParameterError(f"{name} has non-finite entries")
     out.flags.writeable = False
-    return out
-
-
-def as_matrix(a, name: str) -> np.ndarray:
-    out = np.asarray(a, dtype=float)
-    if out.ndim != 2:
-        raise ShapeError(f"{name} must be a 2-d array, got ndim={out.ndim}")
     return out
 
 
@@ -86,25 +88,19 @@ class Dataset:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        X = as_matrix(self.features, "features")
+        X = _frozen(self.features, "features", 2)
         if X.shape[0] < 1:
             raise ParameterError("dataset needs at least one row")
         if X.shape[1] < 1:
             raise ParameterError("dataset needs at least one feature column")
-        if not np.all(np.isfinite(X)):
-            raise ParameterError("features contain non-finite entries")
-        object.__setattr__(self, "features", _freeze(X))
+        object.__setattr__(self, "features", X)
         if self.targets is not None:
-            y = np.asarray(self.targets, dtype=float)
-            if y.ndim != 1:
-                raise ShapeError("targets must be a 1-d array")
+            y = _frozen(self.targets, "targets", 1)
             if y.shape[0] != X.shape[0]:
                 raise ShapeError(
                     f"targets length {y.shape[0]} does not match {X.shape[0]} rows"
                 )
-            if not np.all(np.isfinite(y)):
-                raise ParameterError("targets contain non-finite entries")
-            object.__setattr__(self, "targets", _freeze(y))
+            object.__setattr__(self, "targets", y)
         if self.feature_names is not None:
             names = tuple(str(s) for s in self.feature_names)
             if len(names) != X.shape[1]:
@@ -138,16 +134,14 @@ class PairwiseSet:
     losers: np.ndarray
 
     def __post_init__(self):
-        W = as_matrix(self.winners, "winners")
-        L = as_matrix(self.losers, "losers")
+        W = _frozen(self.winners, "winners", 2)
+        L = _frozen(self.losers, "losers", 2)
         if W.shape != L.shape:
             raise ShapeError(f"winners shape {W.shape} != losers shape {L.shape}")
         if W.shape[1] < 1:
             raise ParameterError("pairwise set needs at least one feature column")
-        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(L))):
-            raise ParameterError("pairwise features contain non-finite entries")
-        object.__setattr__(self, "winners", _freeze(W))
-        object.__setattr__(self, "losers", _freeze(L))
+        object.__setattr__(self, "winners", W)
+        object.__setattr__(self, "losers", L)
 
     @property
     def n_pairs(self) -> int:
@@ -169,12 +163,10 @@ class LinearModel:
     theta: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.theta, dtype=float)
-        if t.ndim != 1 or t.size < 1:
-            raise ShapeError("theta must be a nonempty 1-d array")
-        if not np.all(np.isfinite(t)):
-            raise ParameterError("theta contains non-finite entries")
-        object.__setattr__(self, "theta", _freeze(t))
+        t = _frozen(self.theta, "theta", 1)
+        if t.size < 1:
+            raise ShapeError("theta must be nonempty")
+        object.__setattr__(self, "theta", t)
 
     @property
     def dim(self) -> int:

@@ -1,6 +1,7 @@
-"""Target-distribution abstraction: analytic (uniform, Gaussian), kernel
-density estimates with cross-validated bandwidth, and an interpolated
-empirical CDF.
+"""Target-distribution abstraction: the Gaussian, kernel density estimates
+with cross-validated bandwidth, and piecewise-linear cdfs.  The uniform
+marginal and the interpolated empirical CDF are one piecewise-linear
+marginal, `_piecewise_linear`, on two knots and on the sample's knots.
 
 All four callables of a TargetDistribution are vectorized over numpy
 arrays; cdf_link gives (cdf, pdf, pdf') in one call, the tt estimator's
@@ -60,7 +61,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .core import DomainError, ParameterError
+from .core import DomainError, ParameterError, _frozen
 
 _QUANTILE_CLAMP = 1e-9
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
@@ -163,18 +164,30 @@ def gaussian_distribution(mean: float, std: float) -> TargetDistribution:
 
 
 def uniform_distribution(a: float, b: float) -> TargetDistribution:
+    """U[a, b]: the piecewise-linear marginal through (a, 0) and (b, 1), so
+    its pdf is 1/(b - a) on [a, b) and 0 elsewhere."""
     if not (b > a and np.isfinite(a) and np.isfinite(b)):
         raise ParameterError(f"need finite a < b, got a={a!r}, b={b!r}")
-    width = b - a
+    return _piecewise_linear(np.array([a, b], dtype=float), np.array([0.0, 1.0]))
 
-    def pdf(y):
-        return np.where((y >= a) & (y <= b), 1.0 / width, 0.0)
+
+def _piecewise_linear(knots: np.ndarray, levels: np.ndarray) -> TargetDistribution:
+    """The continuous marginal whose cdf interpolates `levels` (0 first, 1
+    last) linearly between the increasing `knots`.  Its pdf is each piece's
+    slope, right-continuous (0 from the last knot on), and pdf' is 0."""
+    slopes = np.diff(levels) / np.diff(knots)
 
     def cdf(y):
-        return np.clip((y - a) / width, 0.0, 1.0)
+        return np.interp(y, knots, levels)
+
+    def pdf(y):
+        idx = np.searchsorted(knots, y, side="right") - 1
+        inside = (idx >= 0) & (idx < slopes.size)
+        safe = np.clip(idx, 0, slopes.size - 1)
+        return np.where(inside, slopes[safe], 0.0)
 
     def inv(u):
-        return a + u * width
+        return np.interp(u, levels, knots)
 
     return TargetDistribution(
         pdf=pdf, cdf=cdf, inv_cdf=inv, cdf_link=lambda y: (cdf(y), pdf(y), np.zeros_like(y))
@@ -194,14 +207,11 @@ class KdeModel:
     bandwidth: float
 
     def __post_init__(self):
-        pts = np.sort(np.asarray(self.sample_points, dtype=float).ravel())
+        pts = _frozen(np.sort(np.atleast_1d(self.sample_points)), "sample_points", 1)
         if pts.size < 1:
             raise ParameterError("KDE needs at least one sample point")
-        if not np.all(np.isfinite(pts)):
-            raise ParameterError("KDE sample points contain non-finite entries")
         if not (self.bandwidth > 0.0 and np.isfinite(self.bandwidth)):
             raise ParameterError(f"bandwidth must be positive, got {self.bandwidth!r}")
-        pts.flags.writeable = False
         object.__setattr__(self, "sample_points", pts)
 
 
@@ -551,9 +561,7 @@ def _screen_cells(v: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarr
             for w in (B, 2 * B)
         )
         c = coef[folds * m + occ]
-        value = c[..., P - 1]
-        for r in range(P - 2, -1, -1):
-            value = value * off + c[..., r]
+        value = _poly(np.moveaxis(c[..., :P], -1, 0), off)
         err = 1.001 * (
             (np.abs(off) + 0.5) ** P * c[..., P] + (2 * n + 20 * P) * u * tau * near[5, occ]
         )
@@ -920,20 +928,4 @@ def empirical_distribution(values) -> TargetDistribution:
     pad = (uniq[-1] - uniq[0]) / n
     knots = np.concatenate(([uniq[0] - pad], uniq, [uniq[-1] + pad]))
     levels = np.concatenate(([0.0], positions, [1.0]))
-    slopes = np.diff(levels) / np.diff(knots)
-
-    def cdf(y):
-        return np.interp(y, knots, levels)
-
-    def pdf(y):
-        idx = np.searchsorted(knots, y, side="right") - 1
-        inside = (idx >= 0) & (idx < slopes.size)
-        safe = np.clip(idx, 0, slopes.size - 1)
-        return np.where(inside, slopes[safe], 0.0)
-
-    def inv(u):
-        return np.interp(u, levels, knots)
-
-    return TargetDistribution(
-        pdf=pdf, cdf=cdf, inv_cdf=inv, cdf_link=lambda y: (cdf(y), pdf(y), np.zeros_like(y))
-    )
+    return _piecewise_linear(knots, levels)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -41,9 +41,14 @@ from .core import (
     ShapeError,
     predict,
 )
-from .distributions import empirical_distribution, fit_kde, gaussian_distribution, kde_distribution
+from .distributions import (
+    TargetDistribution,
+    empirical_distribution,
+    fit_kde,
+    gaussian_distribution,
+    kde_distribution,
+)
 from .pairgen import (
-    STREAM_AUX,
     STREAM_PAIRWISE,
     STREAM_TEST,
     STREAM_UNLABELED,
@@ -52,7 +57,6 @@ from .pairgen import (
     counterexample_sampler,
     generate_synthetic,
     pairwise_from_arrays,
-    random_unit_vector,
     sample_pairwise_from_spec,
     stream_rng,
 )
@@ -278,16 +282,19 @@ class _RepeatData(NamedTuple):
     constant: float | None = None
 
 
+def _synthetic_marginal(noise_std: float) -> TargetDistribution:
+    """The synthetic model's target marginal: a unit direction applied to
+    N(0, I) features plus N(0, noise_std^2) noise is N(0, 1 + noise_std^2)."""
+    return gaussian_distribution(0.0, math.sqrt(1.0 + noise_std**2))
+
+
 def _synthetic_data(cfg: RiskConfig, spec: ExperimentSpec, seed_r: int) -> _RepeatData:
-    theta_true = random_unit_vector(spec.dim, stream_rng(seed_r, STREAM_AUX))
-    sspec = SyntheticSpec(
-        dim=spec.dim, noise_std=spec.noise_std, theta_true=theta_true, seed=seed_r
-    )
+    sspec = SyntheticSpec.draw(spec.dim, spec.noise_std, seed_r)
     train = generate_synthetic(sspec, spec.n_u, stream=STREAM_UNLABELED)
     test = generate_synthetic(sspec, spec.test_size, stream=STREAM_TEST)
 
     def uncoupled():
-        dist = gaussian_distribution(0.0, math.sqrt(1.0 + spec.noise_std**2))
+        dist = _synthetic_marginal(spec.noise_std)
         return dist, cfg, sample_pairwise_from_spec(sspec, max(spec.n_r_values))
 
     return _RepeatData(train, test, uncoupled)
@@ -441,8 +448,8 @@ def run_synthetic(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     weights tuned to it once (lam = w1 + w2, which is 0 on a centered
     Gaussian).
     """
-    dist = gaussian_distribution(0.0, math.sqrt(1.0 + spec.noise_std**2))
-    return _sweep(partial(_synthetic_data, tune_weights(dist)), spec, jobs)
+    cfg = tune_weights(_synthetic_marginal(spec.noise_std))
+    return _sweep(partial(_synthetic_data, cfg), spec, jobs)
 
 
 def run_benchmark(
@@ -499,15 +506,18 @@ def _verdict(ok: bool) -> str:
     return "ok" if ok else "FAIL"
 
 
-def _lemma1_errors(n_samples: int, seed: int, dim: int = 5, noise_std: float = 0.1):
+# The check suites' synthetic model, as in the default sweep.
+_CHECK_DIM, _CHECK_NOISE_STD = 5, 0.1
+
+
+def _lemma1_errors(n_samples: int, seed: int):
     """Relative errors of the two winner/loser mean identities and the
     absolute error of their half-half mixture, for h = the true direction."""
-    theta = random_unit_vector(dim, stream_rng(seed, STREAM_AUX))
-    sspec = SyntheticSpec(dim=dim, noise_std=noise_std, theta_true=theta, seed=seed)
+    sspec = SyntheticSpec.draw(_CHECK_DIM, _CHECK_NOISE_STD, seed)
     coupled = generate_synthetic(sspec, n_samples, stream=STREAM_UNLABELED)
     pairs = sample_pairwise_from_spec(sspec, n_samples)
-    dist = gaussian_distribution(0.0, math.sqrt(1.0 + noise_std**2))
-    model = LinearModel(theta)
+    dist = _synthetic_marginal(_CHECK_NOISE_STD)
+    model = LinearModel(sspec.theta_true)
 
     # phi'(h) = 2h
     score_u = 2.0 * predict(model, coupled.features)
@@ -565,13 +575,10 @@ def check_theorem1_variance(
     if offsets.size < 2 or 0.0 not in offsets:
         raise ParameterError("lambda_offsets must contain 0 and one other offset")
 
-    dim, noise_std = 5, 0.1
-    dist = gaussian_distribution(0.0, math.sqrt(1.0 + noise_std**2))
-    cfg = tune_weights(dist)
-    theta = random_unit_vector(dim, stream_rng(seed, STREAM_AUX))
-    model = LinearModel(theta)
-    calib_spec = SyntheticSpec(dim=dim, noise_std=noise_std, theta_true=theta, seed=seed)
-    calib = sample_pairwise_from_spec(calib_spec, 2000)
+    cfg = tune_weights(_synthetic_marginal(_CHECK_NOISE_STD))
+    model_spec = SyntheticSpec.draw(_CHECK_DIM, _CHECK_NOISE_STD, seed)
+    model = LinearModel(model_spec.theta_true)
+    calib = sample_pairwise_from_spec(model_spec, 2000)
     lam_star = optimal_lambda(cfg.w1, cfg.w2, estimate_variances(model, calib))
     grid = lam_star + offsets
     center = int(np.argmin(np.abs(offsets)))
@@ -579,12 +586,7 @@ def check_theorem1_variance(
     n_u = n_u_factor * n_r
     risks = np.empty((resamples, grid.size))
     for k in range(resamples):
-        sub = SyntheticSpec(
-            dim=dim,
-            noise_std=noise_std,
-            theta_true=theta,
-            seed=_repeat_seed(seed, k + 1),
-        )
+        sub = replace(model_spec, seed=_repeat_seed(seed, k + 1))
         unl = generate_synthetic(sub, n_u, stream=STREAM_UNLABELED).without_targets()
         pairs = sample_pairwise_from_spec(sub, n_r)
         for j, lam in enumerate(grid):

@@ -4,7 +4,10 @@ pairwise data alone cannot pin down the regression function.
 
 All sampling is driven by numpy Generator streams derived from
 (seed, stream) pairs, so distinct stream tags give independent draws while a
-single seed keeps the whole experiment reproducible.
+single seed keeps the whole experiment reproducible.  One seed fixes one
+linear-Gaussian model, SyntheticSpec.draw: its true direction comes from
+the STREAM_AUX stream, its unlabeled and test sets from STREAM_UNLABELED and
+STREAM_TEST, and its comparisons from STREAM_PAIRWISE.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Dataset, PairwiseSet, ParameterError, ShapeError
+from .core import Dataset, PairwiseSet, ParameterError, ShapeError, _frozen
 
 # Stream tags: distinct tags under one seed yield independent sample streams.
 STREAM_UNLABELED = 0
@@ -59,16 +62,19 @@ class SyntheticSpec:
             raise ParameterError(f"noise_std must be >= 0, got {self.noise_std!r}")
         if self.seed < 0:
             raise ParameterError("seed must be a nonnegative integer")
-        th = np.asarray(self.theta_true, dtype=float)
-        if th.ndim != 1 or th.size != self.dim:
+        th = _frozen(self.theta_true, "theta_true", 1)
+        if th.size != self.dim:
             raise ShapeError(f"theta_true must have shape ({self.dim},)")
-        if not np.all(np.isfinite(th)):
-            raise ParameterError("theta_true contains non-finite entries")
         if abs(float(np.linalg.norm(th)) - 1.0) > 1e-9:
             raise ParameterError("theta_true must have unit norm (within 1e-9)")
-        th = th.copy()
-        th.flags.writeable = False
         object.__setattr__(self, "theta_true", th)
+
+    @classmethod
+    def draw(cls, dim: int, noise_std: float, seed: int) -> "SyntheticSpec":
+        """The model of a seed: theta_true is a uniform direction drawn from
+        the seed's STREAM_AUX stream."""
+        theta = random_unit_vector(dim, stream_rng(seed, STREAM_AUX))
+        return cls(dim=dim, noise_std=noise_std, theta_true=theta, seed=seed)
 
 
 def generate_synthetic(spec: SyntheticSpec, n: int, stream: int = STREAM_UNLABELED) -> Dataset:
@@ -104,12 +110,13 @@ def pairwise_from_arrays(x1, y1, x2, y2) -> PairwiseSet:
     return PairwiseSet(winners=winners, losers=losers)
 
 
-def sample_pairwise_from_spec(spec: SyntheticSpec, n_r: int, stream: int = STREAM_PAIRWISE) -> PairwiseSet:
-    """Draw n_r comparisons from 2 * n_r fresh (X, Y) samples, independent of
-    any unlabeled dataset drawn under a different stream tag."""
+def sample_pairwise_from_spec(spec: SyntheticSpec, n_r: int) -> PairwiseSet:
+    """Draw n_r comparisons from 2 * n_r fresh (X, Y) samples on the seed's
+    STREAM_PAIRWISE stream, independent of the unlabeled and test sets that
+    generate_synthetic draws on their own streams under the same seed."""
     if n_r < 1:
         raise ParameterError("n_r must be >= 1")
-    rng = stream_rng(spec.seed, stream)
+    rng = stream_rng(spec.seed, STREAM_PAIRWISE)
     X1 = rng.standard_normal((n_r, spec.dim))
     e1 = rng.standard_normal(n_r) * spec.noise_std
     X2 = rng.standard_normal((n_r, spec.dim))

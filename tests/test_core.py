@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 import uncoupled
 from uncoupled import (
     Dataset,
+    KdeModel,
     LinearModel,
     PairwiseSet,
+    ParameterError,
     RiskConfig,
     ShapeError,
+    SyntheticSpec,
     predict,
 )
 
@@ -52,11 +55,63 @@ class TestPredict:
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
-class TestDataclasses:
-    def test_dataset_rejects_nan(self):
-        with pytest.raises(Exception):
-            Dataset(features=np.array([[1.0], [np.nan]]))
+# Each array field of the five value types: an input of the right shape and
+# the call that builds the type from it and returns the stored array.
+_ARRAY_FIELDS = {
+    "Dataset.features": (np.ones((3, 2)), lambda a: Dataset(features=a).features),
+    "Dataset.targets": (
+        np.arange(3.0),
+        lambda a: Dataset(features=np.ones((3, 2)), targets=a).targets,
+    ),
+    "PairwiseSet.winners": (
+        np.ones((3, 2)),
+        lambda a: PairwiseSet(winners=a, losers=np.zeros((3, 2))).winners,
+    ),
+    "PairwiseSet.losers": (
+        np.ones((3, 2)),
+        lambda a: PairwiseSet(winners=np.zeros((3, 2)), losers=a).losers,
+    ),
+    "LinearModel.theta": (np.array([1.0, 2.0]), lambda a: LinearModel(a).theta),
+    "KdeModel.sample_points": (
+        np.array([0.0, 1.0, 2.0]),
+        lambda a: KdeModel(a, bandwidth=1.0).sample_points,
+    ),
+    "SyntheticSpec.theta_true": (
+        np.array([0.6, 0.8]),
+        lambda a: SyntheticSpec(dim=2, noise_std=0.1, theta_true=a, seed=0).theta_true,
+    ),
+}
 
+
+@pytest.mark.parametrize("field", list(_ARRAY_FIELDS))
+class TestFrozenArrays:
+    """Every array a value object holds is a read-only float copy of a
+    finite input with the right number of dimensions."""
+
+    def test_read_only_copy(self, field):
+        given, build = _ARRAY_FIELDS[field]
+        a = given.copy()
+        stored = build(a)
+        assert not stored.flags.writeable
+        assert not np.shares_memory(stored, a)
+        a[...] = 7.0
+        assert np.array_equal(stored, given)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry(self, field, bad):
+        given, build = _ARRAY_FIELDS[field]
+        a = given.copy()
+        a.flat[0] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            build(a)
+
+    def test_wrong_dimension_count(self, field):
+        given, build = _ARRAY_FIELDS[field]
+        with pytest.raises(ShapeError, match="-d array"):
+            build(given[None] if given.ndim == 1 else given[0])
+
+
+class TestDataclasses:
     def test_dataset_target_length_checked(self):
         with pytest.raises(ShapeError):
             Dataset(features=np.eye(3), targets=np.array([1.0, 2.0]))
@@ -73,10 +128,6 @@ class TestDataclasses:
     def test_pairwise_counts(self):
         pairs = PairwiseSet(winners=np.ones((5, 2)), losers=np.zeros((5, 2)))
         assert (pairs.n_pairs, pairs.dim) == (5, 2)
-
-    def test_linear_model_rejects_nonfinite(self):
-        with pytest.raises(Exception):
-            LinearModel(np.array([1.0, np.inf]))
 
     def test_risk_config_fields(self):
         cfg = RiskConfig(w1=0.5, w2=-0.5, lam=0.0)

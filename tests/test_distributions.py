@@ -145,6 +145,29 @@ class TestUniform:
         with pytest.raises(ParameterError):
             uniform_distribution(1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "a,b", [(0.0, 1.0), (-1.0, 3.0), (2.0, 3.0), (0.0, 3.0), (-0.7, 2.3), (1e-3, 7.1)]
+    )
+    def test_closed_forms(self, a, b):
+        """The piecewise-linear marginal through (a, 0) and (b, 1) gives the
+        closed-form quantile bit for bit.  np.interp multiplies by the
+        rounded slope 1/(b - a) where the closed-form cdf divides by b - a,
+        so the cdf is bit for bit only when b - a is a power of two, and
+        within one ulp otherwise."""
+        dist = uniform_distribution(a, b)
+        rng = np.random.default_rng(17)
+        u = rng.uniform(0.0, 1.0, 100_000)
+        assert np.array_equal(dist.inv_cdf(u), a + u * (b - a))
+        y = np.concatenate((rng.uniform(a - 1.0, b + 1.0, 100_000), [a, b]))
+        closed = np.clip((y - a) / (b - a), 0.0, 1.0)
+        if math.frexp(b - a)[0] == 0.5:
+            assert np.array_equal(dist.cdf(y), closed)
+        else:
+            assert np.all(np.abs(dist.cdf(y) - closed) <= np.spacing(closed))
+        inside = (y >= a) & (y < b)
+        assert np.array_equal(dist.pdf(y), np.where(inside, 1.0 / (b - a), 0.0))
+        assert dist.pdf(b) == 0.0 and dist.pdf(a) == 1.0 / (b - a)
+
 
 class TestKde:
     def test_single_point_kernel_value(self):

@@ -13,6 +13,7 @@ from uncoupled import (
     sample_pairwise_from_spec,
 )
 from uncoupled.pairgen import (
+    STREAM_AUX,
     STREAM_PAIRWISE,
     STREAM_TEST,
     STREAM_UNLABELED,
@@ -51,6 +52,13 @@ class TestSyntheticSpec:
     def test_rejects_negative_noise(self):
         with pytest.raises(ParameterError):
             SyntheticSpec(dim=1, noise_std=-0.5, theta_true=np.array([1.0]), seed=0)
+
+    @pytest.mark.parametrize("dim,seed", [(1, 0), (2, 7), (5, 1009)])
+    def test_draw_takes_theta_from_the_seeds_aux_stream(self, dim, seed):
+        spec = SyntheticSpec.draw(dim, 0.3, seed)
+        want = random_unit_vector(dim, stream_rng(seed, STREAM_AUX))
+        assert np.array_equal(spec.theta_true, want)
+        assert (spec.dim, spec.noise_std, spec.seed) == (dim, 0.3, seed)
 
 
 class TestGenerateSynthetic:
