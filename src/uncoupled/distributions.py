@@ -39,16 +39,23 @@ sum too, except that chunks of sorted points where Phi is exactly 1 are
 counted instead of computed.  One pass per block of 32 queries gives the
 cdf, pdf and pdf' (at 1600 points its buffers fit a 2 MB L2 cache), so
 cdf_link costs one pass.  Its inverse CDF caches a 257-node table of the
-exact cdf and, from the same pass, the kernel moments of a 10-term Taylor
-expansion of the cdf about each node.  Each query starts from the linear
-interpolant of the inverse inside the table's bracket and takes Newton
-steps on the Taylor polynomial about the nearer node, with no kernel pass.
-The result stands when a certificate puts it within 1e-10 of the root: the
-remainder bound from Cramér's inequality, a rounding bound and the
-residual, over a lower bound of the cdf's slope.  The other queries (flat
-gaps, the clamped ends) are refined by kernel-pass Newton steps with a
-bisection fallback, to within 1e-8.  A quantile asked for more than once in
-a call is inverted once.
+cdf and of the kernel moments of a 10-term Taylor expansion of the cdf
+about each node.  The table comes from cell moments, not from a kernel
+pass: the screen's cells, 20 power moments of each cell's offsets, and at
+each node a Taylor expansion over the cells within 14 of its own (the local
+expansion of a fast Gauss transform), while farther cells add their count
+or nothing.  Each level and moment is within a derived bound of its exact
+kernel sum: the truncation by Cramér's inequality, the cells beyond the
+band, and every rounding.  Each query starts from the linear interpolant of
+the inverse inside the table's bracket and takes Newton steps on the
+Taylor polynomial about the nearer node, with no kernel pass.  The result
+stands when a certificate puts it within 1e-10 of the root through the
+node's cdf float: the remainder bound, the moments' and the polynomial's
+rounding bounds and the residual, over a lower bound of the cdf's slope.
+The other queries (flat gaps, the clamped ends) are refined by kernel-pass
+Newton steps with a bisection fallback, to within 1e-8, in a bracket that
+the kernel pass's floats confirm.  A quantile asked for more than once in a
+call is inverted once.
 """
 
 from __future__ import annotations
@@ -635,10 +642,9 @@ _CDF_TABLE_NODES = 257
 # ndtr(z) is exactly 1.0 for every z >= 8.2924; the tests pin it from 8.3 up.
 _NDTR_ONE = 8.3
 # Sample points per chunk of the cdf sum, and queries per kernel block.  A
-# block's pass holds four rows x n float buffers (z, the ndtr output, exp
-# and its product with z).  At 32 rows and n = 1600 they take 1.6 MB and
-# stay in a 2 MB L2 cache; at 64 rows the first three alone took 2.4 MB,
-# and the pass ran about 10% slower.  The values do not depend on the
+# block's pass holds three rows x n float buffers (z, the ndtr output, and
+# exp, which then takes its product with z).  At 32 rows and n = 1600 they
+# take 1.2 MB and stay in a 2 MB L2 cache.  The values do not depend on the
 # block size.
 _CDF_CHUNK = 64
 _QUERY_BLOCK = 32
@@ -652,8 +658,19 @@ _QUERY_BLOCK = 32
 # 0.18 on a 1000-point log-normal with a long tail.  There K = 10 bounds the
 # remainder by 3e-17 and 1e-13, so a root is certified to 1e-10 wherever the
 # pdf exceeds 1e-3 even at the cell's middle.  K = 8 leaves 4e-11 on the
-# second sample and certifies 70 fewer of its levels k/1000; K = 12 costs
-# 1.4 ms more per 1600-point table and certifies one more (0.999).
+# second sample and certifies 70 fewer of its levels k/1000; K = 12
+# certifies one more (0.999).
+#
+# `_cell_sums` builds the levels and moments from cells one bandwidth wide:
+# _TABLE_TERMS power moments per cell, over the cells within _TABLE_BAND of
+# each node's own.  Each moment's truncation costs _CRAMER sqrt((r + Q)!)
+# 2^-Q / Q! at most: 2.6e-16 for M_0 at Q = 20 (2e-14 at Q = 18), and the
+# points beyond B = 14 cells move a sum by e^-42 of its scale.  A sample
+# wider than _CELL_RANGE bandwidths has cell coordinates too coarse for the
+# band; its table takes the kernel pass's levels and certifies no query.
+_TABLE_TERMS = 20
+_TABLE_BAND = 14
+_CELL_RANGE = 1e14
 _TAYLOR_TERMS = 10
 _CRAMER = 0.4335
 # |phi'| <= phi(1): a bound on F'' in units of the bandwidth
@@ -666,22 +683,132 @@ _CERTIFIED_RADIUS = 1e-10
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _hermite_sums(z, e, terms, work):
-    """Row sums of He_r(z) e for r < terms (terms >= 2), by
-    He_{r+1} = z He_r - r He_{r-1}.  Overwrites e and work, which holds two
-    more arrays of its shape."""
-    sums = np.empty((e.shape[0], terms))
-    sums[:, 0] = e.sum(axis=1)
-    prev, cur, tmp = e, work[0], work[1]
-    np.multiply(z, e, out=cur)
-    sums[:, 1] = cur.sum(axis=1)
-    for r in range(1, terms - 1):
-        np.multiply(z, cur, out=tmp)
-        prev *= r
-        np.subtract(tmp, prev, out=prev)
-        sums[:, r + 1] = prev.sum(axis=1)
-        prev, cur = cur, prev
-    return sums
+def _hermite_functions(s: np.ndarray, orders: int) -> np.ndarray:
+    """sqrt(2 pi) g_m(s) for m = -1 .. orders - 2, one row each, where
+    g_-1 = -Phi and g_m = He_m phi, so that g_m' = -g_(m+1).  Row 0 is
+    -sqrt(2 pi) ndtr(s) and row m + 1 is He_m(s) exp(-s^2 / 2), by
+    He_(m+1) = s He_m - m He_(m-1).  For |s| <= 15, row 0 is within
+    4 u sqrt(2 pi) of its exact value at the float s, and row m + 1 within
+    32 u sqrt(2 pi) C_m e^(-s^2 / 4) (u = 2^-53, C_m = _CRAMER sqrt(m!)),
+    as the tests measure against extended precision."""
+    g = np.empty((orders, s.size))
+    g[0] = -_SQRT_2PI * ndtr(s)
+    g[1] = np.exp(-0.5 * s * s)
+    g[2] = s * g[1]
+    for m in range(1, orders - 2):
+        np.multiply(s, g[m + 1], out=g[m + 2])
+        g[m + 2] -= m * g[m]
+    return g
+
+
+def _cell_sums(v: np.ndarray, h: float, nodes: np.ndarray):
+    """The node table's sums from cell moments: at each node t the cdf
+    level F(t) = (1/n) sum_j Phi(z_j) and the moments
+    M_r(t) = (1/n) sum_j g_r(z_j), r < K = _TAYLOR_TERMS, with
+    z_j = (t - v_j) / h, for the sorted sample v.  Returns (levels,
+    moments (nodes, K), level_err, moment_err (nodes, K)): each level is
+    within level_err of F(t), and M_r within moment_err[node, r].  The
+    levels are nondecreasing.
+
+    The sample is cut into the cells of `_screen_cells`,
+    floor((v - v[0]) / h).  Cell k's centre is the float
+    c = v[0] + h (k + 1/2), its points' offsets are o = (v - c) / h, and its
+    power moments are P_q = sum o^q / q!, q < Q = _TABLE_TERMS.  A node t is
+    expanded over the occupied cells within B = _TABLE_BAND of its own cell
+    floor((t - v[0]) / h), at s = (t - c) / h.  By Taylor's theorem in o,
+    with g_m' = -g_(m+1) (`_hermite_functions`),
+
+        sum_j g_r(s - o_j) = sum_q P_q g_(r+q)(s) + R
+
+    for r = -1 .. K - 1.  With g_-1 = -Phi this gives the level: the band
+    adds -sum_q P_q g_(q-1)(s), the cells left of the band add their count
+    and those right of it add 0.
+
+    Each bound below is per point, in units of 1/n; summed over at most n
+    points it bounds the sums.  Let rho = max |o|, S = max |s| over the
+    expanded (node, cell) pairs, N the largest cell count, C_-1 = 1,
+    C_m = _CRAMER sqrt(m!) >= max |g_m| (Cramér's inequality, as in
+    `_screen_table`), and A_r = sum_q rho^q / q! C_(r+q), which bounds the
+    sum of the terms' magnitudes.  Moment r (the level at r = -1) is then
+    within the sum of:
+
+    - truncation: |R| <= C_(r+Q) rho^Q / Q!, the Lagrange remainder;
+    - tail: C_r e^(-(B - 1)^2 / 4).  The cell coordinates are off by
+      4.01 u (z_max + 6) < 1 at most (u = 2^-53, z_max = (v[-1] - v[0]) / h
+      below _CELL_RANGE), so a point beyond the band is more than B - 1
+      bandwidths from the node, where |g_r(z)| <= C_r e^(-z^2 / 4).  For
+      the level that also bounds Phi(-z) and 1 - Phi(z);
+    - coordinates: 2.01 u (S + rho) C_(r+1).  s and o are each two
+      roundings from (t - c) / h and (v - c) / h, so s - o is within
+      2.01 u (S + rho) of z, and |g_r'| = |g_(r+1)| <= C_(r+1);
+    - rounding: (N + 2Q + 2B + 41) u A_r.  A moment's sum of at most N
+      terms o^q / q!, each off by (q + 1) u, costs N + Q; the functions 32
+      (`_hermite_functions`); the products and the sum of at most
+      Q (2B + 1) of them Q + 2B + 2; and the scaling, the left count and
+      the level's difference 5 more.
+
+    For r >= 0 the truncation, coordinate and rounding terms also hold
+    with C_m e^(-x^2 / 4) in place of C_m, where x is the least |z| the
+    point's terms can reach, max(|s| - rho - 2.01 u (S + rho), 0):
+    Cramér's inequality bounds |g_m(x)| by that, and the functions'
+    rounding decays the same way.  So a node's moment bound weights each
+    point by e^(-x^2 / 4), which keeps it small at a node far from every
+    cell, where the cdf's slope and so the certificate's margin are small
+    too.  The level keeps weight 1, since Phi does not decay to the left.
+    Each bound is raised by 0.1%, which covers its own rounding.  The
+    running maximum that keeps the levels nondecreasing moves no level
+    farther from F, which is nondecreasing.
+
+    The work is O(n Q) for the moments and O(nodes (2B + 1) Q K) for the
+    expansions, against O(nodes n K) for the kernel pass.
+    """
+    n = v.size
+    Q, B, K = _TABLE_TERMS, _TABLE_BAND, _TAYLOR_TERMS
+    u = _UNIT_ROUNDOFF
+    cell = np.floor((v - v[0]) / h)
+    new = np.r_[True, cell[1:] != cell[:-1]]
+    cells = cell[new]
+    occ = np.cumsum(new) - 1
+    centre = v[0] + h * (cells + 0.5)
+    off = (v - centre[occ]) / h
+    fact = np.array([float(math.factorial(m)) for m in range(Q + K)])
+    moments = np.empty((Q, cells.size))
+    power = np.ones(n)
+    for q in range(Q):
+        moments[q] = np.bincount(occ, weights=power) / fact[q]
+        power *= off
+    # each node's band is a run of occupied cells, from `first` on
+    home = np.floor((nodes - v[0]) / h)
+    first = np.searchsorted(cells, home - B)
+    width = np.searchsorted(cells, home + B, side="right") - first
+    node = np.repeat(np.arange(nodes.size), width)
+    pair = np.arange(node.size) + np.repeat(first - (np.cumsum(width) - width), width)
+    s = (nodes[node] - centre[pair]) / h
+    g = _hermite_functions(s, Q + K)
+    terms = np.lib.stride_tricks.sliding_window_view(g, Q, axis=0)
+    weights = np.einsum("qp,rpq->rp", moments[:, pair], terms)
+    sums = np.array([np.bincount(node, weights=w, minlength=nodes.size) for w in weights])
+    sums /= n * _SQRT_2PI
+    left = np.r_[0.0, np.cumsum(moments[0])][first]
+    levels = np.maximum.accumulate(left / n - sums[0])
+
+    # the bounds, at index r + 1 for r = -1 .. K - 1; scale[m + 1] is C_m
+    rho = float(np.abs(off).max())
+    slack = 2.01 * u * (np.abs(s).max() + rho)
+    scale = np.r_[1.0, _CRAMER * np.sqrt(fact)]
+    series = rho ** np.arange(Q) / fact[:Q]
+    per_point = np.array([
+        scale[i + Q] * rho**Q / fact[Q]
+        + slack * scale[i + 1]
+        + (moments[0].max() + 2 * Q + 2 * B + 41) * u * (series @ scale[i : i + Q])
+        for i in range(K + 1)
+    ])
+    tail = scale[: K + 1] * math.exp(-0.25 * (B - 1) ** 2)
+    envelope = np.exp(-0.25 * np.maximum(np.abs(s) - rho - slack, 0.0) ** 2)
+    reach = np.bincount(node, weights=moments[0, pair] * envelope, minlength=nodes.size) / n
+    level_err = 1.001 * (per_point[0] + tail[0])
+    moment_err = 1.001 * (reach[:, None] * per_point[1:] + tail[1:])
+    return levels, sums[1:].T, level_err, moment_err
 
 
 def _poly(coef, x):
@@ -709,31 +836,44 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
     between two points 50 bandwidths apart) stays exact.  pdf and cdf read
     the same pass, so they are cdf_link's floats.
 
-    The inverse CDF tabulates the exact cdf at 257 nodes on the first call
-    and caches the table.  The same pass stores at each node t the moments
-    M_r = (1/n) sum_j He_r(z_j) phi(z_j), r < K = 10, by the recurrence
-    He_{r+1} = z He_r - r He_{r-1} on its z and exp(-z^2 / 2) buffers.
+    The inverse CDF tabulates, on the first call, the cdf at 257 nodes and
+    at each node t the moments M_r = (1/n) sum_j He_r(z_j) phi(z_j),
+    r < K = 10, and caches the table.  Both come from cell moments
+    (`_cell_sums`), at O(n Q + nodes (2B + 1) Q K) cost with Q = 20 terms
+    and a band of B = 14 cells: each level within level_err of the exact
+    cdf at t, and each M_r within moment_err[t, r], bounds that
+    `_cell_sums` derives.  On the benchmark's 1600-point log-normal sample
+    level_err is 4.6e-14 (the levels are within 4.4e-16 of an fsum of ndtr)
+    and moment_err[t, r] is below 1.1e-12 of Cramér's scale
+    0.4335 sqrt(r!).
     Then F(t + h d) = F(t) + sum_r (-1)^r M_r d^(r+1) / (r+1)! + R with
     |R| <= 0.4335 sqrt(K!) |d|^(K+1) / (K+1)! for any sample (Cramér's
-    inequality bounds |He_K phi| by 0.4335 sqrt(K!)).
+    inequality bounds |He_K phi| by 0.4335 sqrt(K!)).  A sample wider than
+    1e14 bandwidths takes its levels from the kernel pass instead, and none
+    of its queries is certified.
 
     Each query takes its bracket from the table and starts from the linear
     interpolant of the inverse inside it.  It takes 5 Newton steps on the
     Taylor polynomial about the bracket node nearer the start, all queries
-    at once and with no kernel pass.  Its result is certified when R, a
-    bound on the rounding of the moments and of Horner's rule, and the
+    at once and with no kernel pass.  Its result is certified when R, the
+    moments' bounds, a bound on the rounding of Horner's rule, and the
     residual, over a lower bound of F' within 1e-10 of it (the polynomial's
     slope less its error bounds and a bound on F''), put the root within
-    1e-10.  The root is that of the exact cdf through the node's cdf float.
+    1e-10.  The root is that of the exact cdf through the node's cdf float,
+    which is itself within level_err of the exact cdf at the node.
     A query that is not certified (one in a flat gap, where no cdf in
-    doubles pins its root, or at a clamped end) takes kernel-pass Newton
-    steps from the same start, falling back to bisection whenever a step
-    leaves the bracket.  It stops once the bracket is at most 1e-8 wide or
-    a step is below 1e-9.  So every result is within 1e-8 of the smallest y
-    with cdf(y) >= u.  Quantiles below cdf(lo) map to lo and above cdf(hi)
-    to hi.  Each query's steps depend on its own value alone, so repeated
-    quantiles (the rank read-out's levels k/n_U repeat) are inverted once
-    each and scattered back, with the same floats.
+    doubles pins its root, or at a clamped end) first steps its bracket
+    outward, one node at a time, until the kernel pass's cdf floats bracket
+    it: on a flat stretch a level within level_err of u can lie on the
+    other side of u from that float.  It then takes kernel-pass Newton
+    steps from the same start (the midpoint, if the bracket moved), falling
+    back to bisection whenever a step leaves the bracket.  It stops once the
+    bracket is at most 1e-8 wide or a step is below 1e-9.  So every result
+    is within 1e-8 of the smallest y with cdf(y) >= u.  Quantiles below
+    cdf(lo) map to lo and above cdf(hi) to hi.  Each query's steps depend on
+    its own value alone, so repeated quantiles (the rank read-out's levels
+    k/n_U repeat) are inverted once each and scattered back, with the same
+    floats.
     """
     pts = model.sample_points
     h = model.bandwidth
@@ -759,18 +899,15 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
         sums[:, 0] += m * _CDF_CHUNK
         return np.cumsum(sums, axis=1)[:, -1] / n
 
-    def kernel_pass(y, terms=2):
-        """(cdf, pdf, pdf') at finite y; for terms > 2 also the
-        (y.size, terms) kernel moments M_r of the node table.  Non-finite
-        queries never get here: TargetDistribution gives them their limits."""
+    def kernel_pass(y):
+        """(cdf, pdf, pdf') at finite y.  Non-finite queries never get here:
+        TargetDistribution gives them their limits."""
         flat = np.ravel(y)
         order = np.argsort(flat, kind="stable")
         ys = flat[order]
         outs = [np.empty(flat.size) for _ in range(3)]
-        moments = np.zeros((flat.size, terms)) if terms > 2 else None
         z_buf = np.empty((min(block, ys.size), padded.size))
         e_buf = np.empty((z_buf.shape[0], n))
-        work = np.empty((2, *e_buf.shape))
         for a, b in _chunked(ys.size, block):
             z, e, at = z_buf[: b - a], e_buf[: b - a], order[a:b]
             np.subtract(ys[a:b, None], padded[None, :], out=z)
@@ -779,13 +916,10 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
             np.multiply(z[:, :n], -0.5, out=e)
             e *= z[:, :n]
             np.exp(e, out=e)
-            sums = _hermite_sums(z[:, :n], e, terms, work[:, : b - a])
-            outs[1][at] = sums[:, 0] / pdf_norm
-            outs[2][at] = -sums[:, 1] / (pdf_norm * h)
-            if terms > 2:
-                moments[at] = sums / (n * _SQRT_2PI)
-        outs = tuple(out.reshape(np.shape(y)) for out in outs)
-        return outs + (moments,) if terms > 2 else outs
+            outs[1][at] = e.sum(axis=1) / pdf_norm
+            e *= z[:, :n]
+            outs[2][at] = -e.sum(axis=1) / (pdf_norm * h)
+        return tuple(out.reshape(np.shape(y)) for out in outs)
 
     # the halvings plain bisection of [lo, hi] needs to reach 1e-8: the
     # Newton loop never takes more
@@ -793,34 +927,30 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
 
     @functools.cache
     def cdf_table():
-        """The nodes, their cdf and the coefficients (by power of d, then
-        node) of four polynomials per node: S(d) / d, S'(d), and the bounds
-        on S's and S''s errors at |d| (the first over |d|), where
+        """The nodes, their cdf levels and the coefficients (by power of d,
+        then node) of four polynomials per node: S(d) / d, S'(d), and the
+        bounds on S's and S''s errors at |d| (the first over |d|), where
         S(d) = F(t + h d) - F(t) is the Taylor polynomial about the node t."""
         nodes = np.linspace(lo, hi, _CDF_TABLE_NODES)
-        levels, _, _, moments = kernel_pass(nodes, terms=_TAYLOR_TERMS)
         K = _TAYLOR_TERMS
+        poly = np.zeros((4, K + 1, nodes.size))
+        if (pts[-1] - pts[0]) / h > _CELL_RANGE:
+            poly[2:] = np.inf
+            return nodes, kernel_pass(nodes)[0], poly
+        levels, moments, _, moment_err = _cell_sums(pts, h, nodes)
         fact = np.array([float(math.factorial(r)) for r in range(K + 2)])
         signed = moments.T * (-1.0) ** np.arange(K)[:, None]
-        poly = np.zeros((4, K + 1, nodes.size))
         poly[0, :K] = signed / fact[1 : K + 1, None]
         poly[1, :K] = signed / fact[:K, None]
         # Rounding: the coefficients, Horner's rule and the residual cost at
-        # most (2K + 4) u of the terms' magnitudes.  Each moment is off by at
-        # most u _CRAMER sqrt(r!) (2 sqrt(r + 1) + log2(n) + 32): 2 sqrt(r + 1)
-        # for the rounded z, log2(n) + 12 for numpy's pairwise sum, 3 for the
-        # exp and the recurrence (measured against extended precision in the
-        # tests) and 2 for the scaling, rounded up.  The d^K coefficients of
-        # the bounds are the remainders of S and S'.
+        # most (2K + 4) u of the terms' magnitudes.  Each moment is within
+        # moment_err of its kernel sum (`_cell_sums`).  The d^K coefficients
+        # of the bounds are the remainders of S and S'.
         gamma = (2 * K + 4) * _UNIT_ROUNDOFF
-        moment_err = (
-            _UNIT_ROUNDOFF * _CRAMER * np.sqrt(fact[:K])
-            * (2.0 * np.sqrt(np.arange(1, K + 1)) + np.log2(n) + 32.0)
-        )
         cramer = _CRAMER * math.sqrt(fact[K])
-        poly[2, :K] = gamma * np.abs(poly[0, :K]) + (moment_err / fact[1 : K + 1])[:, None]
+        poly[2, :K] = gamma * np.abs(poly[0, :K]) + moment_err.T / fact[1 : K + 1, None]
         poly[2, K] = cramer / fact[K + 1]
-        poly[3, :K] = gamma * np.abs(poly[1, :K]) + (moment_err / fact[:K])[:, None]
+        poly[3, :K] = gamma * np.abs(poly[1, :K]) + moment_err.T / fact[:K, None]
         poly[3, K] = cramer / fact[K]
         return nodes, levels, poly
 
@@ -851,6 +981,21 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
             sure = (room > 0.0) & (error < room * slope_lo)
         return np.clip(x, a, b), sure
 
+    def settle(j, q, side):
+        """Step each table bracket (nodes j - 1 and j) by `side` until the
+        kernel pass puts node j - 1 below q (side -1) or node j at or above
+        q (side +1), or the bracket leaves the table (j = 0 or len(nodes))."""
+        nodes = cdf_table()[0]
+        live = np.arange(j.size)
+        while live.size:
+            at = j[live] - (side < 0)
+            inside = (at >= 0) & (at < nodes.size)
+            live, at = live[inside], at[inside]
+            F = kernel_pass(nodes[at])[0]
+            live = live[F >= q[live] if side < 0 else F < q[live]]
+            j[live] += side
+        return j
+
     def inv(u):
         # invert each distinct quantile once; `repeat` scatters them back
         q, repeat = np.unique(np.ravel(u), return_inverse=True)
@@ -866,7 +1011,18 @@ def kde_distribution(model: KdeModel) -> TargetDistribution:
         roots, sure = taylor_roots(qa, a, b, i, x)
         out[todo[sure]] = roots[sure]
         rest = ~sure
-        todo, qa, a, b, x = todo[rest], qa[rest], a[rest], b[rest], x[rest]
+        todo, qa, i, x = todo[rest], qa[rest], i[rest], x[rest]
+        # The loop reads the kernel pass's floats, which the levels match
+        # only to level_err: on a flat stretch they can put a node on
+        # opposite sides of q.  Each bracket steps outward until the kernel
+        # pass brackets q; one that leaves the table ends at lo or hi.
+        j = settle(settle(i.copy(), qa, -1), qa, 1)
+        ends = (j == 0) | (j == nodes.size)
+        out[todo[ends]] = np.where(j[ends] == 0, lo, hi)
+        inner = ~ends
+        todo, qa, i, j, x = todo[inner], qa[inner], i[inner], j[inner], x[inner]
+        a, b = nodes[j - 1], nodes[j]
+        x = np.where(j == i, x, 0.5 * (a + b))
         for _ in range(max_steps):
             if not todo.size:
                 break

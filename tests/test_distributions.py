@@ -22,15 +22,19 @@ from uncoupled import (
 )
 import uncoupled.distributions
 from uncoupled.distributions import (
+    _CDF_TABLE_NODES,
     _CRAMER,
     _SCREEN_BAND,
     _SCREEN_TERMS,
+    _TABLE_BAND,
+    _TABLE_TERMS,
     _TAYLOR_TERMS,
     _UNIT_ROUNDOFF,
     _bound_sums,
     _cv_bounds,
     _cv_scores,
-    _hermite_sums,
+    _cell_sums,
+    _hermite_functions,
     _nearest_gaps,
     _screen_cells,
     _screen_table,
@@ -721,25 +725,110 @@ class TestKdeTaylorInverse:
         miss = np.abs(dist.cdf(x[inside]) - u[inside])
         assert np.all(miss <= 1e-9 * dist.pdf(x[inside]) + 1e-14)
 
-    def test_hermite_sums_stay_within_the_rounding_bound(self):
-        # the certificate charges each moment 3 u times Cramér's bound
-        # 1.0865 sqrt(r!) for the exp and the recurrence; one point per row,
-        # so each row's sums are its terms
+    def test_hermite_functions_stay_within_the_rounding_bound(self):
+        # `_cell_sums` charges ndtr 4 u sqrt(2 pi), and the exp and the
+        # recurrence 32 u sqrt(2 pi) C_m e^(-s^2 / 4), at every |s| <= B + 1
+        # and order < Q + K
         if np.finfo(np.longdouble).nmant <= np.finfo(float).nmant:
             pytest.skip("needs an extended-precision long double")
-        z = np.linspace(-40.0, 40.0, 80_001).reshape(-1, 1)
-        e = np.exp(-0.5 * z * z)
-        got = _hermite_sums(z, e, _TAYLOR_TERMS, np.empty((2, *e.shape)))
-        zl = z.ravel().astype(np.longdouble)
-        prev, cur = np.exp(-0.5 * zl * zl), zl * np.exp(-0.5 * zl * zl)
-        ref = [prev, cur]
-        for r in range(1, _TAYLOR_TERMS - 1):
-            prev, cur = cur, zl * cur - r * prev
-            ref.append(cur)
-        for r in range(_TAYLOR_TERMS):
-            scale = _CRAMER * math.sqrt(2.0 * math.pi * math.factorial(r))
-            err = np.abs(got[:, r] - ref[r]).astype(float)
-            assert err.max() <= 3.0 * _UNIT_ROUNDOFF * scale
+        orders = _TABLE_TERMS + _TAYLOR_TERMS
+        s = np.linspace(-(_TABLE_BAND + 1.0), _TABLE_BAND + 1.0, 80_001)
+        got = _hermite_functions(s, orders)
+        sl = s.astype(np.longdouble)
+        gauss = np.exp(-0.5 * sl * sl)
+        # Phi(s) = 1/2 + phi(s) sum_k s^(2k+1) / (2k+1)!!: positive terms, so
+        # for s < 0 only the final difference from 1/2 rounds
+        term, series = sl.copy(), sl.copy()
+        for k in range(1, 400):
+            term *= sl * sl / (2 * k + 1)
+            series += term
+        ref = [-(0.5 * np.sqrt(np.longdouble(2.0) * np.pi) + gauss * series), gauss, sl * gauss]
+        for m in range(1, orders - 2):
+            ref.append(sl * ref[-1] - m * ref[-2])
+        envelope = np.exp(-0.25 * s * s)
+        for m in range(-1, orders - 1):
+            bound = 4.0 if m < 0 else 32.0 * _CRAMER * math.sqrt(math.factorial(m)) * envelope
+            err = np.abs(got[m + 1] - ref[m + 1]).astype(float)
+            assert np.all(err <= _UNIT_ROUNDOFF * math.sqrt(2.0 * math.pi) * bound)
+
+
+@st.composite
+def cell_sum_cases(draw):
+    """5 to 2000 normal points with Silverman's bandwidth h: as drawn,
+    rounded to 0.1 (duplicates) or to multiples of h (every offset near
+    +-1/2, where the truncation nears its bound); optionally split by a
+    gap of 3 bands, and with the largest point moved 1000 h out.  Also the
+    node table's nodes."""
+    n = draw(st.integers(5, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = np.sort(rng.normal(0.0, 1.0, n))
+    h = silverman_bandwidth(v)
+    rounding = draw(st.sampled_from([None, 0.1, h]))
+    if rounding is not None:
+        v = rounding * np.round(v / rounding)
+    if draw(st.booleans()):
+        k = draw(st.integers(1, n - 1))
+        v[k:] += v[k - 1] - v[k] + 3 * _TABLE_BAND * h
+    if draw(st.booleans()):
+        v[-1] = v[-2] + 1000.0 * h
+    v = np.sort(v)
+    return v, h, np.linspace(v[0] - 5.0 * h, v[-1] + 5.0 * h, _CDF_TABLE_NODES)
+
+
+class TestCellSums:
+    """The node table's levels and moments from cell moments
+    (`_cell_sums`) against point-by-point sums: math.fsum of ndtr for the
+    levels, extended precision for the moments."""
+
+    @given(cell_sum_cases())
+    def test_sums_within_their_bounds_and_brackets_hold_the_root(self, case):
+        v, h, nodes = case
+        n = v.size
+        levels, moments, level_err, moment_err = _cell_sums(v, h, nodes)
+        assert np.all(np.diff(levels) >= 0.0)
+
+        # the reference levels: each ndtr within u of Phi at its z, which is
+        # two roundings from (t - v) / h, and fsum rounds once
+        ref = np.array([math.fsum(ndtr((t - v) / h)) for t in nodes]) / n
+        slack = 4.0 * _UNIT_ROUNDOFF
+        assert np.all(np.abs(levels - ref) <= level_err + slack)
+
+        if np.finfo(np.longdouble).nmant > np.finfo(float).nmant:
+            z = (nodes.astype(np.longdouble)[:, None] - v.astype(np.longdouble)) / h
+            g = np.exp(-0.5 * z * z) / np.sqrt(np.longdouble(2.0) * np.pi)
+            he = [np.ones_like(z), z]
+            for r in range(1, _TAYLOR_TERMS - 1):
+                he.append(z * he[r] - r * he[r - 1])
+            # each extended-precision term is within a few 2^-64 of its
+            # magnitude, and the pairwise sum adds log2(n) more: 0.1 u of
+            # Cramér's scale covers both
+            for r in range(_TAYLOR_TERMS):
+                exact = (he[r] * g).sum(axis=1) / n
+                scale = _CRAMER * math.sqrt(math.factorial(r))
+                miss = np.abs(moments[:, r] - exact).astype(float)
+                assert np.all(miss <= moment_err[:, r] + 0.1 * _UNIT_ROUNDOFF * scale)
+
+        # a quantile farther than the levels' bound from every reference
+        # level: the table's bracket holds the reference cdf's root
+        u = np.concatenate((np.arange(1, n) / n, np.random.default_rng(n).uniform(0.0, 1.0, 50)))
+        u = u[np.min(np.abs(u[:, None] - ref[None, :]), axis=1) > level_err + slack]
+        k = np.searchsorted(levels, u, side="left")
+        assert np.all(ref[k[k > 0] - 1] < u[k > 0])
+        assert np.all(u[k < nodes.size] <= ref[k[k < nodes.size]])
+
+    def test_a_sample_too_wide_for_the_cells_takes_the_kernel_pass_levels(self, monkeypatch):
+        # 1e17 bandwidths: cell coordinates lose whole cells, so the node
+        # table's levels come from the kernel pass and no root is certified
+        dist = kde_distribution(KdeModel(np.array([0.0, 1e15]), bandwidth=0.01))
+        blocks = []
+
+        def counting_ndtr(z):
+            blocks.append(z.shape)
+            return ndtr(z)
+
+        monkeypatch.setattr(uncoupled.distributions, "ndtr", counting_ndtr)
+        assert abs(dist.inv_cdf(0.25)) <= 1e-8
+        assert sum(shape[0] for shape in blocks if len(shape) == 2) > _CDF_TABLE_NODES
 
 
 class TestKdeOnePass:

@@ -36,7 +36,7 @@ from uncoupled import (
 )
 import uncoupled.distributions
 from uncoupled import risk_approx
-from uncoupled.distributions import TargetDistribution
+from uncoupled.distributions import _CDF_TABLE_NODES, _TABLE_BAND, TargetDistribution
 from uncoupled.optimize import minimize_gd
 from uncoupled.risk_approx import _err, _lad_weights, identity_link, linked_risk
 from uncoupled.target_transform import sigmoid_link
@@ -198,6 +198,28 @@ class TestTuneWeights:
         dist.inv_cdf(read_out)
         dist.inv_cdf(np.arange(1, 1000) / 1000)
         assert rows == []
+
+    def test_kde_table_build_calls_ndtr_once_per_node_and_cell_in_its_band(self, monkeypatch):
+        # the node table's levels come from cell moments: one ndtr value per
+        # node and occupied cell within B cells of the node's own, at most
+        # 257 (2B + 1) in all, and never a (257, n) block of the kernel pass
+        model = fit_kde(LOGNORMAL_TARGETS)
+        v, h = model.sample_points, model.bandwidth
+        dist = kde_distribution(model)
+        shapes = []
+
+        def counting_ndtr(z):
+            shapes.append(np.shape(z))
+            return ndtr(z)
+
+        monkeypatch.setattr(uncoupled.distributions, "ndtr", counting_ndtr)
+        dist.inv_cdf(0.5)
+        nodes = np.linspace(v[0] - 5.0 * h, v[-1] + 5.0 * h, _CDF_TABLE_NODES)
+        cells = np.unique(np.floor((v - v[0]) / h))
+        home = np.floor((nodes - v[0]) / h)
+        pairs = np.count_nonzero(np.abs(cells[None, :] - home[:, None]) <= _TABLE_BAND)
+        assert [len(shape) for shape in shapes] == [1]
+        assert shapes[0][0] == pairs <= _CDF_TABLE_NODES * (2 * _TABLE_BAND + 1)
 
 
 class TestEmpiricalObjective:
